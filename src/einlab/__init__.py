@@ -27,9 +27,11 @@ from .analytic import (
     decoherence_abs_sq,
     decoherence_factor,
     decoherence_series,
+    ergodic_prediction,
     reduced_density_matrix,
     state_metrics,
     time_averaged_coherence_sq,
+    trace_columns,
 )
 from .ensemble import (
     EnsembleReport,
@@ -116,6 +118,7 @@ __all__ = [
     "decoherence_factor",
     "decoherence_series",
     "ensemble_statistics",
+    "ergodic_prediction",
     "evolve_full",
     "partial_trace_to_system",
     "recurrence_search",
@@ -123,5 +126,6 @@ __all__ = [
     "scaling_sweep",
     "state_metrics",
     "time_averaged_coherence_sq",
+    "trace_columns",
     "validate",
 ]

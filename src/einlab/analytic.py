@@ -146,6 +146,51 @@ def reduced_density_matrix(sys: SystemAmplitudes, env: EnvironmentSpec, t: float
     return ReducedState(rho)
 
 
+def trace_columns(
+    sys: SystemAmplitudes, env: EnvironmentSpec, times: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Trace-mode columns on an array of times, as float arrays:
+    t, Re z, Im z, |z|, rho[+,+], rho[-,-], |rho[+,-]|, purity, entropy.
+
+    Row by row these are the numbers :func:`decoherence_factor`,
+    :func:`reduced_density_matrix` and :func:`state_metrics` give, to the
+    bit when the system amplitudes are real (with complex ones the complex
+    product may round differently in the last place).  Purity comes from a
+    batched ``rho @ rho`` and entropy from one batched ``eigvalsh``, which
+    make the same BLAS and LAPACK calls per matrix; magnitudes use ``hypot``,
+    as Python's ``abs`` on a complex does (``np.abs`` on a complex array can
+    differ from it in the last place).
+    """
+    times = np.asarray(times, dtype=float)
+    z = decoherence_series(env, times)
+    a, b = complex(sys.a), complex(sys.b)
+    upper = z * a * np.conj(b)
+    rho = np.empty(times.shape + (2, 2), dtype=complex)
+    rho[..., 0, 0] = abs(a) ** 2
+    rho[..., 0, 1] = upper
+    rho[..., 1, 0] = np.conj(upper)
+    rho[..., 1, 1] = abs(b) ** 2
+    square = rho @ rho
+    purity = (square[..., 0, 0] + square[..., 1, 1]).real
+    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(lam > 0.0, lam * np.log(lam), 0.0)
+    entropy = -(terms[..., 0] + terms[..., 1])
+    # max(0.0, x) as in state_metrics: np.maximum(0.0, -0.0) would keep the -0
+    entropy = np.where(entropy > 0.0, entropy, 0.0)
+    return (
+        times,
+        z.real,
+        z.imag,
+        np.hypot(z.real, z.imag),
+        rho[..., 0, 0].real,
+        rho[..., 1, 1].real,
+        np.hypot(upper.real, upper.imag),
+        purity,
+        entropy,
+    )
+
+
 def coherence_in_basis(state: ReducedState, theta: float, phi: float) -> float:
     """|<0'|rho|1'>| in the rotated basis (theta, phi).
 
@@ -196,6 +241,11 @@ def time_averaged_coherence_sq(
         raise InvalidRangeError(f"need at least 2 samples, got {samples}")
     times = np.linspace(0.0, float(t_max), int(samples))
     empirical = float(np.mean(decoherence_abs_sq(env, times)))
+    return empirical, ergodic_prediction(env)
+
+
+def ergodic_prediction(env: EnvironmentSpec) -> float:
+    """prod_j (1 + d_j^2)/2: the infinite-time average of |z|^2 when the
+    couplings are pairwise incommensurate."""
     d = env.imbalances()
-    prediction = float(np.prod(0.5 * (1.0 + d * d)))
-    return empirical, prediction
+    return float(np.prod(0.5 * (1.0 + d * d)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import decoherence_abs_sq
+from .analytic import decoherence_abs_sq, ergodic_prediction
 from .errors import InvalidRangeError, NoDecayError
 from .model import EnvironmentSpec, build_environment_random
 
@@ -52,6 +52,16 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.steps() + 1)
 
+    def chunks(self, size: int, first_step: int = 0):
+        """Yield the grid's times in arrays of at most ``size`` points, from
+        step index ``first_step`` on; each point equals its :meth:`times` value."""
+        last = self.steps()
+        k = first_step
+        while k <= last:
+            stop = min(k + size, last + 1)
+            yield self.t_start + self.dt * np.arange(k, stop)
+            k = stop
+
 
 @dataclass(frozen=True)
 class RecurrenceReport:
@@ -79,16 +89,6 @@ class EnsembleReport:
     median_sup_abs_z_late: float
 
 
-def _chunked_times(grid: TimeGrid, first_step: int):
-    """Yield grid time arrays in chunks, starting at step index ``first_step``."""
-    last = grid.steps()
-    k = first_step
-    while k <= last:
-        stop = min(k + _CHUNK, last + 1)
-        yield grid.t_start + grid.dt * np.arange(k, stop)
-        k = stop
-
-
 def decay_time(env: EnvironmentSpec, threshold: float, grid: TimeGrid) -> float:
     """First grid time with |z| < threshold; resolution is the grid spacing.
 
@@ -99,7 +99,7 @@ def decay_time(env: EnvironmentSpec, threshold: float, grid: TimeGrid) -> float:
     if not (0.0 < threshold < 1.0):
         raise InvalidRangeError(f"threshold must lie in (0, 1), got {threshold}")
     thr_sq = threshold * threshold
-    for times in _chunked_times(grid, 0):
+    for times in grid.chunks(_CHUNK):
         vals = decoherence_abs_sq(env, times)
         hits = np.nonzero(vals < thr_sq)[0]
         if hits.size:
@@ -120,7 +120,7 @@ def recurrence_search(env: EnvironmentSpec, threshold: float, grid: TimeGrid) ->
         raise InvalidRangeError(f"recurrence scan needs t_start > 0, got {grid.t_start}")
     thr_sq = threshold * threshold
     scanned = 0
-    for times in _chunked_times(grid, 1):
+    for times in grid.chunks(_CHUNK, first_step=1):
         vals = decoherence_abs_sq(env, times)
         hits = np.nonzero(vals >= thr_sq)[0]
         if hits.size:
@@ -159,12 +159,11 @@ def ensemble_statistics(
         abs_sq = decoherence_abs_sq(env, times)
         abs_z = np.sqrt(abs_sq)
         pooled[i] = abs_z
-        d = env.imbalances()
         per_seed.append(
             SeedStatistics(
                 seed=seed,
                 mean_abs_z_sq=float(np.mean(abs_sq)),
-                predicted_mean_abs_z_sq=float(np.prod(0.5 * (1.0 + d * d))),
+                predicted_mean_abs_z_sq=ergodic_prediction(env),
                 sup_abs_z_late=float(np.max(abs_z[late])),
             )
         )

@@ -21,6 +21,7 @@ from einlab import (
     decoherence_abs_sq,
     decoherence_factor,
     decoherence_series,
+    ergodic_prediction,
     reduced_density_matrix,
     state_metrics,
     time_averaged_coherence_sq,
@@ -269,6 +270,7 @@ class TestTimeAveragedCoherence:
             )
         )
         empirical, prediction = time_averaged_coherence_sq(env, 2000.0, 200_000)
+        assert prediction == ergodic_prediction(env)
         assert prediction == pytest.approx(0.68**3, abs=1e-12)
         assert empirical == pytest.approx(0.68**3, rel=0.02)
 

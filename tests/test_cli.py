@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import stat
 
 import pytest
 
@@ -314,6 +316,32 @@ class TestMainEntry:
         assert main([str(config), "--output", str(missing)]) == 1
         assert not missing.parent.exists()
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_foreign_temp_file_survives_a_run(self, tmp_path):
+        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\n")
+        out = tmp_path / "out.csv"
+        foreign = tmp_path / "out.csv.tmp"
+        foreign.write_text("another run's partial output")
+        assert main([str(config), "--output", str(out), "--quiet"]) == 0
+        assert foreign.read_text() == "another run's partial output"
+        assert out.read_text().startswith("# einlab ")
+        assert list(tmp_path.glob("*.tmp")) == [foreign]
+
+    def test_output_gets_the_default_file_mode(self, tmp_path):
+        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\n")
+        out = tmp_path / "out.csv"
+        assert main([str(config), "--output", str(out), "--quiet"]) == 0
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_unhandled_key_exits_one(self, tmp_path, monkeypatch, capsys):
+        # a key the scanner admits but no parser branch consumes; -O must not hide it
+        monkeypatch.setattr(cli, "_KEYS", cli._KEYS + ("extra",))
+        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\nextra = 1\n")
+        assert main([str(config), "--output", str(tmp_path / "out.csv")]) == 1
+        assert "extra" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_output_key_in_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

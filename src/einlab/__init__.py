@@ -25,6 +25,7 @@ from .analytic import (
     branch_overlap,
     coherence_in_basis,
     decoherence_abs_sq,
+    decoherence_abs_sq_above,
     decoherence_factor,
     decoherence_series,
     ergodic_prediction,
@@ -115,6 +116,7 @@ __all__ = [
     "crosscheck",
     "decay_time",
     "decoherence_abs_sq",
+    "decoherence_abs_sq_above",
     "decoherence_factor",
     "decoherence_series",
     "ensemble_statistics",

@@ -98,6 +98,57 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     return out
 
 
+# Per-spin slack on the tail bounds of decoherence_abs_sq_above; it rounds to
+# 1 + 2 ulp(1) = 1 + 4u with u = 2^-53.
+_TAIL_SLACK = 1.0 + 4e-16
+
+
+def decoherence_abs_sq_above(
+    env: EnvironmentSpec, times: np.ndarray, floor_sq: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """|z|^2 on a 1-D time grid, dropping points that cannot reach ``floor_sq``.
+
+    Returns ``(index, values, spin_points)``: the ascending positions in
+    ``times`` of the points kept, their |z|^2, and the number of per-spin
+    factors evaluated.  Every point with ``decoherence_abs_sq >= floor_sq``
+    is kept, and every kept value equals :func:`decoherence_abs_sq` to the
+    bit: spins are multiplied in the same order with the same expressions,
+    each factor only onto the points still kept.
+    """
+    times = np.asarray(times, dtype=float)
+    spins = [
+        (g, 0.5 * (1.0 + d * d), 0.5 * (1.0 - d * d))
+        for g, d in zip(env.couplings(), env.imbalances())
+    ]
+    # Why pruning is safe.  A computed factor mean + swing*cos lies in
+    # [0, top_j], top_j = mean_j + swing_j as computed here: cos <= 1,
+    # swing >= 0 and rounding is monotone.  top_j <= 1 too, since
+    # fl(1 + d^2) + fl(1 - d^2) is within 1.5u of 2 and rounds to at most 2.
+    # While products stay normal, each rounds up by at most a factor 1 + u,
+    # and each tail step below grows by at least (1 + 4u)(1 - u)^2 >= 1 + u,
+    # so a point with partial product P after spin j ends at most at
+    # P * tail[j + 1].  A product that turns subnormal is below any normal
+    # floor_sq and, no factor exceeding 1, stays below it; a subnormal
+    # floor_sq prunes nothing.  Every tail is >= 1 (top_j >= 1 - u), so a
+    # point whose partial products stay exactly 1, as under eigenstate spins,
+    # survives floor_sq = 1.
+    tail = [1.0]
+    for _, mean, swing in reversed(spins):
+        tail.append(tail[-1] * (mean + swing) * _TAIL_SLACK)
+    tail.reverse()
+    if not floor_sq >= np.finfo(float).tiny:
+        floor_sq = 0.0
+    index = np.arange(times.size)
+    values = np.ones(times.shape)
+    spin_points = 0
+    for j, (g, mean, swing) in enumerate(spins):
+        spin_points += index.size
+        values = values * (mean + swing * np.cos((4.0 * g) * times))
+        keep = np.nonzero(values * tail[j + 1] >= floor_sq)[0]
+        index, values, times = index[keep], values[keep], times[keep]
+    return index, values, spin_points
+
+
 def decoherence_factor(env: EnvironmentSpec, t: float) -> DecoherenceFactor:
     """The decoherence factor z(t).  z(0) = 1 exactly; |z| never exceeds 1."""
     value = complex(decoherence_series(env, np.array([float(t)]))[0])

@@ -394,6 +394,10 @@ def _run_recurrence(config: RunConfig) -> tuple[str, str]:
         summary = (
             f"recurrence: no |z| >= {config.threshold} in ({grid.t_start}, {grid.t_end}]"
         )
+    summary += (
+        f" (spin_points={report.spin_points} of n*scanned_points="
+        f"{env.n * report.scanned_points})"
+    )
     return "\n".join(lines) + "\n", summary
 
 

@@ -54,12 +54,14 @@ def assemble_full_state(sys: SystemAmplitudes, env: EnvironmentSpec) -> FullStat
 
 
 def _coupling_sums(env: EnvironmentSpec) -> np.ndarray:
-    """sum_j g_j * s_j for every environment bit pattern, indexed by pattern."""
-    idx = np.arange(2**env.n)
-    total = np.zeros(2**env.n)
-    for j, g in enumerate(env.couplings()):
-        signs = 1.0 - 2.0 * ((idx >> j) & 1)
-        total += g * signs
+    """sum_j g_j * s_j for every environment bit pattern, indexed by pattern.
+
+    Built by doubling: spin j is the top bit of the first 2^(j+1) patterns,
+    so each entry adds the same +-g_j in the same order as a loop over bits.
+    """
+    total = np.zeros(1)
+    for g in env.couplings():
+        total = np.concatenate((total + g, total - g))
     return total
 
 

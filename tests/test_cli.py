@@ -357,6 +357,21 @@ class TestMainEntry:
         assert main([str(config), "--output", str(out), "--quiet"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_recurrence_summary_reports_spin_points(self, tmp_path, capsys):
+        text = (
+            "mode = recurrence\nn = 20\nscenario = random\nseed = 42\ng_max = 1.0\n"
+            "t_start = 1\nt_max = 200\ndt = 0.01\n"
+        )
+        config = write_config(tmp_path, text)
+        quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+        assert main([str(config), "--output", str(quiet), "--quiet"]) == 0
+        assert main([str(config), "--output", str(loud)]) == 0
+        line = capsys.readouterr().out
+        match = re.search(r"spin_points=(\d+) of n\*scanned_points=(\d+)", line)
+        assert match, line
+        assert 0 < int(match.group(1)) < int(match.group(2)) == 20 * 19900
+        assert loud.read_bytes() == quiet.read_bytes()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

@@ -18,6 +18,7 @@ from einlab import (
     partial_trace_to_system,
     reduced_density_matrix,
 )
+from einlab.oracle import _coupling_sums
 
 from conftest import random_environment, random_system, small_environments, system_amplitudes, times
 
@@ -112,6 +113,22 @@ class TestEvolve:
         env = EnvironmentSpec((EnvSpin(1.0, 1.0 + 0j, 0j),))
         with pytest.raises(DimensionMismatchError):
             evolve_full(FullState(1, np.ones(8, dtype=complex)), env, 1.0)
+
+
+def per_bit_coupling_sums(env):
+    """Reference: add each spin's +-g_j over every bit pattern, one bit at a time."""
+    idx = np.arange(2**env.n)
+    total = np.zeros(2**env.n)
+    for j, g in enumerate(env.couplings()):
+        signs = 1.0 - 2.0 * ((idx >> j) & 1)
+        total += g * signs
+    return total
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_coupling_sums_match_per_bit_loop(n):
+    env = build_environment_random(n, 1000 + n, 0.05, 1.0)
+    assert _coupling_sums(env).tobytes() == per_bit_coupling_sums(env).tobytes()
 
 
 class TestPartialTrace:

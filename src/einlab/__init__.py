@@ -58,10 +58,8 @@ from .errors import (
     TooLargeError,
 )
 from .model import (
-    INTERACTION,
     EnvironmentSpec,
     EnvSpin,
-    InteractionModel,
     ScenarioKind,
     SystemAmplitudes,
     ValidationReport,
@@ -90,8 +88,6 @@ __all__ = [
     "EnvSpin",
     "EnvironmentSpec",
     "FullState",
-    "INTERACTION",
-    "InteractionModel",
     "InvalidAngleError",
     "InvalidRangeError",
     "MissingColumnError",

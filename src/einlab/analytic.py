@@ -81,21 +81,48 @@ def decoherence_series(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     return z
 
 
+# Element budget of one decoherence_abs_sq block: (k + 1) rows of m points
+# with k = max(1, _ABS_SQ_BLOCK // m), about 256 KiB of float64.
+_ABS_SQ_BLOCK = 1 << 15
+
+
 def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     """|z|^2 on a time grid, via the all-real product
 
         |z|^2 = prod_j [(1 + d_j^2)/2 + (1 - d_j^2)/2 * cos(4 g_j t)].
 
     Half the trigonometric work of :func:`decoherence_series`; used by the
-    long grid scans.
+    grid scans, ensembles and sweeps.
+
+    Spins are taken in blocks of k = max(1, _ABS_SQ_BLOCK // m) for m grid points.
+    A block is a (k + 1, m) buffer: row 0 holds the product over the spins
+    before the block, rows 1..k the block's factors, and one
+    ``np.multiply.reduce`` along axis 0 folds them in.  That reduction
+    multiplies the rows one after another in index order, and each factor
+    is formed by the same IEEE operations as ``mean + swing * cos(4 g t)``
+    for one spin, so every value equals the spin-by-spin product
+    ``((1 * f_0) * f_1) * ...`` to the bit, whatever the block size.
     """
     times = np.asarray(times, dtype=float)
-    out = np.ones(times.shape)
-    for g, d in zip(env.couplings(), env.imbalances()):
-        mean = 0.5 * (1.0 + d * d)
-        swing = 0.5 * (1.0 - d * d)
-        out = out * (mean + swing * np.cos((4.0 * g) * times))
-    return out
+    flat = times.reshape(-1)
+    g4 = 4.0 * env.couplings()
+    d_sq = env.imbalances() * env.imbalances()
+    mean = 0.5 * (1.0 + d_sq)
+    swing = 0.5 * (1.0 - d_sq)
+    k = max(1, min(env.n, _ABS_SQ_BLOCK // max(flat.size, 1)))
+    buf = np.empty((k + 1, flat.size))
+    out = np.ones(flat.size)
+    for start in range(0, env.n, k):
+        stop = min(start + k, env.n)
+        block = buf[: stop - start + 1]
+        block[0] = out
+        rows = block[1:]
+        np.multiply(g4[start:stop, None], flat, out=rows)
+        np.cos(rows, out=rows)
+        rows *= swing[start:stop, None]
+        rows += mean[start:stop, None]
+        out = np.multiply.reduce(block, axis=0)
+    return out.reshape(times.shape)
 
 
 # Per-spin slack on the tail bounds of decoherence_abs_sq_above; it rounds to

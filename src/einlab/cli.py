@@ -450,6 +450,7 @@ def _run_verify(config: RunConfig) -> tuple[str, str, bool]:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     lines = [_provenance(config), "case,env_seed,t,max_deviation,passed"]
     worst = 0.0
+    worst_case = None
     all_passed = True
     for case in range(VERIFY_CASES):
         env_seed = int(rng.integers(0, 2**63, dtype=np.int64))
@@ -462,6 +463,8 @@ def _run_verify(config: RunConfig) -> tuple[str, str, bool]:
         t = VERIFY_T_MAX * u[2]
         env = build_environment_random(config.n, env_seed, config.g_min, config.g_max)
         report = crosscheck(sys_amp, env, t, VERIFY_TOLERANCE)
+        if worst_case is None or report.max_deviation > worst:
+            worst_case = f"case={case} env_seed={env_seed} t={_format(t)}"
         worst = max(worst, report.max_deviation)
         all_passed = all_passed and report.passed
         lines.append(
@@ -477,7 +480,7 @@ def _run_verify(config: RunConfig) -> tuple[str, str, bool]:
         )
     lines.append(f"# max_deviation={_format(worst)} tolerance={_format(VERIFY_TOLERANCE)}")
     verdict = "PASS" if all_passed else "FAIL"
-    summary = f"verify: cases={VERIFY_CASES} max_deviation={worst:.3e} {verdict}"
+    summary = f"verify: cases={VERIFY_CASES} max_deviation={worst:.3e} at {worst_case} {verdict}"
     return "\n".join(lines) + "\n", summary, all_passed
 
 

@@ -58,48 +58,77 @@ class EnvSpin:
         return abs(self.alpha) ** 2 - abs(self.beta) ** 2
 
 
-@dataclass(frozen=True)
 class EnvironmentSpec:
-    """Ordered collection of environment spins."""
+    """Ordered collection of environment spins, held as read-only arrays.
 
-    spins: tuple[EnvSpin, ...]
+    ``EnvironmentSpec(spins)`` takes any sequence of :class:`EnvSpin`;
+    :meth:`from_arrays` takes the couplings and amplitudes directly.  The
+    couplings ``g``, amplitudes ``(alpha, beta)`` and imbalances ``d`` are
+    computed once; ``spins`` is built from them on first use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "spins", tuple(self.spins))
+    __slots__ = ("_g", "_amps", "_d", "_spins")
+
+    def __init__(self, spins):
+        spins = tuple(spins)
+        self._set_arrays(
+            np.array([s.g for s in spins], dtype=float),
+            np.array([[s.alpha, s.beta] for s in spins], dtype=complex).reshape(-1, 2),
+        )
+        self._spins = spins
+
+    @classmethod
+    def from_arrays(cls, g, alpha, beta) -> EnvironmentSpec:
+        """Environment whose spin j has coupling ``g[j]`` and state ``alpha[j]|+> + beta[j]|->``."""
+        g = np.array(g, dtype=float).reshape(-1)
+        amps = np.stack((np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)), axis=-1)
+        if amps.shape != (g.size, 2):
+            raise ValueError(f"need one (alpha, beta) pair per coupling, got {amps.shape} for {g.size}")
+        env = cls.__new__(cls)
+        env._set_arrays(g, amps)
+        env._spins = None
+        return env
+
+    def _set_arrays(self, g: np.ndarray, amps: np.ndarray) -> None:
+        # Python's complex abs and float ** 2 (libm pow, which differs from
+        # x * x in the last place for about 0.1% of values), as EnvSpin.imbalance
+        d = np.array([abs(a) ** 2 - abs(b) ** 2 for a, b in amps.tolist()], dtype=float)
+        for array in (g, amps, d):
+            array.flags.writeable = False
+        self._g, self._amps, self._d = g, amps, d
+
+    @property
+    def spins(self) -> tuple[EnvSpin, ...]:
+        if self._spins is None:
+            self._spins = tuple(
+                EnvSpin(g, a, b) for g, (a, b) in zip(self._g.tolist(), self._amps.tolist())
+            )
+        return self._spins
 
     @property
     def n(self) -> int:
-        return len(self.spins)
+        return self._g.size
 
     def couplings(self) -> np.ndarray:
-        return np.array([s.g for s in self.spins], dtype=float)
+        return self._g
 
     def imbalances(self) -> np.ndarray:
-        return np.array([s.imbalance for s in self.spins], dtype=float)
+        return self._d
 
     def amplitudes(self) -> np.ndarray:
         """(n, 2) array of the initial (alpha_j, beta_j) pairs."""
-        return np.array([[s.alpha, s.beta] for s in self.spins], dtype=complex).reshape(-1, 2)
+        return self._amps
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self._g, other._g) and np.array_equal(self._amps, other._amps)
 
-@dataclass(frozen=True)
-class InteractionModel:
-    """Phase convention of the dephasing interaction.
+    def __hash__(self):
+        return hash(self.spins)
 
-    Evolution over time ``t`` multiplies the product-basis state with
-    eigenvalue signs ``(s, s_1, ..., s_n)`` by ``exp(i*t*sum_j g_j*s*s_j)``,
-    so the aligned branch (system ``+``, spin ``j`` ``+``) advances by
-    ``exp(+i*g_j*t)``.  Both the closed-form engine and the brute-force
-    oracle follow this convention.
-    """
-
-    aligned_phase_sign: int = 1
-
-    def branch_phase(self, g: float, t: float, system_sign: int, spin_sign: int) -> complex:
-        return complex(np.exp(1j * self.aligned_phase_sign * g * t * system_sign * spin_sign))
-
-
-INTERACTION = InteractionModel()
+    def __repr__(self):
+        return f"EnvironmentSpec(spins={self.spins!r})"
 
 
 class ScenarioKind(enum.Enum):
@@ -108,7 +137,6 @@ class ScenarioKind(enum.Enum):
     RANDOM = "random"
     EIGENSTATE = "eigenstate"
     BALANCED_EQUAL_COUPLING = "balanced"
-    CUSTOM = "custom"
 
 
 def _check_seed(seed: int) -> int:
@@ -150,10 +178,7 @@ def build_environment_random(
     half_theta = 0.5 * np.arccos(cos_theta)
     alpha = np.cos(half_theta)
     beta = np.exp(1j * phi) * np.sin(half_theta)
-    spins = tuple(
-        EnvSpin(float(gj), complex(aj), complex(bj)) for gj, aj, bj in zip(g, alpha, beta)
-    )
-    return EnvironmentSpec(spins)
+    return EnvironmentSpec.from_arrays(g, alpha, beta)
 
 
 def build_environment_scenario(kind: ScenarioKind, n: int, g: float) -> EnvironmentSpec:
@@ -170,16 +195,15 @@ def build_environment_scenario(kind: ScenarioKind, n: int, g: float) -> Environm
     if not math.isfinite(g) or g <= 0:
         raise InvalidRangeError(f"coupling must be positive and finite, got {g}")
     if kind is ScenarioKind.EIGENSTATE:
-        spin = EnvSpin(float(g), 1.0 + 0.0j, 0.0j)
+        alpha, beta = 1.0 + 0.0j, 0.0j
     elif kind is ScenarioKind.BALANCED_EQUAL_COUPLING:
-        amp = complex(1.0 / math.sqrt(2.0))
-        spin = EnvSpin(float(g), amp, amp)
+        alpha = beta = complex(1.0 / math.sqrt(2.0))
     else:
         raise ValueError(
             f"{kind} is not a fixed-form scenario; use build_environment_random or "
             "construct an EnvironmentSpec directly"
         )
-    return EnvironmentSpec((spin,) * n)
+    return EnvironmentSpec.from_arrays(np.full(n, float(g)), np.full(n, alpha), np.full(n, beta))
 
 
 @dataclass(frozen=True)
@@ -207,12 +231,13 @@ def validate(sys: SystemAmplitudes, env: EnvironmentSpec) -> ValidationReport:
         norm = abs(a) ** 2 + abs(b) ** 2
         if abs(norm - 1.0) > NORM_TOL:
             failures.append(f"system amplitudes not normalized: |a|^2 + |b|^2 = {norm:.6g}")
-    for j, spin in enumerate(env.spins):
-        if not math.isfinite(spin.g):
-            failures.append(f"spin {j}: coupling must be finite, got {spin.g}")
-        elif spin.g < 0:
-            failures.append(f"spin {j}: coupling must be non-negative, got {spin.g}")
-        alpha, beta = complex(spin.alpha), complex(spin.beta)
+    for j, (g, (alpha, beta)) in enumerate(
+        zip(env.couplings().tolist(), env.amplitudes().tolist())
+    ):
+        if not math.isfinite(g):
+            failures.append(f"spin {j}: coupling must be finite, got {g}")
+        elif g < 0:
+            failures.append(f"spin {j}: coupling must be non-negative, got {g}")
         if not (_finite(alpha) and _finite(beta)):
             failures.append(f"spin {j}: amplitudes must be finite")
             continue

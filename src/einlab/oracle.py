@@ -47,9 +47,8 @@ def assemble_full_state(sys: SystemAmplitudes, env: EnvironmentSpec) -> FullStat
     if n > MAX_SPINS:
         raise TooLargeError(f"{n} spins would need 2**{n + 1} amplitudes; cap is {MAX_SPINS}")
     sys_vec = np.array([sys.a, sys.b], dtype=complex)
-    spin_vecs = [np.array([s.alpha, s.beta], dtype=complex) for s in env.spins]
     # kron puts its first factor in the high bits, so fold from spin n-1 down to 0
-    env_vec = reduce(np.kron, reversed(spin_vecs), np.ones(1, dtype=complex))
+    env_vec = reduce(np.kron, env.amplitudes()[::-1], np.ones(1, dtype=complex))
     return FullState(n, np.kron(sys_vec, env_vec))
 
 

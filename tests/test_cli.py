@@ -372,6 +372,21 @@ class TestMainEntry:
         assert 0 < int(match.group(1)) < int(match.group(2)) == 20 * 19900
         assert loud.read_bytes() == quiet.read_bytes()
 
+    def test_verify_summary_names_worst_case(self, tmp_path, capsys):
+        config = write_config(tmp_path, "mode = verify\nn = 6\nseed = 11\ng_max = 1.0\n")
+        quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+        assert main([str(config), "--output", str(quiet), "--quiet"]) == 0
+        assert main([str(config), "--output", str(loud)]) == 0
+        line = capsys.readouterr().out
+        match = re.search(r"max_deviation=(\S+) at case=(\d+) env_seed=(\d+) t=(\S+) PASS", line)
+        assert match, line
+        _, rows = read_rows(loud)
+        deviations = [float(r["max_deviation"]) for r in rows]
+        worst = rows[deviations.index(max(deviations))]  # the first case reaching the maximum
+        assert (worst["case"], worst["env_seed"], worst["t"]) == match.group(2, 3, 4)
+        assert float(match.group(1)) == pytest.approx(max(deviations), rel=1e-3)
+        assert loud.read_bytes() == quiet.read_bytes()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

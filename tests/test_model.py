@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einlab import (
-    INTERACTION,
     EnvironmentSpec,
     EnvSpin,
     InvalidRangeError,
     ScenarioKind,
     SystemAmplitudes,
+    assemble_full_state,
     branch_environment_state,
     build_environment_random,
     build_environment_scenario,
+    evolve_full,
     validate,
 )
 
@@ -118,7 +120,7 @@ class TestScenarioBuilder:
         with pytest.raises(InvalidRangeError):
             build_environment_scenario(ScenarioKind.EIGENSTATE, -2, 1.0)
 
-    @pytest.mark.parametrize("kind", [ScenarioKind.RANDOM, ScenarioKind.CUSTOM])
+    @pytest.mark.parametrize("kind", [ScenarioKind.RANDOM])
     def test_non_fixed_kinds_rejected(self, kind):
         with pytest.raises(ValueError):
             build_environment_scenario(kind, 2, 1.0)
@@ -200,6 +202,28 @@ class TestTypes:
         assert env.couplings().shape == (0,)
         assert env.amplitudes().shape == (0, 2)
 
+    def test_arrays_are_read_only(self):
+        env = build_environment_random(3, seed=4)
+        for array in (env.couplings(), env.imbalances(), env.amplitudes()):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_from_arrays_matches_spin_constructor(self):
+        spins = (EnvSpin(0.3, 1.0 + 0j, 0j), EnvSpin(0.7, complex(INV_SQRT2), 1j * INV_SQRT2))
+        g = np.array([0.3, 0.7])
+        env = EnvironmentSpec.from_arrays(g, [s.alpha for s in spins], [s.beta for s in spins])
+        assert env == EnvironmentSpec(spins)
+        assert hash(env) == hash(EnvironmentSpec(spins))
+        assert env.spins == spins
+        assert repr(env) == repr(EnvironmentSpec(spins))
+        g[0] = 5.0  # the caller's array is copied, not shared or frozen
+        assert env.couplings().tolist() == [0.3, 0.7]
+        assert env != EnvironmentSpec(spins[:1])
+
+    def test_from_arrays_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            EnvironmentSpec.from_arrays([0.3, 0.7], [1.0], [0.0])
+
 
 class TestInteractionConvention:
     @given(
@@ -208,19 +232,27 @@ class TestInteractionConvention:
     )
     @settings(max_examples=50)
     def test_phase_convention_reproduces_single_spin_branches(self, g, t):
-        # the (+, +) branch must advance by e^{+igt}; all four sign pairs
-        # must match what the branch states actually do
-        alpha, beta = complex(math.sqrt(0.7)), complex(math.sqrt(0.3))
-        env = EnvironmentSpec((EnvSpin(g, alpha, beta),))
-        for branch in (+1, -1):
-            state = branch_environment_state(env, t, branch)
-            assert state.spin_amplitudes[0, 0] == pytest.approx(
-                alpha * INTERACTION.branch_phase(g, t, branch, +1), abs=1e-12
+        # the closed-form branch states must be the environment half of the
+        # brute-force evolution: with the system in |+> (|->) the evolved full
+        # state is |+> (|->) times the product of the + (-) branch spin states
+        env = EnvironmentSpec(
+            (
+                EnvSpin(g, complex(math.sqrt(0.7)), complex(math.sqrt(0.3))),
+                EnvSpin(0.5 * g + 0.1, complex(math.sqrt(0.2)), 1j * math.sqrt(0.8)),
             )
-            assert state.spin_amplitudes[0, 1] == pytest.approx(
-                beta * INTERACTION.branch_phase(g, t, branch, -1), abs=1e-12
-            )
+        )
+        for row, branch in ((0, +1), (1, -1)):
+            sys_amp = SystemAmplitudes(complex(row == 0), complex(row == 1))
+            full = evolve_full(assemble_full_state(sys_amp, env), env, t).amplitudes
+            spins = branch_environment_state(env, t, branch).spin_amplitudes
+            expected = reduce(np.kron, spins[::-1], np.ones(1, dtype=complex))
+            np.testing.assert_allclose(full.reshape(2, -1)[row], expected, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(full.reshape(2, -1)[1 - row], 0.0)
 
     def test_aligned_sign_is_positive(self):
-        assert INTERACTION.aligned_phase_sign == 1
-        assert INTERACTION.branch_phase(1.0, math.pi / 2, 1, 1) == pytest.approx(1j, abs=1e-12)
+        # the aligned branch (system +, spin +) advances by e^{+igt}: i at g t = pi/2
+        env = EnvironmentSpec((EnvSpin(1.0, 1.0 + 0j, 0j),))
+        state = branch_environment_state(env, math.pi / 2, +1)
+        assert state.spin_amplitudes[0, 0] == pytest.approx(1j, abs=1e-12)
+        full = evolve_full(assemble_full_state(SystemAmplitudes(1.0 + 0j, 0j), env), env, math.pi / 2)
+        assert full.amplitudes[0] == pytest.approx(1j, abs=1e-12)

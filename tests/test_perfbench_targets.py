@@ -22,3 +22,32 @@ def test_every_tracer_target_resolves(monkeypatch):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
+    # the tracer's model.* and analytic.abs_sq_* spans wrap these two names
+    # in einlab.ensemble: one build and one kernel call per (n, seed)
+    import einlab.ensemble as ensemble
+
+    calls, built = [], []
+    build, kernel = ensemble.build_environment_random, ensemble.decoherence_abs_sq
+
+    def traced_build(n, seed, *args):
+        built.append(build(n, seed, *args))
+        calls.append(("build", n, seed))
+        return built[-1]
+
+    def traced_kernel(env, times):
+        calls.append(("kernel", env is built[-1]))
+        return kernel(env, times)
+
+    monkeypatch.setattr(ensemble, "build_environment_random", traced_build)
+    monkeypatch.setattr(ensemble, "decoherence_abs_sq", traced_kernel)
+    window = ensemble.TimeGrid(5.0, 6.0, 0.1)
+    ensemble.scaling_sweep((0, 3, 7), 2, window)
+    assert calls == [
+        call for n in (0, 3, 7) for seed in (1, 2) for call in (("build", n, seed), ("kernel", True))
+    ]
+    calls.clear()
+    ensemble.ensemble_statistics(4, (9, 2, 5), window)
+    assert calls == [call for seed in (2, 5, 9) for call in (("build", 4, seed), ("kernel", True))]

@@ -51,3 +51,42 @@ def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
     calls.clear()
     ensemble.ensemble_statistics(4, (9, 2, 5), window)
     assert calls == [call for seed in (2, 5, 9) for call in (("build", 4, seed), ("kernel", True))]
+
+
+def test_verify_calls_the_oracle_through_module_attributes(monkeypatch, tmp_path):
+    # the tracer's oracle.* spans wrap einlab.cli.crosscheck and the three
+    # einlab.oracle stages; its amplitudes counter reads the assembled state
+    import einlab.cli as cli
+    import einlab.oracle as oracle
+
+    calls, addresses = [], set()
+
+    def traced(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            amplitudes = getattr(result, "amplitudes", None)
+            calls.append((name, getattr(amplitudes, "size", None)))
+            if amplitudes is not None:
+                addresses.add((name, amplitudes.ctypes.data))
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    traced(cli, "crosscheck")
+    for name in ("assemble_full_state", "evolve_full", "partial_trace_to_system"):
+        traced(oracle, name)
+    n = 5
+    config = tmp_path / "verify.cfg"
+    config.write_text(f"mode = verify\nn = {n}\nseed = 3\ng_max = 1.0\noutput = {tmp_path / 'v.csv'}\n")
+    assert cli.main([str(config), "--quiet"]) == 0
+    case = [
+        ("assemble_full_state", 2 ** (n + 1)),
+        ("evolve_full", 2 ** (n + 1)),
+        ("partial_trace_to_system", None),
+        ("crosscheck", None),
+    ]
+    assert calls == case * cli.VERIFY_CASES
+    # one set of state buffers serves every case of the job
+    assert len(addresses) == 2

@@ -45,7 +45,6 @@ from .ensemble import (
     scaling_sweep,
 )
 from .errors import (
-    ConfigError,
     DimensionMismatchError,
     EinlabError,
     InvalidAngleError,
@@ -54,7 +53,6 @@ from .errors import (
     MissingKeyError,
     NoDecayError,
     ParseError,
-    RangeError,
     TooLargeError,
 )
 from .model import (
@@ -80,7 +78,6 @@ from .oracle import (
 __all__ = [
     "__version__",
     "BranchState",
-    "ConfigError",
     "CrosscheckReport",
     "DecoherenceFactor",
     "DimensionMismatchError",
@@ -95,7 +92,6 @@ __all__ = [
     "MissingKeyError",
     "NoDecayError",
     "ParseError",
-    "RangeError",
     "RecurrenceReport",
     "ReducedState",
     "ScenarioKind",

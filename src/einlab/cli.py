@@ -27,8 +27,13 @@ functions give point by point.
 Modes write CSV only: `.` decimal separator, fixed column order, LF line
 endings, 17 significant digits, and a leading provenance comment carrying
 the artifact version and the SHA-256 of the config text.  Identical config
-text yields byte-identical output.  Exit codes: 0 success, 1 config or
-usage error, 2 validation or numeric failure.
+text yields byte-identical output.
+
+Exit codes follow where an error is raised, not its class: 0 success; 1 for
+an error raised while reading the config (a value out of range raises the
+one range error, :class:`~einlab.errors.InvalidRangeError`), a missing
+output path or a file that cannot be read or written; 2 for an error raised
+while running (the library's range checks included) or a failed verify.
 
 :func:`emit_svg_plot` renders one CSV column against t as a standalone SVG;
 it is library-level (the command-line surface stays the single config
@@ -46,6 +51,7 @@ import sys as _sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -56,12 +62,11 @@ from .analytic import trace_columns
 from .analytic import decoherence_factor, reduced_density_matrix, state_metrics  # noqa: F401
 from .ensemble import TimeGrid, ensemble_statistics, recurrence_search, scaling_sweep
 from .errors import (
-    ConfigError,
     EinlabError,
+    InvalidRangeError,
     MissingColumnError,
     MissingKeyError,
     ParseError,
-    RangeError,
 )
 from .model import (
     DEFAULT_G_MIN_FRACTION,
@@ -72,8 +77,6 @@ from .model import (
     validate,
 )
 from .oracle import crosscheck, crosscheck_buffers
-
-MODES = ("trace", "recurrence", "ensemble", "sweep", "verify")
 
 _SCENARIOS = {
     "random": ScenarioKind.RANDOM,
@@ -115,24 +118,6 @@ class RunConfig:
     digest: str = ""
 
 
-_KEYS = (
-    "mode",
-    "n",
-    "seed",
-    "seeds",
-    "scenario",
-    "g",
-    "g_min",
-    "g_max",
-    "a_sq",
-    "t_start",
-    "t_max",
-    "dt",
-    "threshold",
-    "output",
-)
-
-
 def _parse_int(key: str, raw: str, line_no: int) -> int:
     try:
         return int(raw)
@@ -140,14 +125,102 @@ def _parse_int(key: str, raw: str, line_no: int) -> int:
         raise ParseError(line_no, f"key '{key}' needs an integer, got '{raw}'") from None
 
 
-def _parse_float(key: str, raw: str, line_no: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(line_no, f"key '{key}' needs a number, got '{raw}'") from None
-    if not math.isfinite(value):
-        raise RangeError(f"key '{key}' must be finite, got {raw}")
-    return value
+def _parse_ints(key: str, raw: str, line_no: int) -> list[int]:
+    """The comma-separated integers of ``raw``; empty items are skipped."""
+    return [_parse_int(key, p.strip(), line_no) for p in raw.split(",") if p.strip()]
+
+
+# A key parser takes (key, raw value, line number, mode) and returns the
+# RunConfig fields it sets.
+_Parser = Callable[[str, str, int, str], dict[str, object]]
+
+
+def _parse_text(key: str, raw: str, line_no: int, mode: str) -> dict[str, object]:
+    return {key: raw}
+
+
+def _parse_n(key: str, raw: str, line_no: int, mode: str) -> dict[str, object]:
+    counts = tuple(_parse_ints(key, raw, line_no))
+    if any(c < 0 for c in counts):
+        raise InvalidRangeError(f"key 'n' must be non-negative, got {raw}")
+    if mode == "sweep":
+        if not counts:
+            raise InvalidRangeError(f"key 'n' names no spin counts: '{raw}'")
+        if any(b <= a for a, b in zip(counts, counts[1:])):
+            raise InvalidRangeError(f"key 'n' must be strictly ascending in sweep mode, got {raw}")
+        return {"ns": counts}
+    if len(counts) != 1:
+        raise InvalidRangeError(f"key 'n' takes a single count outside sweep mode, got {raw}")
+    return {"n": counts[0]}
+
+
+def _parse_seed(key: str, raw: str, line_no: int, mode: str) -> dict[str, object]:
+    seed = _parse_int(key, raw, line_no)
+    if not 0 <= seed < 2**64:
+        raise InvalidRangeError(f"key 'seed' must be an unsigned 64-bit integer, got {raw}")
+    return {"seed": seed}
+
+
+def _parse_seeds(key: str, raw: str, line_no: int, mode: str) -> dict[str, object]:
+    numbers = _parse_ints(key, raw, line_no)
+    explicit = "," in raw or len(numbers) != 1
+    if mode == "sweep":
+        if explicit:
+            raise InvalidRangeError("sweep mode takes 'seeds' as a count, not a list")
+        if numbers[0] < 1:
+            raise InvalidRangeError(f"key 'seeds' must be a positive count, got {raw}")
+        return {"seeds_per_n": numbers[0]}
+    seeds = tuple(numbers) if explicit else tuple(range(1, numbers[0] + 1))
+    if not seeds:
+        raise InvalidRangeError(f"key 'seeds' names no seeds: '{raw}'")
+    if any(not 0 <= s < 2**64 for s in seeds):
+        raise InvalidRangeError("every seed must be an unsigned 64-bit integer")
+    return {"seeds": seeds}
+
+
+def _parse_scenario(key: str, raw: str, line_no: int, mode: str) -> dict[str, object]:
+    if raw not in _SCENARIOS:
+        raise ParseError(line_no, f"unknown scenario '{raw}'")
+    return {"scenario": _SCENARIOS[raw]}
+
+
+def _number(allowed: Callable[[float], bool], rule: str) -> _Parser:
+    """Parser for a finite number that ``allowed`` accepts; the message reads
+    "key 'x' must <rule>" otherwise."""
+
+    def parse(key: str, raw: str, line_no: int, mode: str) -> dict[str, object]:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(line_no, f"key '{key}' needs a number, got '{raw}'") from None
+        if not math.isfinite(value):
+            raise InvalidRangeError(f"key '{key}' must be finite, got {raw}")
+        if not allowed(value):
+            raise InvalidRangeError(f"key '{key}' must {rule}, got {raw}")
+        return {key: value}
+
+    return parse
+
+
+_positive = _number(lambda v: v > 0.0, "be positive")
+
+# Keys in parse order: with several bad values, the first key here is reported.
+_KEYS: dict[str, _Parser] = {
+    "mode": _parse_text,
+    "n": _parse_n,
+    "seed": _parse_seed,
+    "seeds": _parse_seeds,
+    "scenario": _parse_scenario,
+    "g": _positive,
+    "g_min": _positive,
+    "g_max": _positive,
+    "t_max": _positive,
+    "dt": _positive,
+    "a_sq": _number(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "t_start": _number(lambda v: v >= 0.0, "be non-negative"),
+    "threshold": _number(lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "output": _parse_text,
+}
 
 
 def _scan_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -174,145 +247,38 @@ def _scan_lines(text: str) -> dict[str, tuple[str, int]]:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a run configuration; fills the documented defaults."""
     raw = _scan_lines(text)
-
     if "mode" not in raw:
         raise MissingKeyError("required key 'mode' is missing")
-    mode_raw, mode_line = raw.pop("mode")
-    if mode_raw not in MODES:
-        raise ParseError(mode_line, f"unknown mode '{mode_raw}'")
-    mode = mode_raw
-
-    fields: dict[str, object] = {"mode": mode}
-
-    if "n" in raw:
-        value, line_no = raw.pop("n")
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        counts = tuple(_parse_int("n", p, line_no) for p in parts)
-        if any(c < 0 for c in counts):
-            raise RangeError(f"key 'n' must be non-negative, got {value}")
-        if mode == "sweep":
-            if any(b <= a for a, b in zip(counts, counts[1:])):
-                raise RangeError(f"key 'n' must be strictly ascending in sweep mode, got {value}")
-            fields["ns"] = counts
-        elif len(counts) == 1:
-            fields["n"] = counts[0]
-        else:
-            raise RangeError(f"key 'n' takes a single count outside sweep mode, got {value}")
-
-    if "seed" in raw:
-        value, line_no = raw.pop("seed")
-        seed = _parse_int("seed", value, line_no)
-        if not 0 <= seed < 2**64:
-            raise RangeError(f"key 'seed' must be an unsigned 64-bit integer, got {value}")
-        fields["seed"] = seed
-
-    if "seeds" in raw:
-        value, line_no = raw.pop("seeds")
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        numbers = [_parse_int("seeds", p, line_no) for p in parts]
-        explicit = "," in value or len(numbers) != 1
-        if mode == "sweep":
-            if explicit:
-                raise RangeError("sweep mode takes 'seeds' as a count, not a list")
-            if numbers[0] < 1:
-                raise RangeError(f"key 'seeds' must be a positive count, got {value}")
-            fields["seeds_per_n"] = numbers[0]
-        else:
-            seeds = tuple(numbers) if explicit else tuple(range(1, numbers[0] + 1))
-            if not seeds:
-                raise RangeError(f"key 'seeds' names no seeds: '{value}'")
-            if any(not 0 <= s < 2**64 for s in seeds):
-                raise RangeError("every seed must be an unsigned 64-bit integer")
-            fields["seeds"] = seeds
-
-    if "scenario" in raw:
-        value, line_no = raw.pop("scenario")
-        if value not in _SCENARIOS:
-            raise ParseError(line_no, f"unknown scenario '{value}'")
-        fields["scenario"] = _SCENARIOS[value]
-
-    for key in ("g", "g_min", "g_max", "t_max", "dt"):
+    mode, line_no = raw["mode"]
+    if mode not in _MODE_TABLE:
+        raise ParseError(line_no, f"unknown mode '{mode}'")
+    fields: dict[str, object] = {}
+    for key, parse in _KEYS.items():
         if key in raw:
-            value, line_no = raw.pop(key)
-            number = _parse_float(key, value, line_no)
-            if number <= 0.0:
-                raise RangeError(f"key '{key}' must be positive, got {value}")
-            fields[key] = number
+            fields.update(parse(key, *raw[key], mode))
 
-    if "a_sq" in raw:
-        value, line_no = raw.pop("a_sq")
-        a_sq = _parse_float("a_sq", value, line_no)
-        if not 0.0 <= a_sq <= 1.0:
-            raise RangeError(f"key 'a_sq' must lie in [0, 1], got {value}")
-        fields["a_sq"] = a_sq
+    required = _MODE_TABLE[mode][1]
+    if "scenario" in required:
+        random_scenario = fields.get("scenario") is ScenarioKind.RANDOM
+        required += ("seed", "g_max") if random_scenario else ("g",)
+    for key in required:
+        if key not in raw:
+            raise MissingKeyError(f"mode '{mode}' requires key '{key}'")
 
-    if "t_start" in raw:
-        value, line_no = raw.pop("t_start")
-        t_start = _parse_float("t_start", value, line_no)
-        if t_start < 0.0:
-            raise RangeError(f"key 't_start' must be non-negative, got {value}")
-        fields["t_start"] = t_start
+    g_fast = fields.get("g_max", fields.get("g"))
+    if g_fast is not None:
+        fields.setdefault("dt", math.pi / (20.0 * g_fast))
+    if "g_max" in fields:
+        fields.setdefault("g_min", DEFAULT_G_MIN_FRACTION * fields["g_max"])
+    config = RunConfig(digest=hashlib.sha256(text.encode("utf-8")).hexdigest(), **fields)
 
-    if "threshold" in raw:
-        value, line_no = raw.pop("threshold")
-        threshold = _parse_float("threshold", value, line_no)
-        if not 0.0 < threshold <= 1.0:
-            raise RangeError(f"key 'threshold' must lie in (0, 1], got {value}")
-        fields["threshold"] = threshold
-
-    if "output" in raw:
-        fields["output"] = raw.pop("output")[0]
-
-    if raw:
-        raise ConfigError(f"unhandled keys: {sorted(raw)}")
-
-    fields["digest"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    config = RunConfig(**fields)  # type: ignore[arg-type]
-    _check_required(config)
-    return _fill_defaults(config)
-
-
-_FIELD_TO_KEY = {"ns": "n", "seeds_per_n": "seeds"}
-
-
-def _require(config: RunConfig, *fields: str) -> None:
-    for field in fields:
-        if getattr(config, field) is None:
-            key = _FIELD_TO_KEY.get(field, field)
-            raise MissingKeyError(f"mode '{config.mode}' requires key '{key}'")
-
-
-def _check_required(config: RunConfig) -> None:
-    mode = config.mode
-    if mode in ("trace", "recurrence"):
-        _require(config, "n", "scenario", "t_max")
-        if config.scenario is ScenarioKind.RANDOM:
-            _require(config, "seed", "g_max")
-        else:
-            _require(config, "g")
-        if mode == "recurrence":
-            if config.t_start <= 0.0:
-                raise RangeError("recurrence mode requires t_start > 0 (set it explicitly)")
-    elif mode == "ensemble":
-        _require(config, "n", "seeds", "t_max", "g_max")
-    elif mode == "sweep":
-        _require(config, "ns", "seeds_per_n", "t_max", "g_max")
-        if config.t_start >= config.t_max:
-            raise RangeError("sweep mode needs a window with t_start < t_max")
-    elif mode == "verify":
-        _require(config, "n", "seed", "g_max")
+    if mode == "recurrence" and config.t_start <= 0.0:
+        raise InvalidRangeError("recurrence mode requires t_start > 0 (set it explicitly)")
+    if mode == "sweep" and config.t_start >= config.t_max:
+        raise InvalidRangeError("sweep mode needs a window with t_start < t_max")
     if config.t_max is not None and config.t_start > config.t_max:
-        raise RangeError(f"t_start = {config.t_start} exceeds t_max = {config.t_max}")
-
-
-def _fill_defaults(config: RunConfig) -> RunConfig:
-    updates: dict[str, object] = {}
-    g_fast = config.g_max if config.g_max is not None else config.g
-    if config.dt is None and g_fast is not None:
-        updates["dt"] = math.pi / (20.0 * g_fast)
-    if config.g_min is None and config.g_max is not None:
-        updates["g_min"] = DEFAULT_G_MIN_FRACTION * config.g_max
-    return dataclasses.replace(config, **updates) if updates else config
+        raise InvalidRangeError(f"t_start = {config.t_start} exceeds t_max = {config.t_max}")
+    return config
 
 
 def _format(value: float) -> str:
@@ -356,28 +322,31 @@ def _system_amplitudes(config: RunConfig) -> SystemAmplitudes:
     return SystemAmplitudes(complex(a), complex(b))
 
 
-def _run_trace(config: RunConfig) -> tuple[str, str]:
+# A mode runner returns the CSV lines after the provenance comment, the
+# summary line and whether the run passed.
+_Result = tuple[list[str], str, bool]
+
+
+def _run_trace(config: RunConfig) -> _Result:
     sys_amp = _system_amplitudes(config)
     env = _build_environment(config)
     report = validate(sys_amp, env)
     if not report.ok:
         raise EinlabError("; ".join(report.failures))
     grid = TimeGrid(config.t_start, config.t_max, config.dt)
-    lines = [_provenance(config), ",".join(TRACE_COLUMNS)]
+    lines = [",".join(TRACE_COLUMNS)]
     for times in grid.chunks(TRACE_CHUNK):
         columns = [column.tolist() for column in trace_columns(sys_amp, env, times)]
         lines.extend(",".join(map(_format, row)) for row in zip(*columns))
-    summary = f"trace: n={env.n} rows={grid.steps() + 1}"
-    return "\n".join(lines) + "\n", summary
+    return lines, f"trace: n={env.n} rows={grid.steps() + 1}", True
 
 
-def _run_recurrence(config: RunConfig) -> tuple[str, str]:
+def _run_recurrence(config: RunConfig) -> _Result:
     env = _build_environment(config)
     grid = TimeGrid(config.t_start, config.t_max, config.dt)
     report = recurrence_search(env, config.threshold, grid)
     found_time = report.found if report.found is not None else float("nan")
     lines = [
-        _provenance(config),
         "threshold,found,t_found,scanned_points",
         ",".join(
             (
@@ -398,17 +367,16 @@ def _run_recurrence(config: RunConfig) -> tuple[str, str]:
         f" (spin_points={report.spin_points} of n*scanned_points="
         f"{env.n * report.scanned_points})"
     )
-    return "\n".join(lines) + "\n", summary
+    return lines, summary, True
 
 
-def _run_ensemble(config: RunConfig) -> tuple[str, str]:
+def _run_ensemble(config: RunConfig) -> _Result:
     grid = TimeGrid(config.t_start, config.t_max, config.dt)
     report = ensemble_statistics(config.n, config.seeds, grid, config.g_min, config.g_max)
     quantile_text = " ".join(
         f"q{int(round(q * 100)):02d}={_format(v)}" for q, v in report.abs_z_quantiles
     )
     lines = [
-        _provenance(config),
         f"# abs_z_quantiles {quantile_text}",
         f"# median_sup_abs_z_late={_format(report.median_sup_abs_z_late)}",
         "seed,mean_abs_z_sq,predicted_mean_abs_z_sq,sup_abs_z_late",
@@ -428,27 +396,27 @@ def _run_ensemble(config: RunConfig) -> tuple[str, str]:
         f"ensemble: n={report.n} seeds={len(report.seeds)} "
         f"median_sup_abs_z_late={report.median_sup_abs_z_late:.6g}"
     )
-    return "\n".join(lines) + "\n", summary
+    return lines, summary, True
 
 
-def _run_sweep(config: RunConfig) -> tuple[str, str]:
+def _run_sweep(config: RunConfig) -> _Result:
     window = TimeGrid(config.t_start, config.t_max, config.dt)
     table = scaling_sweep(config.ns, config.seeds_per_n, window, config.g_min, config.g_max)
-    lines = [_provenance(config), "n,median_sup_abs_z"]
+    lines = ["n,median_sup_abs_z"]
     for n, median in table:
         lines.append(f"{n},{_format(median)}")
     summary = "sweep: " + " ".join(f"n={n}:{median:.3g}" for n, median in table)
-    return "\n".join(lines) + "\n", summary
+    return lines, summary, True
 
 
-def _run_verify(config: RunConfig) -> tuple[str, str, bool]:
+def _run_verify(config: RunConfig) -> _Result:
     """Drive the brute-force crosscheck on seeded random cases.
 
     Case stream: PCG64(seed) supplies, per case, an environment seed, a
     Bloch-uniform system state and a time in [0, 20).
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    lines = [_provenance(config), "case,env_seed,t,max_deviation,passed"]
+    lines = ["case,env_seed,t,max_deviation,passed"]
     worst = 0.0
     worst_case = None
     all_passed = True
@@ -485,7 +453,18 @@ def _run_verify(config: RunConfig) -> tuple[str, str, bool]:
     lines.append(f"# max_deviation={_format(worst)} tolerance={_format(VERIFY_TOLERANCE)}")
     verdict = "PASS" if all_passed else "FAIL"
     summary = f"verify: cases={VERIFY_CASES} max_deviation={worst:.3e} at {worst_case} {verdict}"
-    return "\n".join(lines) + "\n", summary, all_passed
+    return lines, summary, all_passed
+
+
+# mode -> (runner, keys it requires); requiring 'scenario' also requires
+# 'seed' and 'g_max' for the random scenario, else 'g'.
+_MODE_TABLE: dict[str, tuple[Callable[[RunConfig], _Result], tuple[str, ...]]] = {
+    "trace": (_run_trace, ("n", "scenario", "t_max")),
+    "recurrence": (_run_recurrence, ("n", "scenario", "t_max")),
+    "ensemble": (_run_ensemble, ("n", "seeds", "t_max", "g_max")),
+    "sweep": (_run_sweep, ("n", "seeds", "t_max", "g_max")),
+    "verify": (_run_verify, ("n", "seed", "g_max")),
+}
 
 
 def run(config: RunConfig, quiet: bool = False) -> int:
@@ -494,27 +473,12 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         _sys.stderr.write("einlab: no output path (config key 'output' or --output)\n")
         return 1
     try:
-        if config.mode == "trace":
-            text, summary = _run_trace(config)
-            ok = True
-        elif config.mode == "recurrence":
-            text, summary = _run_recurrence(config)
-            ok = True
-        elif config.mode == "ensemble":
-            text, summary = _run_ensemble(config)
-            ok = True
-        elif config.mode == "sweep":
-            text, summary = _run_sweep(config)
-            ok = True
-        elif config.mode == "verify":
-            text, summary, ok = _run_verify(config)
-        else:  # pragma: no cover - parse_config only admits the modes above
-            raise AssertionError(config.mode)
+        lines, summary, ok = _MODE_TABLE[config.mode][0](config)
     except EinlabError as exc:
         _sys.stderr.write(f"einlab: {exc}\n")
         return 2
     try:
-        _write_atomic(config.output, text)
+        _write_atomic(config.output, "\n".join([_provenance(config), *lines]) + "\n")
     except OSError as exc:
         _sys.stderr.write(f"einlab: cannot write output: {exc}\n")
         return 1
@@ -645,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         config = parse_config(text)
-    except ConfigError as exc:
+    except EinlabError as exc:
         _sys.stderr.write(f"einlab: {exc}\n")
         return 1
     if args.output is not None:

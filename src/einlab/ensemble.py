@@ -51,6 +51,10 @@ class TimeGrid:
             )
         if not (self.dt > 0.0) or not math.isfinite(self.dt):
             raise InvalidRangeError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite((self.t_end - self.t_start) / self.dt):
+            raise InvalidRangeError(
+                f"grid [{self.t_start}, {self.t_end}] with dt = {self.dt} has no finite step count"
+            )
 
     def steps(self) -> int:
         return int(math.floor((self.t_end - self.t_start) / self.dt + 1e-9))

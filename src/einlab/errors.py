@@ -25,11 +25,7 @@ class NoDecayError(EinlabError):
     """The coherence magnitude never dropped below the threshold on the grid."""
 
 
-class ConfigError(EinlabError, ValueError):
-    """Base class for run-configuration problems."""
-
-
-class ParseError(ConfigError):
+class ParseError(EinlabError, ValueError):
     """Malformed configuration text; carries the offending line number."""
 
     def __init__(self, line_no: int, message: str):
@@ -37,12 +33,8 @@ class ParseError(ConfigError):
         self.line_no = line_no
 
 
-class MissingKeyError(ConfigError):
+class MissingKeyError(EinlabError, ValueError):
     """A key required by the selected mode is absent."""
-
-
-class RangeError(ConfigError):
-    """A configuration value is outside its allowed range."""
 
 
 class MissingColumnError(EinlabError, LookupError):

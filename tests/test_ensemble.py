@@ -41,7 +41,17 @@ class TestTimeGrid:
     def test_single_point(self):
         assert TimeGrid(2.0, 2.0, 0.5).times().tolist() == [2.0]
 
-    @pytest.mark.parametrize("args", [(1.0, 0.0, 0.1), (0.0, 1.0, 0.0), (0.0, 1.0, -0.1)])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, 0.0, 0.1),
+            (0.0, 1.0, 0.0),
+            (0.0, 1.0, -0.1),
+            # spans whose step count overflows to inf
+            (0.0, math.inf, 1.0),
+            (0.0, 1e300, math.pi / (20.0 * 1e300)),
+        ],
+    )
     def test_invalid(self, args):
         with pytest.raises(InvalidRangeError):
             TimeGrid(*args)

@@ -41,14 +41,15 @@ def scalar_row(sys_amp, env, t):
     )
 
 
-def scalar_trace_text(config):
+def scalar_trace_lines(config):
+    """The CSV lines after the provenance comment, as the per-row loop gave them."""
     sys_amp = cli._system_amplitudes(config)
     env = cli._build_environment(config)
     grid = TimeGrid(config.t_start, config.t_max, config.dt)
-    lines = [cli._provenance(config), ",".join(cli.TRACE_COLUMNS)]
+    lines = [",".join(cli.TRACE_COLUMNS)]
     for t in grid.times():
         lines.append(",".join(cli._format(v) for v in scalar_row(sys_amp, env, float(t))))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def trace_config(n, scenario, a_sq, t_start, dt, steps, seed=1):
@@ -77,14 +78,14 @@ def trace_config(n, scenario, a_sq, t_start, dt, steps, seed=1):
 @example(n=0, scenario="eigenstate", a_sq=0.3, t_start=0.0, dt=0.5, steps=4, seed=1)
 def test_batched_trace_matches_scalar_rows(n, scenario, a_sq, t_start, dt, steps, seed):
     config = trace_config(n, scenario, a_sq, t_start, dt, steps, seed)
-    assert cli._run_trace(config)[0] == scalar_trace_text(config)
+    assert cli._run_trace(config)[0] == scalar_trace_lines(config)
 
 
 def test_grid_longer_than_a_chunk_matches_scalar_rows():
     config = trace_config(3, "random", 0.37, 1.25, 0.01, cli.TRACE_CHUNK + 100, seed=7)
     grid = TimeGrid(config.t_start, config.t_max, config.dt)
     assert grid.steps() + 1 > cli.TRACE_CHUNK
-    assert cli._run_trace(config)[0] == scalar_trace_text(config)
+    assert cli._run_trace(config)[0] == scalar_trace_lines(config)
 
 
 @settings(max_examples=40, deadline=None)

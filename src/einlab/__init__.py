@@ -18,9 +18,6 @@ assumed environment statistics, not of the dynamics alone.
 __version__ = "0.1.0"
 
 from .analytic import (
-    BranchState,
-    DecoherenceFactor,
-    ReducedState,
     branch_environment_state,
     branch_overlap,
     coherence_in_basis,
@@ -47,7 +44,6 @@ from .ensemble import (
 from .errors import (
     DimensionMismatchError,
     EinlabError,
-    InvalidAngleError,
     InvalidRangeError,
     MissingColumnError,
     MissingKeyError,
@@ -57,7 +53,6 @@ from .errors import (
 )
 from .model import (
     EnvironmentSpec,
-    EnvSpin,
     ScenarioKind,
     SystemAmplitudes,
     ValidationReport,
@@ -77,23 +72,18 @@ from .oracle import (
 
 __all__ = [
     "__version__",
-    "BranchState",
     "CrosscheckReport",
-    "DecoherenceFactor",
     "DimensionMismatchError",
     "EinlabError",
     "EnsembleReport",
-    "EnvSpin",
     "EnvironmentSpec",
     "FullState",
-    "InvalidAngleError",
     "InvalidRangeError",
     "MissingColumnError",
     "MissingKeyError",
     "NoDecayError",
     "ParseError",
     "RecurrenceReport",
-    "ReducedState",
     "ScenarioKind",
     "SeedStatistics",
     "SystemAmplitudes",

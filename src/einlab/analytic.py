@@ -16,59 +16,19 @@ O(n):
 
 |z| = 1 means full coherence, |z| ~ 0 means the interference terms are
 (currently) invisible in the system alone.  Everything here is a pure
-function; the brute-force check lives in :mod:`einlab.oracle`.
+function returning plain values: z(t) is a ``complex``, a branch state an
+(n, 2) complex array, a reduced state a 2x2 complex array.  The
+brute-force check lives in :mod:`einlab.oracle`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAngleError, InvalidRangeError
+from .errors import InvalidRangeError
 from .model import EnvironmentSpec, SystemAmplitudes
-
-
-@dataclass(frozen=True)
-class DecoherenceFactor:
-    """Complex factor multiplying the system's off-diagonal term at time ``t``."""
-
-    value: complex
-    t: float
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-
-@dataclass(frozen=True, eq=False)
-class BranchState:
-    """Environment state attached to one system branch.
-
-    ``branch`` is +1 for the ``|+>`` system branch, -1 for ``|->``.
-    ``spin_amplitudes`` has shape (n, 2); row j holds the evolved
-    (alpha_j, beta_j) pair.  Evolution is phase-only, so each row keeps
-    unit norm.
-    """
-
-    branch: int
-    spin_amplitudes: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedState:
-    """2x2 system density matrix in the {|+>, |->} basis."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", np.asarray(self.rho, dtype=complex).reshape(2, 2))
-
-    @property
-    def coherence(self) -> complex:
-        """Upper off-diagonal entry rho[+,-]."""
-        return complex(self.rho[0, 1])
 
 
 def decoherence_series(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
@@ -77,7 +37,10 @@ def decoherence_series(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     z = np.ones(times.shape, dtype=complex)
     for g, d in zip(env.couplings(), env.imbalances()):
         angle = (2.0 * g) * times
-        z = z * (np.cos(angle) + (1j * d) * np.sin(angle))
+        # np.multiply keeps z the left operand: ``z * (...)`` lets numpy elide
+        # the temporary as ``factor *= z`` from 256 KiB on, which rounds
+        # differently with FMA, and the bits of z would depend on len(times)
+        z = np.multiply(z, np.cos(angle) + (1j * d) * np.sin(angle))
     return z
 
 
@@ -176,17 +139,18 @@ def decoherence_abs_sq_above(
     return index, values, spin_points
 
 
-def decoherence_factor(env: EnvironmentSpec, t: float) -> DecoherenceFactor:
+def decoherence_factor(env: EnvironmentSpec, t: float) -> complex:
     """The decoherence factor z(t).  z(0) = 1 exactly; |z| never exceeds 1."""
-    value = complex(decoherence_series(env, np.array([float(t)]))[0])
-    return DecoherenceFactor(value=value, t=float(t))
+    return complex(decoherence_series(env, np.array([float(t)]))[0])
 
 
-def branch_environment_state(env: EnvironmentSpec, t: float, branch: int) -> BranchState:
+def branch_environment_state(env: EnvironmentSpec, t: float, branch: int) -> np.ndarray:
     """Environment spin amplitudes riding the given system branch at time ``t``.
 
-    On the ``+`` branch spin j evolves to (alpha_j e^{+i g_j t}, beta_j e^{-i g_j t});
-    the ``-`` branch swaps the phase signs.
+    ``branch`` is +1 for the ``|+>`` system branch, -1 for ``|->``.  Returns
+    an (n, 2) array whose row j is the evolved pair: on the ``+`` branch spin j
+    evolves to (alpha_j e^{+i g_j t}, beta_j e^{-i g_j t}); the ``-`` branch
+    swaps the phase signs.  Evolution is phase-only, so each row keeps unit norm.
     """
     if branch not in (1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
@@ -195,33 +159,34 @@ def branch_environment_state(env: EnvironmentSpec, t: float, branch: int) -> Bra
     out = np.empty_like(amps)
     out[:, 0] = amps[:, 0] * phase
     out[:, 1] = amps[:, 1] * np.conj(phase)
-    return BranchState(branch, out)
+    return out
 
 
-def branch_overlap(bra: BranchState, ket: BranchState) -> complex:
-    """Product over spins of the per-spin inner products <bra_j|ket_j>.
+def branch_overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
+    """Product over spins of the per-spin inner products <bra_j|ket_j> of two
+    (n, 2) branch states.
 
     With bra = the '-' branch and ket = the '+' branch this reproduces the
     decoherence factor, by an independent route.
     """
-    per_spin = np.sum(np.conj(bra.spin_amplitudes) * ket.spin_amplitudes, axis=1)
+    per_spin = np.sum(np.conj(bra) * ket, axis=1)
     return complex(np.prod(per_spin))
 
 
-def reduced_density_matrix(sys: SystemAmplitudes, env: EnvironmentSpec, t: float) -> ReducedState:
-    """System density matrix after tracing out the environment.
+def reduced_density_matrix(sys: SystemAmplitudes, env: EnvironmentSpec, t: float) -> np.ndarray:
+    """System density matrix after tracing out the environment: a 2x2
+    complex array in the {|+>, |->} basis.
 
     Populations stay (|a|^2, |b|^2) for all t; the upper off-diagonal entry
     is z(t) * a * conj(b) and the lower one its conjugate.
     """
-    z = decoherence_factor(env, t).value
+    z = decoherence_factor(env, t)
     a, b = complex(sys.a), complex(sys.b)
     upper = z * a * np.conj(b)
-    rho = np.array(
+    return np.array(
         [[abs(a) ** 2, upper], [np.conj(upper), abs(b) ** 2]],
         dtype=complex,
     )
-    return ReducedState(rho)
 
 
 def trace_columns(
@@ -269,8 +234,8 @@ def trace_columns(
     )
 
 
-def coherence_in_basis(state: ReducedState, theta: float, phi: float) -> float:
-    """|<0'|rho|1'>| in the rotated basis (theta, phi).
+def coherence_in_basis(rho: np.ndarray, theta: float, phi: float) -> float:
+    """|<0'|rho|1'>| for the 2x2 density matrix ``rho`` in the rotated basis (theta, phi).
 
     |0'> = cos(theta/2)|+> + e^{i phi} sin(theta/2)|->, |1'> its orthogonal
     complement.  theta = phi = 0 recovers |rho[+,-]|.  How much coherence a
@@ -278,24 +243,23 @@ def coherence_in_basis(state: ReducedState, theta: float, phi: float) -> float:
     basis generally is not in another.
     """
     if not (0.0 <= theta <= math.pi):
-        raise InvalidAngleError(f"theta must lie in [0, pi], got {theta}")
+        raise InvalidRangeError(f"theta must lie in [0, pi], got {theta}")
     if not (0.0 <= phi < 2.0 * math.pi):
-        raise InvalidAngleError(f"phi must lie in [0, 2*pi), got {phi}")
+        raise InvalidRangeError(f"phi must lie in [0, 2*pi), got {phi}")
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     e = np.exp(1j * phi)
     ket0 = np.array([c, e * s], dtype=complex)
     ket1 = np.array([-np.conj(e) * s, c], dtype=complex)
-    return float(abs(np.conj(ket0) @ state.rho @ ket1))
+    return float(abs(np.conj(ket0) @ rho @ ket1))
 
 
-def state_metrics(state: ReducedState) -> tuple[float, float]:
-    """(purity, entropy) of the density matrix.
+def state_metrics(rho: np.ndarray) -> tuple[float, float]:
+    """(purity, entropy) of the 2x2 density matrix ``rho``.
 
     purity = tr(rho^2); entropy = -sum lambda ln lambda in nats, with
     0 ln 0 = 0.  Pure states give (1, 0); the maximally mixed qubit gives
     (1/2, ln 2).
     """
-    rho = state.rho
     purity = float(np.real(np.trace(rho @ rho)))
     lam = np.clip(np.linalg.eigvalsh(rho).real, 0.0, 1.0)
     nonzero = lam[lam > 0.0]

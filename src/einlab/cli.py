@@ -90,10 +90,9 @@ VERIFY_TOLERANCE = 1e-10
 
 TRACE_COLUMNS = ("t", "re_z", "im_z", "abs_z", "rho_pp", "rho_mm", "abs_rho_pm", "purity", "entropy")
 
-# Grid points per trace_columns call.  Keep it below 16384: from 256 KiB per
-# complex128 operand numpy elides temporaries in decoherence_series, which
-# moves z in the last place (15 135 of 16 384 points at n = 20), and the CSV
-# would no longer match the point-by-point values.
+# Grid points per trace_columns call.  Any size gives the same bytes; the
+# chunk bounds the memory that one call's arrays and row lists take, however
+# long the grid is.
 TRACE_CHUNK = 8192
 
 

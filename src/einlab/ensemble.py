@@ -167,7 +167,8 @@ def ensemble_statistics(
     seeds = tuple(sorted(seeds))
     times = grid.times()
     late_from = grid.t_end - LATE_WINDOW_FRACTION * (grid.t_end - grid.t_start)
-    late = times >= late_from if grid.t_end > grid.t_start else slice(None)
+    # the last grid point can lie before late_from; the window always holds it
+    late = times >= min(late_from, times[-1])
 
     per_seed = []
     pooled = np.empty((len(seeds), times.size))

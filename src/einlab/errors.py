@@ -17,10 +17,6 @@ class DimensionMismatchError(EinlabError, ValueError):
     """State-vector length does not match the environment size."""
 
 
-class InvalidAngleError(EinlabError, ValueError):
-    """Bloch angles outside theta in [0, pi] or phi in [0, 2*pi)."""
-
-
 class NoDecayError(EinlabError):
     """The coherence magnitude never dropped below the threshold on the grid."""
 

@@ -14,6 +14,9 @@ Environments come in two flavours that behave in opposite ways:
   small for a very long time, and
 * structured ones (``EIGENSTATE``, ``BALANCED_EQUAL_COUPLING``), for which
   coherence survives or returns quickly.
+
+An :class:`EnvironmentSpec` holds the couplings (an (n,) float array) and
+the spin amplitudes (an (n, 2) complex array), both read-only.
 """
 
 from __future__ import annotations
@@ -44,66 +47,27 @@ class SystemAmplitudes:
         return abs(self.a) ** 2, abs(self.b) ** 2
 
 
-@dataclass(frozen=True)
-class EnvSpin:
-    """One environment spin: coupling ``g`` and initial state ``alpha|+> + beta|->``."""
-
-    g: float
-    alpha: complex
-    beta: complex
-
-    @property
-    def imbalance(self) -> float:
-        """Population imbalance |alpha|^2 - |beta|^2 (the Bloch z-coordinate)."""
-        return abs(self.alpha) ** 2 - abs(self.beta) ** 2
-
-
 class EnvironmentSpec:
-    """Ordered collection of environment spins, held as read-only arrays.
+    """Environment spins held as read-only arrays.
 
-    ``EnvironmentSpec(spins)`` takes any sequence of :class:`EnvSpin`;
-    :meth:`from_arrays` takes the couplings and amplitudes directly.  The
-    couplings ``g``, amplitudes ``(alpha, beta)`` and imbalances ``d`` are
-    computed once; ``spins`` is built from them on first use.
+    Spin j has coupling ``g[j]`` and initial state ``alpha[j]|+> + beta[j]|->``.
+    The inputs are copied; the couplings, the (n, 2) amplitudes and the
+    imbalances d_j = |alpha_j|^2 - |beta_j|^2 are computed once.
     """
 
-    __slots__ = ("_g", "_amps", "_d", "_spins")
+    __slots__ = ("_g", "_amps", "_d")
 
-    def __init__(self, spins):
-        spins = tuple(spins)
-        self._set_arrays(
-            np.array([s.g for s in spins], dtype=float),
-            np.array([[s.alpha, s.beta] for s in spins], dtype=complex).reshape(-1, 2),
-        )
-        self._spins = spins
-
-    @classmethod
-    def from_arrays(cls, g, alpha, beta) -> EnvironmentSpec:
-        """Environment whose spin j has coupling ``g[j]`` and state ``alpha[j]|+> + beta[j]|->``."""
+    def __init__(self, g, alpha, beta):
         g = np.array(g, dtype=float).reshape(-1)
         amps = np.stack((np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)), axis=-1)
         if amps.shape != (g.size, 2):
             raise ValueError(f"need one (alpha, beta) pair per coupling, got {amps.shape} for {g.size}")
-        env = cls.__new__(cls)
-        env._set_arrays(g, amps)
-        env._spins = None
-        return env
-
-    def _set_arrays(self, g: np.ndarray, amps: np.ndarray) -> None:
         # Python's complex abs and float ** 2 (libm pow, which differs from
-        # x * x in the last place for about 0.1% of values), as EnvSpin.imbalance
+        # x * x in the last place for about 0.1% of values)
         d = np.array([abs(a) ** 2 - abs(b) ** 2 for a, b in amps.tolist()], dtype=float)
         for array in (g, amps, d):
             array.flags.writeable = False
         self._g, self._amps, self._d = g, amps, d
-
-    @property
-    def spins(self) -> tuple[EnvSpin, ...]:
-        if self._spins is None:
-            self._spins = tuple(
-                EnvSpin(g, a, b) for g, (a, b) in zip(self._g.tolist(), self._amps.tolist())
-            )
-        return self._spins
 
     @property
     def n(self) -> int:
@@ -125,10 +89,12 @@ class EnvironmentSpec:
         return np.array_equal(self._g, other._g) and np.array_equal(self._amps, other._amps)
 
     def __hash__(self):
-        return hash(self.spins)
+        # Python floats and complexes hash -0.0 like 0.0, as == compares them
+        return hash((tuple(self._g.tolist()), tuple(self._amps.reshape(-1).tolist())))
 
     def __repr__(self):
-        return f"EnvironmentSpec(spins={self.spins!r})"
+        alpha, beta = self._amps.T.tolist()
+        return f"EnvironmentSpec(g={self._g.tolist()!r}, alpha={alpha!r}, beta={beta!r})"
 
 
 class ScenarioKind(enum.Enum):
@@ -178,7 +144,7 @@ def build_environment_random(
     half_theta = 0.5 * np.arccos(cos_theta)
     alpha = np.cos(half_theta)
     beta = np.exp(1j * phi) * np.sin(half_theta)
-    return EnvironmentSpec.from_arrays(g, alpha, beta)
+    return EnvironmentSpec(g, alpha, beta)
 
 
 def build_environment_scenario(kind: ScenarioKind, n: int, g: float) -> EnvironmentSpec:
@@ -203,7 +169,7 @@ def build_environment_scenario(kind: ScenarioKind, n: int, g: float) -> Environm
             f"{kind} is not a fixed-form scenario; use build_environment_random or "
             "construct an EnvironmentSpec directly"
         )
-    return EnvironmentSpec.from_arrays(np.full(n, float(g)), np.full(n, alpha), np.full(n, beta))
+    return EnvironmentSpec(np.full(n, float(g)), np.full(n, alpha), np.full(n, beta))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ bits as evaluating every entry.  :func:`assemble_full_state` and
 :func:`evolve_full` write into an ``out=`` array when given one, and
 :func:`crosscheck` takes its two full states from :func:`crosscheck_buffers`,
 so a batch of crosschecks reuses one allocation; the results are the same
-bytes as with fresh arrays.
+bytes as with fresh arrays.  :func:`partial_trace_to_system` returns a 2x2
+complex array, as :func:`einlab.analytic.reduced_density_matrix` does.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ReducedState, reduced_density_matrix
+from .analytic import reduced_density_matrix
 from .errors import DimensionMismatchError, TooLargeError
 from .model import EnvironmentSpec, SystemAmplitudes
 
@@ -176,10 +177,10 @@ def evolve_full(
     return FullState(state.n, full)
 
 
-def partial_trace_to_system(state: FullState) -> ReducedState:
-    """Reduced system matrix rho[s, s'] = sum_e psi[s, e] conj(psi[s', e])."""
+def partial_trace_to_system(state: FullState) -> np.ndarray:
+    """Reduced system matrix rho[s, s'] = sum_e psi[s, e] conj(psi[s', e]), a 2x2 complex array."""
     psi = state.amplitudes.reshape(2, -1)
-    return ReducedState(psi @ psi.conj().T)
+    return psi @ psi.conj().T
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def crosscheck(
         state_out, evolved_out = buffers[:, : 2 ** (env.n + 1)]
     full = assemble_full_state(sys, env, out=state_out)
     evolved = evolve_full(full, env, t, out=evolved_out)
-    rho_brute = partial_trace_to_system(evolved).rho
-    rho_closed = reduced_density_matrix(sys, env, t).rho
+    rho_brute = partial_trace_to_system(evolved)
+    rho_closed = reduced_density_matrix(sys, env, t)
     dev = float(np.max(np.abs(rho_brute - rho_closed)))
     return CrosscheckReport(max_deviation=dev, tolerance=float(tolerance), passed=dev <= tolerance)

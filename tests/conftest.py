@@ -4,28 +4,44 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from einlab import EnvSpin, EnvironmentSpec, SystemAmplitudes
+from einlab import EnvironmentSpec, SystemAmplitudes
 
 settings.register_profile("einlab", derandomize=True)
 settings.load_profile("einlab")
 
 
-def bloch_spin(g: float, cos_theta: float, phi: float) -> EnvSpin:
-    half = 0.5 * math.acos(cos_theta)
-    return EnvSpin(g, complex(math.cos(half)), complex(np.exp(1j * phi) * math.sin(half)))
+def bloch_environment(spins) -> EnvironmentSpec:
+    """Environment from (g, cos_theta, phi) triples, one per spin, with
+    alpha = cos(theta/2) and beta = e^{i phi} sin(theta/2)."""
+    g, alpha, beta = [], [], []
+    for coupling, cos_theta, phi in spins:
+        half = 0.5 * math.acos(cos_theta)
+        g.append(coupling)
+        alpha.append(complex(math.cos(half)))
+        beta.append(complex(np.exp(1j * phi) * math.sin(half)))
+    return EnvironmentSpec(g, alpha, beta)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def spin_environment(*spins) -> EnvironmentSpec:
+    """Environment from (g, alpha, beta) triples, one per spin."""
+    return EnvironmentSpec([s[0] for s in spins], [s[1] for s in spins], [s[2] for s in spins])
 
 
 def random_environment(rng: np.random.Generator, n: int) -> EnvironmentSpec:
     """Environment drawn from a caller-owned generator (distinct from the seeded builder)."""
-    spins = tuple(
-        bloch_spin(
+    return bloch_environment(
+        (
             float(rng.uniform(0.05, 1.0)),
             float(rng.uniform(-1.0, 1.0)),
             float(rng.uniform(0.0, 2.0 * math.pi)),
         )
         for _ in range(n)
     )
-    return EnvironmentSpec(spins)
 
 
 def random_system(rng: np.random.Generator) -> SystemAmplitudes:
@@ -34,20 +50,15 @@ def random_system(rng: np.random.Generator) -> SystemAmplitudes:
     return SystemAmplitudes(complex(math.cos(half)), complex(phase * math.sin(half)))
 
 
-env_spins = st.builds(
-    bloch_spin,
+env_spins = st.tuples(
     st.floats(min_value=0.01, max_value=5.0),
     st.floats(min_value=-1.0, max_value=1.0),
     st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
 )
 
-environments = st.builds(
-    EnvironmentSpec, st.lists(env_spins, min_size=0, max_size=8).map(tuple)
-)
+environments = st.lists(env_spins, min_size=0, max_size=8).map(bloch_environment)
 
-small_environments = st.builds(
-    EnvironmentSpec, st.lists(env_spins, min_size=0, max_size=5).map(tuple)
-)
+small_environments = st.lists(env_spins, min_size=0, max_size=5).map(bloch_environment)
 
 times = st.floats(min_value=-50.0, max_value=50.0)
 

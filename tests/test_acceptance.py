@@ -67,7 +67,7 @@ def test_criterion_2_branch_overlap_identity():
             t = float(rng.uniform(0.0, 20.0))
             plus = branch_environment_state(env, t, +1)
             minus = branch_environment_state(env, t, -1)
-            z = decoherence_factor(env, t).value
+            z = decoherence_factor(env, t)
             assert abs(branch_overlap(minus, plus) - z) <= 1e-12
 
 
@@ -83,8 +83,8 @@ def test_criterion_3_reversibility():
         for _ in range(100):
             env = random_environment(rng, int(rng.integers(0, 9)))
             t = float(rng.uniform(0.0, 20.0))
-            forward = decoherence_factor(env, t).value
-            backward = decoherence_factor(env, -t).value
+            forward = decoherence_factor(env, t)
+            backward = decoherence_factor(env, -t)
             assert abs(backward - np.conj(forward)) <= 1e-12
 
 
@@ -101,7 +101,7 @@ def test_criterion_4_structured_counterexamples():
             assert np.max(
                 np.abs(decoherence_series(env, ts) - np.cos(2 * g * ts) ** n)
             ) <= 1e-12
-            revival = abs(decoherence_factor(env, math.pi / (2 * g)).value)
+            revival = abs(decoherence_factor(env, math.pi / (2 * g)))
             assert abs(revival - 1.0) <= 1e-9
 
 

@@ -256,6 +256,18 @@ class TestOtherModes:
         )
         assert within >= 27
 
+    @pytest.mark.parametrize("grid", ["t_max = 5\ndt = 3\n", "t_max = 1e-320\n"])
+    def test_ensemble_late_window_holds_the_last_point(self, tmp_path, capsys, grid):
+        # grid (0, 3) ends before the trailing quarter [3.75, 5], and 1e-320
+        # leaves one point; both printed a traceback and exited 1 before
+        config = write_config(tmp_path, "mode = ensemble\nn = 2\nseeds = 1\ng_max = 1\n" + grid)
+        out = tmp_path / "late.csv"
+        assert main([str(config), "--output", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_rows(out)
+        assert len(rows) == 1
+        assert 0.0 <= float(rows[0]["sup_abs_z_late"]) <= 1.0
+
     def test_sweep_csv(self, tmp_path):
         text = (
             "mode = sweep\nn = 2, 8\nseeds = 10\ng_max = 1.0\nt_start = 20\nt_max = 40\n"

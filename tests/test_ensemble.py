@@ -5,7 +5,6 @@ import pytest
 
 from einlab import (
     EnvironmentSpec,
-    EnvSpin,
     InvalidRangeError,
     NoDecayError,
     ScenarioKind,
@@ -84,7 +83,7 @@ class TestDecayTime:
 class TestRecurrenceSearch:
     def test_single_spin_recoheres_near_half_period(self):
         # |z| = 1 whenever 2gt is a multiple of pi, whatever the imbalance
-        env = EnvironmentSpec((EnvSpin(1.0, complex(math.sqrt(0.75)), complex(math.sqrt(0.25))),))
+        env = EnvironmentSpec([1.0], [math.sqrt(0.75)], [math.sqrt(0.25)])
         report = recurrence_search(env, 0.999, TimeGrid(0.05, 2.0, 0.001))
         assert report.found == pytest.approx(math.pi / 2.0, abs=0.03)
 
@@ -147,6 +146,14 @@ class TestEnsembleStatistics:
             assert s.sup_abs_z_late == 1.0
         assert all(v == 1.0 for _, v in report.abs_z_quantiles)
         assert report.median_sup_abs_z_late == 1.0
+
+    @pytest.mark.parametrize("t_end,dt", [(5.0, 3.0), (1e-320, GRID_DT), (0.0, 1.0)])
+    def test_late_window_holds_the_last_point(self, t_end, dt):
+        # (0, 5) with dt = 3 has no point in the trailing quarter [3.75, 5]
+        grid = TimeGrid(0.0, t_end, dt)
+        report = ensemble_statistics(2, (1,), grid, None, 1.0)
+        last = decoherence_abs_sq(build_environment_random(2, 1, None, 1.0), grid.times()[-1:])
+        assert report.per_seed[0].sup_abs_z_late == float(np.sqrt(last[0]))
 
     def test_deterministic_and_sorted_by_seed(self):
         grid = TimeGrid(0.0, 100.0, GRID_DT)

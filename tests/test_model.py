@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from einlab import (
     EnvironmentSpec,
-    EnvSpin,
     InvalidRangeError,
     ScenarioKind,
     SystemAmplitudes,
@@ -20,6 +19,8 @@ from einlab import (
     validate,
 )
 
+from conftest import spin_environment
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -27,7 +28,8 @@ class TestRandomBuilder:
     def test_zero_spins(self):
         env = build_environment_random(0, seed=1, g_min=0.1, g_max=1.0)
         assert env.n == 0
-        assert env.spins == ()
+        assert env.couplings().shape == (0,)
+        assert env.amplitudes().shape == (0, 2)
 
     def test_determinism(self):
         a = build_environment_random(5, seed=7, g_min=0.1, g_max=1.0)
@@ -50,8 +52,8 @@ class TestRandomBuilder:
         env = build_environment_random(200, seed=11, g_min=0.2, g_max=0.9)
         g = env.couplings()
         assert np.all((g >= 0.2) & (g <= 0.9))
-        for spin in env.spins:
-            assert abs(spin.alpha) ** 2 + abs(spin.beta) ** 2 == pytest.approx(1.0, abs=1e-12)
+        norms = np.sum(np.abs(env.amplitudes()) ** 2, axis=1)
+        assert norms == pytest.approx(np.ones(200), abs=1e-12)
 
     def test_default_g_min_is_five_percent_of_g_max(self):
         env = build_environment_random(500, seed=2, g_max=2.0)
@@ -93,23 +95,22 @@ class TestScenarioBuilder:
     def test_eigenstate(self):
         env = build_environment_scenario(ScenarioKind.EIGENSTATE, 3, 1.0)
         assert env.n == 3
-        for spin in env.spins:
-            assert spin.g == 1.0
-            assert spin.alpha == 1.0 + 0.0j
-            assert spin.beta == 0.0j
+        assert env.couplings().tolist() == [1.0] * 3
+        assert env.amplitudes().tolist() == [[1.0 + 0.0j, 0.0j]] * 3
 
     def test_balanced(self):
         env = build_environment_scenario(ScenarioKind.BALANCED_EQUAL_COUPLING, 2, 0.5)
         assert env.n == 2
-        for spin in env.spins:
-            assert spin.g == 0.5
-            assert spin.alpha == pytest.approx(0.70710678, abs=1e-8)
-            assert spin.beta == spin.alpha
-            assert spin.imbalance == 0.0
+        assert env.couplings().tolist() == [0.5] * 2
+        for alpha, beta in env.amplitudes().tolist():
+            assert alpha == pytest.approx(0.70710678, abs=1e-8)
+            assert beta == alpha
+        assert env.imbalances().tolist() == [0.0] * 2
 
     def test_zero_length(self):
         env = build_environment_scenario(ScenarioKind.BALANCED_EQUAL_COUPLING, 0, 0.5)
-        assert env.spins == ()
+        assert env.n == 0
+        assert env.amplitudes().shape == (0, 2)
 
     @pytest.mark.parametrize("g", [0.0, -1.0, math.inf, math.nan])
     def test_bad_coupling(self, g):
@@ -140,66 +141,62 @@ class TestScenarioBuilder:
 
 class TestValidate:
     def test_success(self):
-        report = validate(SystemAmplitudes(1.0 + 0j, 0j), EnvironmentSpec(()))
+        report = validate(SystemAmplitudes(1.0 + 0j, 0j), EnvironmentSpec([], [], []))
         assert report.ok
         assert report.failures == ()
 
     def test_system_normalization_failure(self):
-        report = validate(SystemAmplitudes(0.8 + 0j, 0.2 + 0j), EnvironmentSpec(()))
+        report = validate(SystemAmplitudes(0.8 + 0j, 0.2 + 0j), EnvironmentSpec([], [], []))
         assert not report.ok
         assert "0.68" in report.failures[0]
 
     def test_negative_coupling_failure(self):
-        env = EnvironmentSpec((EnvSpin(-1.0, complex(INV_SQRT2), complex(INV_SQRT2)),))
+        env = spin_environment((-1.0, complex(INV_SQRT2), complex(INV_SQRT2)))
         report = validate(SystemAmplitudes(complex(INV_SQRT2), complex(INV_SQRT2)), env)
         assert not report.ok
         assert any("non-negative" in f for f in report.failures)
 
     def test_spin_normalization_failure(self):
-        env = EnvironmentSpec((EnvSpin(1.0, 1.0 + 0j, 1.0 + 0j),))
+        env = spin_environment((1.0, 1.0 + 0j, 1.0 + 0j))
         report = validate(SystemAmplitudes(1.0 + 0j, 0j), env)
         assert any("spin 0" in f and "not normalized" in f for f in report.failures)
 
     def test_non_finite_values_reported(self):
-        env = EnvironmentSpec((EnvSpin(math.nan, 1.0 + 0j, 0j),))
+        env = spin_environment((math.nan, 1.0 + 0j, 0j))
         report = validate(SystemAmplitudes(complex(math.inf), 0j), env)
         assert len(report.failures) == 2
 
     def test_multiple_failures_all_reported(self):
-        env = EnvironmentSpec(
-            (
-                EnvSpin(-1.0, 1.0 + 0j, 0j),
-                EnvSpin(1.0, 0.5 + 0j, 0.5 + 0j),
-            )
-        )
+        env = spin_environment((-1.0, 1.0 + 0j, 0j), (1.0, 0.5 + 0j, 0.5 + 0j))
         report = validate(SystemAmplitudes(0.9 + 0j, 0j), env)
         assert len(report.failures) == 3
 
 
 class TestTypes:
     def test_imbalance(self):
-        spin = EnvSpin(1.0, complex(math.sqrt(0.8)), complex(math.sqrt(0.2)))
-        assert spin.imbalance == pytest.approx(0.6, abs=1e-12)
+        env = spin_environment((1.0, complex(math.sqrt(0.8)), complex(math.sqrt(0.2))))
+        assert env.imbalances()[0] == pytest.approx(0.6, abs=1e-12)
 
     def test_populations(self):
         sys_amp = SystemAmplitudes(complex(math.sqrt(0.3)), complex(math.sqrt(0.7)))
         assert sys_amp.populations() == pytest.approx((0.3, 0.7), abs=1e-12)
 
     def test_environment_accepts_any_sequence(self):
-        spin = EnvSpin(1.0, 1.0 + 0j, 0j)
-        assert EnvironmentSpec([spin]).spins == (spin,)
+        env = EnvironmentSpec((1.0,), [1.0 + 0j], np.zeros(1))
+        assert env == EnvironmentSpec(np.ones(1), (1.0,), [0j])
+        assert env.amplitudes().tolist() == [[1.0 + 0j, 0j]]
 
     def test_environment_arrays(self):
-        env = EnvironmentSpec(
-            (EnvSpin(0.3, 1.0 + 0j, 0j), EnvSpin(0.7, complex(INV_SQRT2), complex(INV_SQRT2)))
-        )
+        env = EnvironmentSpec([0.3, 0.7], [1.0, INV_SQRT2], [0.0, INV_SQRT2])
         assert env.couplings().tolist() == [0.3, 0.7]
         assert env.imbalances() == pytest.approx([1.0, 0.0], abs=1e-12)
         assert env.amplitudes().shape == (2, 2)
 
     def test_empty_environment_arrays(self):
-        env = EnvironmentSpec(())
+        env = EnvironmentSpec([], [], [])
+        assert env.n == 0
         assert env.couplings().shape == (0,)
+        assert env.imbalances().shape == (0,)
         assert env.amplitudes().shape == (0, 2)
 
     def test_arrays_are_read_only(self):
@@ -208,21 +205,56 @@ class TestTypes:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    def test_from_arrays_matches_spin_constructor(self):
-        spins = (EnvSpin(0.3, 1.0 + 0j, 0j), EnvSpin(0.7, complex(INV_SQRT2), 1j * INV_SQRT2))
+    def test_constructor_copies_the_callers_arrays(self):
         g = np.array([0.3, 0.7])
-        env = EnvironmentSpec.from_arrays(g, [s.alpha for s in spins], [s.beta for s in spins])
-        assert env == EnvironmentSpec(spins)
-        assert hash(env) == hash(EnvironmentSpec(spins))
-        assert env.spins == spins
-        assert repr(env) == repr(EnvironmentSpec(spins))
-        g[0] = 5.0  # the caller's array is copied, not shared or frozen
+        alpha = np.array([1.0 + 0j, INV_SQRT2])
+        beta = np.array([0j, 1j * INV_SQRT2])
+        env = EnvironmentSpec(g, alpha, beta)
+        g[0], alpha[0], beta[1] = 5.0, 0j, 1.0  # the caller's arrays are neither shared nor frozen
         assert env.couplings().tolist() == [0.3, 0.7]
-        assert env != EnvironmentSpec(spins[:1])
+        assert env.amplitudes().tolist() == [[1.0 + 0j, 0j], [INV_SQRT2 + 0j, 1j * INV_SQRT2]]
+        assert env != EnvironmentSpec([0.3], [1.0], [0.0])
 
-    def test_from_arrays_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            EnvironmentSpec.from_arrays([0.3, 0.7], [1.0], [0.0])
+    def test_constructor_rejects_mismatched_lengths(self):
+        for g, alpha, beta in (
+            ([0.3, 0.7], [1.0], [0.0]),
+            ([0.3], [1.0, 0.0], [0.0, 1.0]),
+            ([0.3], [1.0], []),
+        ):
+            with pytest.raises(ValueError):
+                EnvironmentSpec(g, alpha, beta)
+
+    @pytest.mark.parametrize(
+        "plus,minus",
+        [
+            (([0.0, 0.7], [1.0, 0.6], [0.0, 0.8]), ([-0.0, 0.7], [1.0, 0.6], [0.0, 0.8])),
+            (([0.3, 0.7], [1.0, 0.6], [0.0, 0.8]), ([0.3, 0.7], [1.0, 0.6], [-0.0, 0.8])),
+            (
+                ([0.3], [complex(1.0, 0.0)], [0j]),
+                ([0.3], [complex(1.0, -0.0)], [complex(-0.0, -0.0)]),
+            ),
+        ],
+    )
+    def test_signed_zeros_compare_and_hash_equal(self, plus, minus):
+        a, b = EnvironmentSpec(*plus), EnvironmentSpec(*minus)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert {a, b} == {a}
+
+    def test_equal_environments_hash_equal(self):
+        a = build_environment_random(6, seed=12)
+        b = EnvironmentSpec(a.couplings(), a.amplitudes()[:, 0], a.amplitudes()[:, 1])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != build_environment_random(6, seed=13)
+        assert a.__eq__(object()) is NotImplemented
+
+    def test_repr_names_couplings_and_amplitudes(self):
+        env = EnvironmentSpec([0.3, 0.7], [1.0, 0.6], [0.0, 0.8j])
+        assert repr(env) == (
+            "EnvironmentSpec(g=[0.3, 0.7], alpha=[(1+0j), (0.6+0j)], beta=[0j, 0.8j])"
+        )
+        assert repr(EnvironmentSpec([], [], [])) == "EnvironmentSpec(g=[], alpha=[], beta=[])"
 
 
 class TestInteractionConvention:
@@ -235,24 +267,22 @@ class TestInteractionConvention:
         # the closed-form branch states must be the environment half of the
         # brute-force evolution: with the system in |+> (|->) the evolved full
         # state is |+> (|->) times the product of the + (-) branch spin states
-        env = EnvironmentSpec(
-            (
-                EnvSpin(g, complex(math.sqrt(0.7)), complex(math.sqrt(0.3))),
-                EnvSpin(0.5 * g + 0.1, complex(math.sqrt(0.2)), 1j * math.sqrt(0.8)),
-            )
+        env = spin_environment(
+            (g, complex(math.sqrt(0.7)), complex(math.sqrt(0.3))),
+            (0.5 * g + 0.1, complex(math.sqrt(0.2)), 1j * math.sqrt(0.8)),
         )
         for row, branch in ((0, +1), (1, -1)):
             sys_amp = SystemAmplitudes(complex(row == 0), complex(row == 1))
             full = evolve_full(assemble_full_state(sys_amp, env), env, t).amplitudes
-            spins = branch_environment_state(env, t, branch).spin_amplitudes
+            spins = branch_environment_state(env, t, branch)
             expected = reduce(np.kron, spins[::-1], np.ones(1, dtype=complex))
             np.testing.assert_allclose(full.reshape(2, -1)[row], expected, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(full.reshape(2, -1)[1 - row], 0.0)
 
     def test_aligned_sign_is_positive(self):
         # the aligned branch (system +, spin +) advances by e^{+igt}: i at g t = pi/2
-        env = EnvironmentSpec((EnvSpin(1.0, 1.0 + 0j, 0j),))
-        state = branch_environment_state(env, math.pi / 2, +1)
-        assert state.spin_amplitudes[0, 0] == pytest.approx(1j, abs=1e-12)
+        env = spin_environment((1.0, 1.0 + 0j, 0j))
+        amps = branch_environment_state(env, math.pi / 2, +1)
+        assert amps[0, 0] == pytest.approx(1j, abs=1e-12)
         full = evolve_full(assemble_full_state(SystemAmplitudes(1.0 + 0j, 0j), env), env, math.pi / 2)
         assert full.amplitudes[0] == pytest.approx(1j, abs=1e-12)

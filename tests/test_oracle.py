@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from einlab import (
     DimensionMismatchError,
     EnvironmentSpec,
-    EnvSpin,
     FullState,
     SystemAmplitudes,
     TooLargeError,
@@ -20,7 +19,14 @@ from einlab import (
 )
 from einlab.oracle import _coupling_sums
 
-from conftest import random_environment, random_system, small_environments, system_amplitudes, times
+from conftest import (
+    random_environment,
+    random_system,
+    small_environments,
+    spin_environment,
+    system_amplitudes,
+    times,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BALANCED_SYS = SystemAmplitudes(complex(INV_SQRT2), complex(INV_SQRT2))
@@ -29,26 +35,24 @@ BALANCED_SYS = SystemAmplitudes(complex(INV_SQRT2), complex(INV_SQRT2))
 class TestAssemble:
     def test_no_environment(self):
         sys_amp = SystemAmplitudes(0.6 + 0j, 0.8j)
-        state = assemble_full_state(sys_amp, EnvironmentSpec(()))
+        state = assemble_full_state(sys_amp, EnvironmentSpec([], [], []))
         assert state.n == 0
         assert state.amplitudes == pytest.approx(np.array([0.6, 0.8j]), abs=0)
 
     def test_aligned_basis_state(self):
-        env = EnvironmentSpec((EnvSpin(1.0, 1.0 + 0j, 0j),))
+        env = spin_environment((1.0, 1.0 + 0j, 0j))
         state = assemble_full_state(SystemAmplitudes(1.0 + 0j, 0j), env)
         assert state.amplitudes == pytest.approx(np.array([1, 0, 0, 0], dtype=complex), abs=0)
 
     def test_product_amplitudes(self):
-        env = EnvironmentSpec((EnvSpin(1.0, complex(math.sqrt(0.8)), complex(math.sqrt(0.2))),))
+        env = spin_environment((1.0, complex(math.sqrt(0.8)), complex(math.sqrt(0.2))))
         state = assemble_full_state(BALANCED_SYS, env)
         expected = np.array([0.6324555320336759, 0.31622776601683794] * 2, dtype=complex)
         assert state.amplitudes == pytest.approx(expected, abs=1e-12)
 
     def test_index_convention_system_is_most_significant(self):
         # two distinguishable spins: spin 0 in bit 0, spin 1 in bit 1
-        env = EnvironmentSpec(
-            (EnvSpin(1.0, 1.0 + 0j, 0j), EnvSpin(1.0, 0j, 1.0 + 0j))
-        )
+        env = spin_environment((1.0, 1.0 + 0j, 0j), (1.0, 0j, 1.0 + 0j))
         state = assemble_full_state(SystemAmplitudes(0j, 1.0 + 0j), env)
         # system |-> (bit 2), spin 1 |-> (bit 1), spin 0 |+> (bit 0): index 6
         expected = np.zeros(8, dtype=complex)
@@ -61,8 +65,7 @@ class TestAssemble:
         assert assemble_full_state(sys_amp, env).norm_sq() == pytest.approx(1.0, abs=1e-9)
 
     def test_memory_guard(self):
-        spin = EnvSpin(1.0, 1.0 + 0j, 0j)
-        env = EnvironmentSpec((spin,) * 25)
+        env = EnvironmentSpec(np.ones(25), np.ones(25), np.zeros(25))
         with pytest.raises(TooLargeError):
             assemble_full_state(BALANCED_SYS, env)
 
@@ -76,7 +79,7 @@ class TestEvolve:
         assert evolved.amplitudes == pytest.approx(state.amplitudes, abs=0)
 
     def test_quarter_period_phases(self):
-        env = EnvironmentSpec((EnvSpin(1.0, 1.0 + 0j, 0j),))
+        env = spin_environment((1.0, 1.0 + 0j, 0j))
         state = FullState(1, np.ones(4, dtype=complex))
         evolved = evolve_full(state, env, math.pi / 2)
         expected = np.array([1j, -1j, -1j, 1j])
@@ -96,7 +99,7 @@ class TestEvolve:
         assert evolve_full(state, env, t).norm_sq() == pytest.approx(state.norm_sq(), abs=1e-12)
 
     def test_accepts_entangled_input(self):
-        env = EnvironmentSpec((EnvSpin(0.7, complex(INV_SQRT2), complex(INV_SQRT2)),))
+        env = spin_environment((0.7, complex(INV_SQRT2), complex(INV_SQRT2)))
         bell = FullState(1, np.array([INV_SQRT2, 0, 0, INV_SQRT2], dtype=complex))
         evolved = evolve_full(bell, env, 1.3)
         assert evolved.norm_sq() == pytest.approx(1.0, abs=1e-12)
@@ -104,13 +107,13 @@ class TestEvolve:
         assert back.amplitudes == pytest.approx(bell.amplitudes, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        env = EnvironmentSpec((EnvSpin(1.0, 1.0 + 0j, 0j),) * 2)
+        env = spin_environment(*[(1.0, 1.0 + 0j, 0j)] * 2)
         state = FullState(1, np.ones(4, dtype=complex))
         with pytest.raises(DimensionMismatchError):
             evolve_full(state, env, 1.0)
 
     def test_inconsistent_state_rejected(self):
-        env = EnvironmentSpec((EnvSpin(1.0, 1.0 + 0j, 0j),))
+        env = spin_environment((1.0, 1.0 + 0j, 0j))
         with pytest.raises(DimensionMismatchError):
             evolve_full(FullState(1, np.ones(8, dtype=complex)), env, 1.0)
 
@@ -136,7 +139,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(17)
         sys_amp = random_system(rng)
         env = random_environment(rng, 5)
-        rho = partial_trace_to_system(assemble_full_state(sys_amp, env)).rho
+        rho = partial_trace_to_system(assemble_full_state(sys_amp, env))
         expected = np.outer(
             np.array([sys_amp.a, sys_amp.b]), np.conj([sys_amp.a, sys_amp.b])
         )
@@ -144,7 +147,7 @@ class TestPartialTrace:
 
     def test_maximally_entangled_pair(self):
         bell = FullState(1, np.array([INV_SQRT2, 0, 0, INV_SQRT2], dtype=complex))
-        rho = partial_trace_to_system(bell).rho
+        rho = partial_trace_to_system(bell)
         assert rho == pytest.approx(np.diag([0.5, 0.5]).astype(complex), abs=1e-12)
 
     def test_matches_analytic_reduction_at_n8(self):
@@ -153,14 +156,14 @@ class TestPartialTrace:
         env = random_environment(rng, 8)
         t = 3.7
         full = evolve_full(assemble_full_state(sys_amp, env), env, t)
-        rho_brute = partial_trace_to_system(full).rho
-        rho_closed = reduced_density_matrix(sys_amp, env, t).rho
+        rho_brute = partial_trace_to_system(full)
+        rho_closed = reduced_density_matrix(sys_amp, env, t)
         assert rho_brute == pytest.approx(rho_closed, abs=1e-12)
 
 
 class TestCrosscheck:
     def test_empty_environment_is_exact(self):
-        report = crosscheck(BALANCED_SYS, EnvironmentSpec(()), 2.0, 1e-12)
+        report = crosscheck(BALANCED_SYS, EnvironmentSpec([], [], []), 2.0, 1e-12)
         assert report.max_deviation == 0.0
         assert report.passed
 
@@ -172,12 +175,11 @@ class TestCrosscheck:
 
     def test_mutated_couplings_are_detected(self):
         env = build_environment_random(8, seed=42, g_min=0.05, g_max=1.0)
-        doubled = EnvironmentSpec(
-            tuple(EnvSpin(s.g * 2.0, s.alpha, s.beta) for s in env.spins)
-        )
+        amps = env.amplitudes()
+        doubled = EnvironmentSpec(env.couplings() * 2.0, amps[:, 0], amps[:, 1])
         full = evolve_full(assemble_full_state(BALANCED_SYS, env), env, 1.3)
-        rho_brute = partial_trace_to_system(full).rho
-        rho_mutated = reduced_density_matrix(BALANCED_SYS, doubled, 1.3).rho
+        rho_brute = partial_trace_to_system(full)
+        rho_mutated = reduced_density_matrix(BALANCED_SYS, doubled, 1.3)
         assert np.max(np.abs(rho_brute - rho_mutated)) > 1e-10
 
     def test_bulk_oracle_equivalence(self):
@@ -196,25 +198,18 @@ class TestPhaseInsensitivity:
         rng = np.random.default_rng(31)
         sys_amp = random_system(rng)
         env = random_environment(rng, 6)
-        rephased = EnvironmentSpec(
-            tuple(
-                EnvSpin(
-                    s.g,
-                    s.alpha * np.exp(1j * rng.uniform(0, 2 * math.pi)),
-                    s.beta * np.exp(1j * rng.uniform(0, 2 * math.pi)),
-                )
-                for s in env.spins
-            )
-        )
+        angles = [[rng.uniform(0, 2 * math.pi) for _ in range(2)] for _ in range(env.n)]
+        amps = env.amplitudes() * np.exp(1j * np.array(angles).reshape(-1, 2))
+        rephased = EnvironmentSpec(env.couplings(), amps[:, 0], amps[:, 1])
         t = 2.9
         for e1, e2 in ((env, rephased),):
             rho1 = partial_trace_to_system(
                 evolve_full(assemble_full_state(sys_amp, e1), e1, t)
-            ).rho
+            )
             rho2 = partial_trace_to_system(
                 evolve_full(assemble_full_state(sys_amp, e2), e2, t)
-            ).rho
+            )
             assert rho1 == pytest.approx(rho2, abs=1e-12)
-        rho_closed1 = reduced_density_matrix(sys_amp, env, t).rho
-        rho_closed2 = reduced_density_matrix(sys_amp, rephased, t).rho
+        rho_closed1 = reduced_density_matrix(sys_amp, env, t)
+        rho_closed2 = reduced_density_matrix(sys_amp, rephased, t)
         assert rho_closed1 == pytest.approx(rho_closed2, abs=1e-12)

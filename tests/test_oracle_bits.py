@@ -67,7 +67,7 @@ def make_environment(kind, n, seed):
     g = rng.choice([0.25, 0.5, 1.0], n)
     cos_sq = rng.uniform(0.0, 1.0, n)
     alpha = -np.sqrt(cos_sq) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
-    return EnvironmentSpec.from_arrays(g, alpha, np.sqrt(1.0 - cos_sq) + 0j)
+    return EnvironmentSpec(g, alpha, np.sqrt(1.0 - cos_sq) + 0j)
 
 
 def entangled_amplitudes(n, seed):

@@ -9,33 +9,36 @@ that trace mode ran before, formatted the same way.
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import einlab.cli as cli
 from einlab import (
     TimeGrid,
+    build_environment_random,
     decoherence_factor,
+    decoherence_series,
     reduced_density_matrix,
     state_metrics,
     trace_columns,
 )
 
-from conftest import environments, system_amplitudes
+from conftest import assert_same_bits, environments, system_amplitudes
 
 
 def scalar_row(sys_amp, env, t):
-    z = decoherence_factor(env, t).value
-    state = reduced_density_matrix(sys_amp, env, t)
-    purity, entropy = state_metrics(state)
+    z = decoherence_factor(env, t)
+    rho = reduced_density_matrix(sys_amp, env, t)
+    purity, entropy = state_metrics(rho)
     return (
         t,
         z.real,
         z.imag,
         abs(z),
-        state.rho[0, 0].real,
-        state.rho[1, 1].real,
-        abs(state.rho[0, 1]),
+        rho[0, 0].real,
+        rho[1, 1].real,
+        abs(rho[0, 1]),
         purity,
         entropy,
     )
@@ -120,3 +123,33 @@ def test_golden_trace_digests(tmp_path):
         out = tmp_path / f"golden{i}.csv"
         assert cli.main([str(config), "--output", str(out), "--quiet"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, text
+
+
+@pytest.mark.parametrize("n", [1, 5, 20, 24])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_series_bits_do_not_depend_on_array_length(n, seed):
+    # 40 000 points make 625 KiB operands, past numpy's 256 KiB threshold for
+    # eliding temporaries; each point must keep the bits of a short call
+    env = build_environment_random(n, seed, None, 1.0)
+    times = 3.0 + 0.01 * np.arange(40_000)
+    whole = decoherence_series(env, times)
+    bounds = [0, 1, 8, 5000, 21_000, 40_000]
+    pieces = [decoherence_series(env, times[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert_same_bits(whole, np.concatenate(pieces))
+    for k in range(0, times.size, 397):
+        assert_same_bits(whole[k : k + 1], np.array([decoherence_factor(env, float(times[k]))]))
+
+
+def test_trace_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch):
+    config = tmp_path / "long.cfg"
+    config.write_text(
+        "mode = trace\nn = 20\nseed = 1\nscenario = random\ng_max = 1.0\nt_max = 200\ndt = 0.01\n"
+    )
+    texts = []
+    for chunk in (cli.TRACE_CHUNK, 65_536):
+        monkeypatch.setattr(cli, "TRACE_CHUNK", chunk)
+        out = tmp_path / f"chunk{chunk}.csv"
+        assert cli.main([str(config), "--output", str(out), "--quiet"]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0].count(b"\n") == 20_003  # provenance, header and 20 001 rows
+    assert texts[0] == texts[1]

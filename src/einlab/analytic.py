@@ -19,11 +19,19 @@ O(n):
 function returning plain values: z(t) is a ``complex``, a branch state an
 (n, 2) complex array, a reduced state a 2x2 complex array.  The
 brute-force check lives in :mod:`einlab.oracle`.
+
+The |z|^2 kernel of decay-time scans, ensembles and sweeps,
+:func:`decoherence_abs_sq`, splits large grids across the CPUs in the
+process's affinity mask; its bits do not depend on how many there are, and
+``taskset -c 0`` keeps it on one thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -45,8 +53,42 @@ def decoherence_series(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
 
 
 # Element budget of one decoherence_abs_sq block: (k + 1) rows of m points
-# with k = max(1, _ABS_SQ_BLOCK // m), about 256 KiB of float64.
+# with k = max(1, _ABS_SQ_BLOCK // m), about 256 KiB of float64.  A call is
+# split across threads only when every slice gets at least this many
+# spin-points, so short calls never pay for the hand-off.
 _ABS_SQ_BLOCK = 1 << 15
+
+# Slices per split call: the CPUs this process may run on (``taskset`` limits it).
+try:
+    _ABS_SQ_WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity mask on this platform
+    _ABS_SQ_WORKERS = os.cpu_count() or 1
+
+# Runs all slices but the caller's own; created on first use.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    # A forked child inherits the executor object but none of its threads, so
+    # work submitted to it would never run; the child starts a pool of its own.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _abs_sq_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=max(1, _ABS_SQ_WORKERS - 1), thread_name_prefix="einlab-abs-sq"
+            )
+        return _pool
 
 
 def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
@@ -57,6 +99,46 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     Half the trigonometric work of :func:`decoherence_series`; used by the
     grid scans, ensembles and sweeps.
 
+    Large calls use every CPU in the process's affinity mask (``taskset -c 0``
+    keeps them on one): the flattened grid is cut into one contiguous slice
+    per CPU, one slice runs on the calling thread and the others on a private
+    thread pool, each through the spin-blocked loop of :func:`_abs_sq_blocks`.
+    A call is split only when each slice gets at least ``_ABS_SQ_BLOCK``
+    spin-points.  A point's value depends only on its own time and the fixed
+    spin order, so the result has the same bits however many CPUs there are
+    and wherever the cuts fall.
+    """
+    times = np.asarray(times, dtype=float)
+    flat = times.reshape(-1)
+    g4 = 4.0 * env.couplings()
+    d_sq = env.imbalances() * env.imbalances()
+    mean = 0.5 * (1.0 + d_sq)
+    swing = 0.5 * (1.0 - d_sq)
+    slices = _ABS_SQ_WORKERS
+    # every slice holds at least flat.size // slices points
+    if slices < 2 or env.n * (flat.size // slices) < _ABS_SQ_BLOCK:
+        return _abs_sq_blocks(flat, g4, mean, swing).reshape(times.shape)
+    out = np.empty(flat.size)
+
+    def fill(a: int, b: int) -> None:
+        out[a:b] = _abs_sq_blocks(flat[a:b], g4, mean, swing)
+
+    bounds = [flat.size * i // slices for i in range(slices + 1)]
+    pool = _abs_sq_pool()
+    futures = [pool.submit(fill, a, b) for a, b in zip(bounds[:-2], bounds[1:-1])]
+    try:
+        fill(bounds[-2], bounds[-1])
+    finally:
+        # the pool's slices write into out, so none may outlive this call
+        wait(futures)
+    for future in futures:
+        future.result()
+    return out.reshape(times.shape)
+
+
+def _abs_sq_blocks(flat, g4, mean, swing) -> np.ndarray:
+    """prod_j (mean_j + swing_j * cos(g4_j * t)) at each point of the 1-D ``flat``.
+
     Spins are taken in blocks of k = max(1, _ABS_SQ_BLOCK // m) for m grid points.
     A block is a (k + 1, m) buffer: row 0 holds the product over the spins
     before the block, rows 1..k the block's factors, and one
@@ -66,17 +148,12 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     for one spin, so every value equals the spin-by-spin product
     ``((1 * f_0) * f_1) * ...`` to the bit, whatever the block size.
     """
-    times = np.asarray(times, dtype=float)
-    flat = times.reshape(-1)
-    g4 = 4.0 * env.couplings()
-    d_sq = env.imbalances() * env.imbalances()
-    mean = 0.5 * (1.0 + d_sq)
-    swing = 0.5 * (1.0 - d_sq)
-    k = max(1, min(env.n, _ABS_SQ_BLOCK // max(flat.size, 1)))
+    n = g4.size
+    k = max(1, min(n, _ABS_SQ_BLOCK // max(flat.size, 1)))
     buf = np.empty((k + 1, flat.size))
     out = np.ones(flat.size)
-    for start in range(0, env.n, k):
-        stop = min(start + k, env.n)
+    for start in range(0, n, k):
+        stop = min(start + k, n)
         block = buf[: stop - start + 1]
         block[0] = out
         rows = block[1:]
@@ -85,7 +162,7 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
         rows *= swing[start:stop, None]
         rows += mean[start:stop, None]
         out = np.multiply.reduce(block, axis=0)
-    return out.reshape(times.shape)
+    return out
 
 
 # Per-spin slack on the tail bounds of decoherence_abs_sq_above; it rounds to

@@ -175,8 +175,7 @@ def ensemble_statistics(
     for i, seed in enumerate(seeds):
         env = build_environment_random(n, seed, g_min, g_max)
         abs_sq = decoherence_abs_sq(env, times)
-        abs_z = np.sqrt(abs_sq)
-        pooled[i] = abs_z
+        abs_z = np.sqrt(abs_sq, out=pooled[i])
         per_seed.append(
             SeedStatistics(
                 seed=seed,
@@ -186,7 +185,7 @@ def ensemble_statistics(
             )
         )
     quantiles = tuple(
-        (q, float(np.quantile(pooled, q))) for q in QUANTILE_LEVELS
+        (q, float(v)) for q, v in zip(QUANTILE_LEVELS, np.quantile(pooled, QUANTILE_LEVELS))
     )
     median_late = float(np.median([s.sup_abs_z_late for s in per_seed]))
     return EnsembleReport(

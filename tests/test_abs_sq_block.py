@@ -7,8 +7,15 @@ before, and every comparison is bit for bit.
 """
 
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +111,140 @@ def test_whole_grid_equals_any_split(n, m, cuts, seed):
     bounds = sorted({0, m, *(c for c in cuts if c < m)})
     pieces = [decoherence_abs_sq(env, times[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert_same_bits(np.concatenate(pieces), decoherence_abs_sq(env, times))
+
+
+def split_abs_sq(env, times, workers):
+    """decoherence_abs_sq with ``workers`` CPUs, and the sizes of the slices it ran."""
+    sizes = []
+    blocks = analytic._abs_sq_blocks
+
+    def recorded(flat, *args):
+        sizes.append(flat.size)
+        return blocks(flat, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytic, "_ABS_SQ_WORKERS", workers)
+        patch.setattr(analytic, "_abs_sq_blocks", recorded)
+        return decoherence_abs_sq(env, times), sorted(sizes)
+
+
+def expected_slices(n, m, workers):
+    # split only when every slice gets at least BLOCK spin-points
+    return workers if workers > 1 and n * (m // workers) >= BLOCK else 1
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        (n, m)
+        for m in (0, 1, 2, 3, 319, 12_733, 2**18 + 1)
+        for n in (0, 1, 7, 100, 2000)
+        # at most about 2M spin-points per case keeps the test quick
+        if n * m <= 2_000_000
+    ],
+)
+def test_split_equals_serial(n, m, workers):
+    env = build_environment_random(n, 7, None, 1.0)
+    times = 3.0 + np.arange(m) * 0.0173
+    serial, _ = split_abs_sq(env, times, 1)
+    split, sizes = split_abs_sq(env, times, workers)
+    assert_same_bits(split, serial)
+    assert len(sizes) == expected_slices(n, m, workers) and sum(sizes) == m
+
+
+@pytest.mark.parametrize("workers", (2, 3))
+def test_split_keeps_two_d_times(workers):
+    env = build_environment_random(2000, 3, None, 1.0)
+    times = 50.0 + np.arange(319).reshape(11, 29) * 0.157
+    split, sizes = split_abs_sq(env, times, workers)
+    assert len(sizes) == workers
+    assert_same_bits(split, per_spin_abs_sq(env, times))
+
+
+@given(st.integers(1, 6), st.integers(100, 400), st.integers(300, 3000), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_split_equals_serial_at_any_cut(workers, n, m, seed):
+    # workers and m move the cuts m * i // workers anywhere on the grid
+    env = build_environment_random(n, seed, None, 1.0)
+    times = 40.0 + np.arange(m) * 0.0731
+    split, sizes = split_abs_sq(env, times, workers)
+    assert len(sizes) == expected_slices(n, m, workers)
+    assert_same_bits(split, split_abs_sq(env, times, 1)[0])
+
+
+class SliceFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", (0, 2))
+def test_slice_error_reaches_the_caller(monkeypatch, failing):
+    # slice 0 runs on the pool, slice 2 (the last) on the calling thread
+    env = build_environment_random(300, 4, None, 1.0)
+    times = np.arange(900) * 0.11
+    blocks = analytic._abs_sq_blocks
+
+    def fail_one(flat, *args):
+        if flat[0] == times[300 * failing]:
+            raise SliceFailed(failing)
+        return blocks(flat, *args)
+
+    monkeypatch.setattr(analytic, "_ABS_SQ_WORKERS", 3)
+    monkeypatch.setattr(analytic, "_abs_sq_blocks", fail_one)
+    with pytest.raises(SliceFailed):
+        decoherence_abs_sq(env, times)
+    monkeypatch.setattr(analytic, "_abs_sq_blocks", blocks)
+    assert_same_bits(decoherence_abs_sq(env, times), per_spin_abs_sq(env, times))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_the_parents_bits(monkeypatch, tmp_path):
+    monkeypatch.setattr(analytic, "_ABS_SQ_WORKERS", 2)
+    env = build_environment_random(2000, 5, None, 1.0)
+    times = 50.0 + np.arange(319) * 0.157
+    expected = decoherence_abs_sq(env, times)
+    assert analytic._pool is not None
+    result = tmp_path / "child.bin"
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            result.write_bytes(decoherence_abs_sq(env, times).tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    # a child that submits to the parent's threads waits forever: bound the wait
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("forked child did not finish within 30 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert result.read_bytes() == expected.tobytes()
+
+
+ONE_CPU_SWEEP = """
+import os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import einlab.analytic as analytic
+from einlab.ensemble import TimeGrid, scaling_sweep
+before = threading.active_count()
+scaling_sweep((300, 2000), 2, TimeGrid(50.0, 100.0, 0.157))
+print(analytic._ABS_SQ_WORKERS, analytic._pool, threading.active_count() - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_starts_no_thread():
+    # what ``taskset -c 0`` does: the worker count comes from the affinity mask
+    env = dict(os.environ, PYTHONPATH=str(Path(analytic.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_CPU_SWEEP], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "None", "0"]
 
 
 @given(st.integers(0, 2000), st.integers(0, 2**64 - 1))

@@ -4,6 +4,7 @@ would break ``perfbench/run.py --trace 1`` without failing any other test."""
 import importlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 METRICS = Path(__file__).resolve().parents[1] / "perfbench" / "metrics.py"
@@ -26,31 +27,46 @@ def test_every_tracer_target_resolves(monkeypatch):
 
 def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
     # the tracer's model.* and analytic.abs_sq_* spans wrap these two names
-    # in einlab.ensemble: one build and one kernel call per (n, seed)
+    # in einlab.ensemble: one build and one kernel call per (n, seed), on the
+    # calling thread, since the tracer's span stack assumes one thread, even
+    # when the kernel splits its grid across threads (n = 700 here)
+    import einlab.analytic as analytic
     import einlab.ensemble as ensemble
 
-    calls, built = [], []
+    calls, built, threads, slice_threads = [], [], set(), set()
     build, kernel = ensemble.build_environment_random, ensemble.decoherence_abs_sq
+    blocks = analytic._abs_sq_blocks
 
     def traced_build(n, seed, *args):
         built.append(build(n, seed, *args))
         calls.append(("build", n, seed))
+        threads.add(threading.get_ident())
         return built[-1]
 
     def traced_kernel(env, times):
         calls.append(("kernel", env is built[-1]))
+        threads.add(threading.get_ident())
         return kernel(env, times)
 
+    def traced_blocks(*args):
+        slice_threads.add(threading.get_ident())
+        return blocks(*args)
+
+    monkeypatch.setattr(analytic, "_ABS_SQ_WORKERS", 2)
+    monkeypatch.setattr(analytic, "_abs_sq_blocks", traced_blocks)
     monkeypatch.setattr(ensemble, "build_environment_random", traced_build)
     monkeypatch.setattr(ensemble, "decoherence_abs_sq", traced_kernel)
-    window = ensemble.TimeGrid(5.0, 6.0, 0.1)
-    ensemble.scaling_sweep((0, 3, 7), 2, window)
+    window = ensemble.TimeGrid(5.0, 6.0, 0.01)
+    ensemble.scaling_sweep((0, 3, 700), 2, window)
     assert calls == [
-        call for n in (0, 3, 7) for seed in (1, 2) for call in (("build", n, seed), ("kernel", True))
+        call for n in (0, 3, 700) for seed in (1, 2) for call in (("build", n, seed), ("kernel", True))
     ]
     calls.clear()
-    ensemble.ensemble_statistics(4, (9, 2, 5), window)
-    assert calls == [call for seed in (2, 5, 9) for call in (("build", 4, seed), ("kernel", True))]
+    ensemble.ensemble_statistics(700, (9, 2, 5), window)
+    assert calls == [call for seed in (2, 5, 9) for call in (("build", 700, seed), ("kernel", True))]
+    assert threads == {threading.get_ident()}
+    # the split did run: some slices ran off the calling thread
+    assert slice_threads - threads
 
 
 def test_verify_calls_the_oracle_through_module_attributes(monkeypatch, tmp_path):

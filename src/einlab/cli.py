@@ -22,7 +22,10 @@ starting a comment.  Unknown keys are rejected.  Keys:
 
 Trace mode computes its rows in chunks of grid points as arrays
 (:func:`einlab.analytic.trace_columns`), with the same bytes as the scalar
-functions give point by point.
+functions give point by point.  Each chunk's rows come from one ``%``
+template of ``%.17g`` fields; a column that is bit-constant within the chunk
+is formatted once, into the template.  The bytes are those of formatting
+every cell on its own.
 
 Modes write CSV only: `.` decimal separator, fixed column order, LF line
 endings, 17 significant digits, and a leading provenance comment carrying
@@ -90,9 +93,10 @@ VERIFY_TOLERANCE = 1e-10
 
 TRACE_COLUMNS = ("t", "re_z", "im_z", "abs_z", "rho_pp", "rho_mm", "abs_rho_pm", "purity", "entropy")
 
-# Grid points per trace_columns call.  Any size gives the same bytes; the
-# chunk bounds the memory that one call's arrays and row lists take, however
-# long the grid is.
+# Grid points per trace_columns call and per row template.  Any size gives
+# the same bytes; the chunk bounds the memory that one call's arrays and row
+# lists take, however long the grid is.  A column is formatted once when it is
+# bit-constant within its chunk, so a last chunk of one row is one literal.
 TRACE_CHUNK = 8192
 
 
@@ -284,6 +288,31 @@ def _format(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _chunk_lines(columns: tuple[np.ndarray, ...]) -> list[str]:
+    """CSV rows of equal-length, non-empty float columns, each cell as
+    :func:`_format` prints it.
+
+    The rows come from one ``%`` template.  A column whose values are all
+    bit-identical is formatted once, into the template; every other column
+    is a ``%.17g`` field, which prints what ``_format`` does.  Identity is
+    tested on the bits, not with ``==``: a column mixing ``0.0`` and ``-0.0``
+    prints both ``0`` and ``-0``.
+    """
+    fields = []
+    varying = []
+    for column in columns:
+        bits = column.view(np.int64)
+        if (bits == bits[0]).all():
+            fields.append(_format(float(column[0])))
+        else:
+            fields.append("%.17g")
+            varying.append(column.tolist())
+    template = ",".join(fields)
+    if not varying:
+        return [template] * columns[0].size
+    return [template % row for row in zip(*varying)]
+
+
 def _provenance(config: RunConfig) -> str:
     return f"# einlab {__version__} mode={config.mode} config_sha256={config.digest}"
 
@@ -335,8 +364,7 @@ def _run_trace(config: RunConfig) -> _Result:
     grid = TimeGrid(config.t_start, config.t_max, config.dt)
     lines = [",".join(TRACE_COLUMNS)]
     for times in grid.chunks(TRACE_CHUNK):
-        columns = [column.tolist() for column in trace_columns(sys_amp, env, times)]
-        lines.extend(",".join(map(_format, row)) for row in zip(*columns))
+        lines.extend(_chunk_lines(trace_columns(sys_amp, env, times)))
     return lines, f"trace: n={env.n} rows={grid.steps() + 1}", True
 
 
@@ -347,14 +375,8 @@ def _run_recurrence(config: RunConfig) -> _Result:
     found_time = report.found if report.found is not None else float("nan")
     lines = [
         "threshold,found,t_found,scanned_points",
-        ",".join(
-            (
-                _format(report.threshold),
-                "1" if report.found is not None else "0",
-                _format(found_time),
-                str(report.scanned_points),
-            )
-        ),
+        "%.17g,%d,%.17g,%d"
+        % (report.threshold, report.found is not None, found_time, report.scanned_points),
     ]
     if report.found is not None:
         summary = f"recurrence: |z| >= {config.threshold} first at t={report.found:.6g}"
@@ -382,14 +404,8 @@ def _run_ensemble(config: RunConfig) -> _Result:
     ]
     for s in report.per_seed:
         lines.append(
-            ",".join(
-                (
-                    str(s.seed),
-                    _format(s.mean_abs_z_sq),
-                    _format(s.predicted_mean_abs_z_sq),
-                    _format(s.sup_abs_z_late),
-                )
-            )
+            "%d,%.17g,%.17g,%.17g"
+            % (s.seed, s.mean_abs_z_sq, s.predicted_mean_abs_z_sq, s.sup_abs_z_late)
         )
     summary = (
         f"ensemble: n={report.n} seeds={len(report.seeds)} "
@@ -402,8 +418,7 @@ def _run_sweep(config: RunConfig) -> _Result:
     window = TimeGrid(config.t_start, config.t_max, config.dt)
     table = scaling_sweep(config.ns, config.seeds_per_n, window, config.g_min, config.g_max)
     lines = ["n,median_sup_abs_z"]
-    for n, median in table:
-        lines.append(f"{n},{_format(median)}")
+    lines.extend("%d,%.17g" % row for row in table)
     summary = "sweep: " + " ".join(f"n={n}:{median:.3g}" for n, median in table)
     return lines, summary, True
 
@@ -439,15 +454,7 @@ def _run_verify(config: RunConfig) -> _Result:
         worst = max(worst, report.max_deviation)
         all_passed = all_passed and report.passed
         lines.append(
-            ",".join(
-                (
-                    str(case),
-                    str(env_seed),
-                    _format(t),
-                    _format(report.max_deviation),
-                    "1" if report.passed else "0",
-                )
-            )
+            "%d,%d,%.17g,%.17g,%d" % (case, env_seed, t, report.max_deviation, report.passed)
         )
     lines.append(f"# max_deviation={_format(worst)} tolerance={_format(VERIFY_TOLERANCE)}")
     verdict = "PASS" if all_passed else "FAIL"

@@ -7,6 +7,8 @@ that trace mode ran before, formatted the same way.
 """
 
 import hashlib
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -104,7 +106,15 @@ def test_complex_amplitudes_agree_to_rounding(sys_amp, env, ts):
     np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=1e-13)
 
 
-# SHA-256 of trace CSVs written before trace mode was batched.
+# 8193 points: the last chunk is one row, so every column in it is constant
+ONE_ROW_LAST_CHUNK = (
+    "mode = trace\nn = 7\nseed = 11\nscenario = random\ng_max = 1.0\na_sq = 0.6\nt_max = 1024\n"
+    "dt = 0.125\n"
+)
+
+# SHA-256 of trace CSVs: the first three written before trace mode was
+# batched, the rest, with whole columns constant, before rows came from
+# per-chunk templates.
 GOLDEN = {
     "mode = trace\nn = 4\nseed = 1\nscenario = random\ng_max = 1.0\nt_max = 50\ndt = 0.01\n":
         "36938f74f37b66a92054e0fcf9eb51edb05ecfcf28ef6becd58589a2108cccec",
@@ -113,6 +123,18 @@ GOLDEN = {
         "95f5af4ba92f15f0302a74f7faca57ff12fbcbe58f8191d40a913072a90eed6a",
     "mode = trace\nn = 6\nscenario = eigenstate\ng = 1.0\na_sq = 0.25\nt_max = 10\ndt = 0.01\n":
         "e1cb2335b49af014417dd586c141fc18bee261e20a57cbaa603a8975ca41fb42",
+    # a_sq = 0 and 1: abs_rho_pm, purity and entropy are constant
+    "mode = trace\nn = 8\nseed = 5\nscenario = random\ng_max = 1.0\na_sq = 0\nt_max = 20\n"
+    "dt = 0.01\n":
+        "8d09f07377b06bc1ca80ac384603d176db69dd4adcbb6913abd19705d531f5e5",
+    "mode = trace\nn = 10\nscenario = balanced\ng = 0.7\na_sq = 1\nt_start = 0.5\nt_max = 15\n"
+    "dt = 0.005\n":
+        "b55157449f89e9f659df1a714013f6ac392f7ab6cfa70eafee85590b48b7945a",
+    # n = 0: every column but t is constant
+    "mode = trace\nn = 0\nseed = 2\nscenario = random\ng_max = 1.0\na_sq = 0.3\nt_max = 10\n"
+    "dt = 0.01\n":
+        "39d6adbdf735c9c3a3d2bb00d2cd86ca34e71625cccefc2f5e763ee5afd8ce49",
+    ONE_ROW_LAST_CHUNK: "0cc15870a16ed2019412e016fe3bb36b37491e4e565010e1fa1e01e5170c3b17",
 }
 
 
@@ -153,3 +175,70 @@ def test_trace_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch):
         texts.append(out.read_bytes())
     assert texts[0].count(b"\n") == 20_003  # provenance, header and 20 001 rows
     assert texts[0] == texts[1]
+
+
+def joined_lines(columns):
+    """The rows of ``columns`` with every cell formatted on its own."""
+    return [",".join(map(cli._format, row)) for row in zip(*(c.tolist() for c in columns))]
+
+
+def from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+           2.2250738585072009e-308, 1e-310, 1.0, 0.1]
+cell_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(SPECIAL),
+    st.integers(min_value=0, max_value=2**64 - 1).map(from_bits),
+)
+
+
+@st.composite
+def chunk_columns(draw):
+    """1-9 float columns of 1-40 rows: constant, mixed signed zeros or any
+    doubles; as separate arrays or as strided views of one table, like the
+    views of complex arrays that trace_columns returns."""
+    rows = draw(st.integers(min_value=1, max_value=40))
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=9))):
+        kind = draw(st.sampled_from(["constant", "signed_zeros", "any"]))
+        if kind == "constant":
+            columns.append(np.full(rows, draw(cell_values)))
+        else:
+            cells = st.sampled_from([0.0, -0.0]) if kind == "signed_zeros" else cell_values
+            values = draw(st.lists(cells, min_size=rows, max_size=rows))
+            columns.append(np.array(values, dtype=float))
+    if draw(st.booleans()):
+        table = np.column_stack(columns)
+        columns = [table[:, i] for i in range(table.shape[1])]
+    return tuple(columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=chunk_columns())
+# one-row chunk, as the last chunk of a grid one point longer than TRACE_CHUNK
+@example(columns=tuple(np.array([v]) for v in (1024.0, 0.5, -0.0, math.nan, 5e-324)))
+# every column constant, as at n = 0
+@example(columns=(np.full(4, 2.5), np.full(4, -0.0), np.full(4, math.inf), np.full(4, 1e-310)))
+@example(columns=(np.array([0.0, -0.0, 0.0]), np.array([-0.0, -0.0, -0.0]), np.zeros(3)))
+def test_chunk_lines_equal_cell_by_cell_formatting(columns):
+    assert cli._chunk_lines(columns) == joined_lines(columns)
+
+
+def test_balanced_im_z_keeps_its_negative_zeros():
+    # Im z is zero on every row of the balanced scenario, but about half of
+    # the zeros are -0.0; an == test for a constant column would print them 0
+    config = trace_config(12, "balanced", 0.3, 0.0, 0.01, 2000)
+    lines = cli._run_trace(config)[0]
+    im_z = [line.split(",")[2] for line in lines[1:]]
+    assert set(im_z) == {"0", "-0"}
+    assert 100 < im_z.count("-0") < len(im_z) - 100
+    assert lines == scalar_trace_lines(config)
+
+
+def test_one_row_last_chunk_golden_has_a_one_row_last_chunk():
+    config = cli.parse_config(ONE_ROW_LAST_CHUNK)
+    chunks = list(TimeGrid(config.t_start, config.t_max, config.dt).chunks(cli.TRACE_CHUNK))
+    assert [c.size for c in chunks] == [cli.TRACE_CHUNK, 1]

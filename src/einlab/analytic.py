@@ -23,14 +23,15 @@ brute-force check lives in :mod:`einlab.oracle`.
 The |z|^2 kernel of decay-time scans, ensembles and sweeps,
 :func:`decoherence_abs_sq`, splits large grids across the CPUs in the
 process's affinity mask; its bits do not depend on how many there are, and
-``taskset -c 0`` keeps it on one thread.
+``taskset -c 0`` keeps it on one thread.  Its thread pool is built at import
+and starts its threads on the first split call; a forked child builds its
+own.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -64,31 +65,31 @@ try:
 except AttributeError:  # no affinity mask on this platform
     _ABS_SQ_WORKERS = os.cpu_count() or 1
 
-# Runs all slices but the caller's own; created on first use.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+# Runs all slices but the caller's own.  Built at import, it starts no thread
+# until the first split call submits a slice.
+_pool: ThreadPoolExecutor
 
 
-def _drop_pool() -> None:
+def _new_pool() -> None:
     # A forked child inherits the executor object but none of its threads, so
-    # work submitted to it would never run; the child starts a pool of its own.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where there is no fork
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _abs_sq_pool() -> ThreadPoolExecutor:
+    # work submitted to it would never run; the child builds a pool of its own.
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=max(1, _ABS_SQ_WORKERS - 1), thread_name_prefix="einlab-abs-sq"
-            )
-        return _pool
+    _pool = ThreadPoolExecutor(
+        max_workers=max(1, _ABS_SQ_WORKERS - 1), thread_name_prefix="einlab-abs-sq"
+    )
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _abs_sq_factors(env: EnvironmentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-spin terms of |z|^2 = prod_j (mean_j + swing_j * cos(g4_j * t)):
+    ``(g4, mean, swing)`` = (4 g, (1 + d^2)/2, (1 - d^2)/2) as float arrays."""
+    d = env.imbalances()
+    d_sq = d * d
+    return 4.0 * env.couplings(), 0.5 * (1.0 + d_sq), 0.5 * (1.0 - d_sq)
 
 
 def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
@@ -102,7 +103,10 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     Large calls use every CPU in the process's affinity mask (``taskset -c 0``
     keeps them on one): the flattened grid is cut into one contiguous slice
     per CPU, one slice runs on the calling thread and the others on a private
-    thread pool, each through the spin-blocked loop of :func:`_abs_sq_blocks`.
+    thread pool, each through the spin-blocked loop of :func:`_abs_sq_blocks`,
+    and the slices' results are joined in order.  The pool is built at import
+    and starts its threads on the first split call; a forked child builds its
+    own.
     A call is split only when each slice gets at least ``_ABS_SQ_BLOCK``
     spin-points.  A point's value depends only on its own time and the fixed
     spin order, so the result has the same bits however many CPUs there are
@@ -110,30 +114,23 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     """
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
-    g4 = 4.0 * env.couplings()
-    d_sq = env.imbalances() * env.imbalances()
-    mean = 0.5 * (1.0 + d_sq)
-    swing = 0.5 * (1.0 - d_sq)
+    g4, mean, swing = _abs_sq_factors(env)
     slices = _ABS_SQ_WORKERS
     # every slice holds at least flat.size // slices points
     if slices < 2 or env.n * (flat.size // slices) < _ABS_SQ_BLOCK:
         return _abs_sq_blocks(flat, g4, mean, swing).reshape(times.shape)
-    out = np.empty(flat.size)
-
-    def fill(a: int, b: int) -> None:
-        out[a:b] = _abs_sq_blocks(flat[a:b], g4, mean, swing)
-
     bounds = [flat.size * i // slices for i in range(slices + 1)]
-    pool = _abs_sq_pool()
-    futures = [pool.submit(fill, a, b) for a, b in zip(bounds[:-2], bounds[1:-1])]
+    futures = [
+        _pool.submit(_abs_sq_blocks, flat[a:b], g4, mean, swing)
+        for a, b in zip(bounds[:-2], bounds[1:-1])
+    ]
     try:
-        fill(bounds[-2], bounds[-1])
+        last = _abs_sq_blocks(flat[bounds[-2] :], g4, mean, swing)
     finally:
-        # the pool's slices write into out, so none may outlive this call
+        # no slice outlives this call, even when the caller's own one raises
         wait(futures)
-    for future in futures:
-        future.result()
-    return out.reshape(times.shape)
+    pieces = [future.result() for future in futures] + [last]
+    return np.concatenate(pieces).reshape(times.shape)
 
 
 def _abs_sq_blocks(flat, g4, mean, swing) -> np.ndarray:
@@ -183,10 +180,8 @@ def decoherence_abs_sq_above(
     each factor only onto the points still kept.
     """
     times = np.asarray(times, dtype=float)
-    spins = [
-        (g, 0.5 * (1.0 + d * d), 0.5 * (1.0 - d * d))
-        for g, d in zip(env.couplings(), env.imbalances())
-    ]
+    # Python floats with the bits of decoherence_abs_sq's factor arrays
+    spins = list(zip(*(column.tolist() for column in _abs_sq_factors(env))))
     # Why pruning is safe.  A computed factor mean + swing*cos lies in
     # [0, top_j], top_j = mean_j + swing_j as computed here: cos <= 1,
     # swing >= 0 and rounding is monotone.  top_j <= 1 too, since
@@ -208,9 +203,9 @@ def decoherence_abs_sq_above(
     index = np.arange(times.size)
     values = np.ones(times.shape)
     spin_points = 0
-    for j, (g, mean, swing) in enumerate(spins):
+    for j, (g4, mean, swing) in enumerate(spins):
         spin_points += index.size
-        values = values * (mean + swing * np.cos((4.0 * g) * times))
+        values = values * (mean + swing * np.cos(g4 * times))
         keep = np.nonzero(values * tail[j + 1] >= floor_sq)[0]
         index, values, times = index[keep], values[keep], times[keep]
     return index, values, spin_points
@@ -366,5 +361,4 @@ def time_averaged_coherence_sq(
 def ergodic_prediction(env: EnvironmentSpec) -> float:
     """prod_j (1 + d_j^2)/2: the infinite-time average of |z|^2 when the
     couplings are pairwise incommensurate."""
-    d = env.imbalances()
-    return float(np.prod(0.5 * (1.0 + d * d)))
+    return float(np.prod(_abs_sq_factors(env)[1]))

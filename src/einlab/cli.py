@@ -81,12 +81,6 @@ from .model import (
 )
 from .oracle import crosscheck, crosscheck_buffers
 
-_SCENARIOS = {
-    "random": ScenarioKind.RANDOM,
-    "eigenstate": ScenarioKind.EIGENSTATE,
-    "balanced": ScenarioKind.BALANCED_EQUAL_COUPLING,
-}
-
 VERIFY_CASES = 100
 VERIFY_T_MAX = 20.0
 VERIFY_TOLERANCE = 1e-10
@@ -182,9 +176,10 @@ def _parse_seeds(key: str, raw: str, line_no: int, mode: str) -> dict[str, objec
 
 
 def _parse_scenario(key: str, raw: str, line_no: int, mode: str) -> dict[str, object]:
-    if raw not in _SCENARIOS:
-        raise ParseError(line_no, f"unknown scenario '{raw}'")
-    return {"scenario": _SCENARIOS[raw]}
+    try:
+        return {"scenario": ScenarioKind(raw)}
+    except ValueError:
+        raise ParseError(line_no, f"unknown scenario '{raw}'") from None
 
 
 def _number(allowed: Callable[[float], bool], rule: str) -> _Parser:

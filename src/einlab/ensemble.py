@@ -22,12 +22,12 @@ from .analytic import decoherence_abs_sq, decoherence_abs_sq_above, ergodic_pred
 from .errors import InvalidRangeError, NoDecayError
 from .model import EnvironmentSpec, build_environment_random
 
-_CHUNK = 1 << 18
-
-# recurrence_search compacts its survivors after every spin, so each chunk
-# allocates fresh arrays of shrinking size.  With 1 << 18 points per chunk
-# these took the benchmark's scan peak RSS from 49.8 MB (unpruned) to 54.0 MB;
-# with 1 << 15 it falls to 44.2 MB.
+# Grid points per chunk of the decay_time and recurrence_search scans; both
+# stop at the first chunk with a hit.  recurrence_search compacts its
+# survivors after every spin, so each chunk allocates fresh arrays of
+# shrinking size.  With 1 << 18 points per chunk these took the benchmark's
+# scan peak RSS from 49.8 MB (unpruned) to 54.0 MB; with 1 << 15 it falls to
+# 44.2 MB.
 _SCAN_CHUNK = 1 << 15
 
 QUANTILE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -111,7 +111,7 @@ def decay_time(env: EnvironmentSpec, threshold: float, grid: TimeGrid) -> float:
     if not (0.0 < threshold < 1.0):
         raise InvalidRangeError(f"threshold must lie in (0, 1), got {threshold}")
     thr_sq = threshold * threshold
-    for times in grid.chunks(_CHUNK):
+    for times in grid.chunks(_SCAN_CHUNK):
         vals = decoherence_abs_sq(env, times)
         hits = np.nonzero(vals < thr_sq)[0]
         if hits.size:

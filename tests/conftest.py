@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import einlab.cli as cli
 from einlab import EnvironmentSpec, SystemAmplitudes
 
 settings.register_profile("einlab", derandomize=True)
@@ -25,6 +27,20 @@ def bloch_environment(spins) -> EnvironmentSpec:
 def assert_same_bits(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype
     assert a.tobytes() == b.tobytes()
+
+
+def assert_golden_digests(tmp_path, table):
+    """Run each config text of ``table`` through the CLI and check the SHA-256
+    of its CSV against the digest it maps to; return the CSV paths in order."""
+    outputs = []
+    for i, (text, digest) in enumerate(table.items()):
+        config = tmp_path / f"golden{i}.cfg"
+        config.write_text(text)
+        out = tmp_path / f"golden{i}.csv"
+        assert cli.main([str(config), "--output", str(out), "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, text
+        outputs.append(out)
+    return outputs
 
 
 def spin_environment(*spins) -> EnvironmentSpec:

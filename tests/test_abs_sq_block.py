@@ -6,11 +6,11 @@ change by a byte, so the reference here is the per-spin loop the kernel ran
 before, and every comparison is bit for bit.
 """
 
-import hashlib
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -20,7 +20,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import einlab.analytic as analytic
-import einlab.cli as cli
 from einlab import (
     ScenarioKind,
     build_environment_random,
@@ -28,7 +27,7 @@ from einlab import (
     decoherence_abs_sq,
 )
 
-from conftest import assert_same_bits
+from conftest import assert_golden_digests, assert_same_bits
 
 BLOCK = analytic._ABS_SQ_BLOCK
 
@@ -203,7 +202,8 @@ def test_forked_child_gets_the_parents_bits(monkeypatch, tmp_path):
     env = build_environment_random(2000, 5, None, 1.0)
     times = 50.0 + np.arange(319) * 0.157
     expected = decoherence_abs_sq(env, times)
-    assert analytic._pool is not None
+    # the child inherits a pool whose thread runs only in the parent
+    assert any(t.name.startswith("einlab-abs-sq") for t in threading.enumerate())
     result = tmp_path / "child.bin"
     pid = os.fork()
     if pid == 0:
@@ -232,19 +232,35 @@ import einlab.analytic as analytic
 from einlab.ensemble import TimeGrid, scaling_sweep
 before = threading.active_count()
 scaling_sweep((300, 2000), 2, TimeGrid(50.0, 100.0, 0.157))
-print(analytic._ABS_SQ_WORKERS, analytic._pool, threading.active_count() - before)
+print(analytic._ABS_SQ_WORKERS, threading.active_count() - before)
 """
+
+IMPORT_ONLY = """
+import threading
+before = threading.active_count()
+import einlab
+print(threading.active_count() - before)
+"""
+
+
+def run_python(script):
+    env = dict(os.environ, PYTHONPATH=str(Path(analytic.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_one_cpu_starts_no_thread():
     # what ``taskset -c 0`` does: the worker count comes from the affinity mask
-    env = dict(os.environ, PYTHONPATH=str(Path(analytic.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", ONE_CPU_SWEEP], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "None", "0"]
+    assert run_python(ONE_CPU_SWEEP) == ["1", "0"]
+
+
+def test_import_starts_no_thread():
+    # the pool is built at import; its thread starts with the first split call
+    assert run_python(IMPORT_ONLY) == ["0"]
 
 
 @given(st.integers(0, 2000), st.integers(0, 2**64 - 1))
@@ -279,11 +295,5 @@ GOLDEN = {
 
 
 def test_golden_sweep_and_ensemble_digests(tmp_path):
-    for i, (text, digest) in enumerate(GOLDEN.items()):
-        config = tmp_path / f"golden{i}.cfg"
-        config.write_text(text)
-        out = tmp_path / f"golden{i}.csv"
-        assert cli.main([str(config), "--output", str(out), "--quiet"]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, text
-        if i == 0:
-            assert out.read_text().splitlines()[-1] == "2000,0"
+    first = assert_golden_digests(tmp_path, GOLDEN)[0]
+    assert first.read_text().splitlines()[-1] == "2000,0"

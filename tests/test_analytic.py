@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einlab import (
@@ -24,7 +24,7 @@ from einlab import (
     time_averaged_coherence_sq,
 )
 
-from conftest import environments, small_environments, spin_environment, times
+from conftest import assert_same_bits, environments, small_environments, spin_environment, times
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -276,3 +276,17 @@ class TestTimeAveragedCoherence:
     def test_invalid_arguments(self, t_max, samples):
         with pytest.raises(InvalidRangeError):
             time_averaged_coherence_sq(EnvironmentSpec([], [], []), t_max, samples)
+
+
+random_baths = st.builds(
+    build_environment_random, st.integers(0, 2000), st.integers(0, 2**64 - 1), st.none(), st.just(1.0)
+)
+
+
+@given(st.one_of(environments, random_baths))
+@settings(max_examples=60, deadline=None)
+@example(EnvironmentSpec([], [], []))
+def test_ergodic_prediction_bits(env):
+    d = env.imbalances()
+    expected = np.prod(0.5 * (1.0 + d * d))
+    assert_same_bits(np.array(ergodic_prediction(env)), np.array(expected))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import einlab.ensemble as ensemble
 from einlab import (
     EnvironmentSpec,
     InvalidRangeError,
@@ -78,6 +79,44 @@ class TestDecayTime:
     def test_threshold_range(self, threshold):
         with pytest.raises(InvalidRangeError):
             decay_time(balanced(1, 0.5), threshold, TimeGrid(0.0, 1.0, 0.1))
+
+
+# (env, threshold, grid); the first case's hit lies past one real scan chunk
+DECAY_CASES = [
+    (balanced(1, 1e-3), 0.5, TimeGrid(0.0, 540.0, 0.015)),
+    (balanced(12, 0.5), 0.3, TimeGrid(0.0, 5.0, 0.001)),
+    (build_environment_random(20, 3, None, 1.0), 0.2, TimeGrid(0.0, 20.0, 0.01)),
+]
+
+
+def first_decay(env, threshold, grid):
+    """Index of the first point where one whole-grid |z|^2 call is below threshold^2."""
+    hits = np.nonzero(decoherence_abs_sq(env, grid.times()) < threshold * threshold)[0]
+    assert hits.size
+    return int(hits[0])
+
+
+def test_slow_decay_lies_past_the_first_chunk():
+    assert first_decay(*DECAY_CASES[0]) > ensemble._SCAN_CHUNK
+
+
+@pytest.mark.parametrize("case", range(len(DECAY_CASES)))
+@pytest.mark.parametrize("chunk", [1, 7, 1000, ensemble._SCAN_CHUNK])
+def test_decay_time_across_chunks(monkeypatch, case, chunk):
+    env, threshold, grid = DECAY_CASES[case]
+    hit = first_decay(env, threshold, grid)
+    monkeypatch.setattr(ensemble, "_SCAN_CHUNK", chunk)
+    assert decay_time(env, threshold, grid) == grid.times()[hit]
+
+
+@pytest.mark.parametrize("case", range(len(DECAY_CASES)))
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_decay_hit_on_chunk_edge(monkeypatch, case, where):
+    env, threshold, grid = DECAY_CASES[case]
+    hit = first_decay(env, threshold, grid)
+    # the hit opens the second chunk, or closes the first
+    monkeypatch.setattr(ensemble, "_SCAN_CHUNK", hit if where == "first" else hit + 1)
+    assert decay_time(env, threshold, grid) == grid.times()[hit]
 
 
 class TestRecurrenceSearch:

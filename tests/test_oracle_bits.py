@@ -6,7 +6,6 @@ buffer.  Both are compared here, bit for bit, with the expressions they
 replace, and with and without reused ``out=`` buffers.
 """
 
-import hashlib
 import math
 import tracemalloc
 from functools import reduce
@@ -32,7 +31,7 @@ from einlab import (
 )
 from einlab.oracle import _coupling_sums
 
-from conftest import random_system
+from conftest import assert_golden_digests, random_system
 
 
 def kron_assemble(sys_amp, env):
@@ -160,11 +159,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("text", list(GOLDEN))
 def test_golden_verify_digests(tmp_path, text):
-    config = tmp_path / "verify.cfg"
-    config.write_text(text)
-    out = tmp_path / "verify.csv"
-    assert cli.main([str(config), "--output", str(out), "--quiet"]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[text]
+    assert_golden_digests(tmp_path, {text: GOLDEN[text]})
 
 
 class TestBuffers:

@@ -7,7 +7,6 @@ of ``decoherence_abs_sq`` over the whole grid reports, and the recurrence
 CSV must not change by a byte.
 """
 
-import hashlib
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import einlab.cli as cli
 import einlab.ensemble as ensemble
 from einlab import (
     ScenarioKind,
@@ -26,6 +24,8 @@ from einlab import (
     decoherence_abs_sq_above,
     recurrence_search,
 )
+
+from conftest import assert_golden_digests
 
 KINDS = {
     "balanced": ScenarioKind.BALANCED_EQUAL_COUPLING,
@@ -152,9 +152,4 @@ GOLDEN = {
 
 
 def test_golden_recurrence_digests(tmp_path):
-    for i, (text, digest) in enumerate(GOLDEN.items()):
-        config = tmp_path / f"golden{i}.cfg"
-        config.write_text(text)
-        out = tmp_path / f"golden{i}.csv"
-        assert cli.main([str(config), "--output", str(out), "--quiet"]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, text
+    assert_golden_digests(tmp_path, GOLDEN)

@@ -6,7 +6,6 @@ arrays, so the reference here is the per-row loop over
 that trace mode ran before, formatted the same way.
 """
 
-import hashlib
 import math
 import struct
 
@@ -26,7 +25,7 @@ from einlab import (
     trace_columns,
 )
 
-from conftest import assert_same_bits, environments, system_amplitudes
+from conftest import assert_golden_digests, assert_same_bits, environments, system_amplitudes
 
 
 def scalar_row(sys_amp, env, t):
@@ -139,12 +138,7 @@ GOLDEN = {
 
 
 def test_golden_trace_digests(tmp_path):
-    for i, (text, digest) in enumerate(GOLDEN.items()):
-        config = tmp_path / f"golden{i}.cfg"
-        config.write_text(text)
-        out = tmp_path / f"golden{i}.csv"
-        assert cli.main([str(config), "--output", str(out), "--quiet"]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, text
+    assert_golden_digests(tmp_path, GOLDEN)
 
 
 @pytest.mark.parametrize("n", [1, 5, 20, 24])

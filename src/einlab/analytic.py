@@ -23,13 +23,15 @@ brute-force check lives in :mod:`einlab.oracle`.
 The |z|^2 kernel of decay-time scans, ensembles and sweeps,
 :func:`decoherence_abs_sq`, splits large grids across the CPUs in the
 process's affinity mask; its bits do not depend on how many there are, and
-``taskset -c 0`` keeps it on one thread.  Its thread pool is built at import
-and starts its threads on the first split call; a forked child builds its
-own.
+``taskset -c 0`` keeps it on one thread.  Its thread pool, which also runs
+the second worker of the CLI's verify mode, is built at import and starts
+its threads on the first split call; a forked child builds its own.  Work
+handed to the pool runs under the caller's ``np.errstate``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -59,14 +61,19 @@ def decoherence_series(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
 # spin-points, so short calls never pay for the hand-off.
 _ABS_SQ_BLOCK = 1 << 15
 
-# Slices per split call: the CPUs this process may run on (``taskset`` limits it).
+# Threads a split call may use: the CPUs this process may run on (``taskset``
+# limits it).  decoherence_abs_sq cuts large grids into this many slices, and
+# verify runs min(2, _WORKERS) crosscheck workers.
 try:
-    _ABS_SQ_WORKERS = len(os.sched_getaffinity(0))
+    _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity mask on this platform
-    _ABS_SQ_WORKERS = os.cpu_count() or 1
+    _WORKERS = os.cpu_count() or 1
 
-# Runs all slices but the caller's own.  Built at import, it starts no thread
-# until the first split call submits a slice.
+# Runs the calls a split hands off (see _fan_out).  Built at import, it starts
+# no thread until the first submit.  A pool task must never call a function
+# that splits, such as decoherence_abs_sq on a large grid: with every pool
+# thread busy, it would wait on its own pool.  Verify's crosscheck is safe: its
+# closed form goes through decoherence_series, which never splits.
 _pool: ThreadPoolExecutor
 
 
@@ -74,14 +81,30 @@ def _new_pool() -> None:
     # A forked child inherits the executor object but none of its threads, so
     # work submitted to it would never run; the child builds a pool of its own.
     global _pool
-    _pool = ThreadPoolExecutor(
-        max_workers=max(1, _ABS_SQ_WORKERS - 1), thread_name_prefix="einlab-abs-sq"
-    )
+    _pool = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="einlab-pool")
 
 
 _new_pool()
 if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_new_pool)
+
+
+def _fan_out(fn, calls) -> list:
+    """``[fn(*args) for args in calls]``, the last call on the calling thread
+    and the others on the pool.
+
+    Each pool call runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` (a context variable since numpy 2) holds there too.  Returns once every
+    call has finished; an exception is raised only then, the caller's own
+    first, else the first pool call's in order.
+    """
+    *handed, own = calls
+    futures = [_pool.submit(contextvars.copy_context().run, fn, *args) for args in handed]
+    try:
+        last = fn(*own)
+    finally:
+        wait(futures)
+    return [future.result() for future in futures] + [last]
 
 
 def _abs_sq_factors(env: EnvironmentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,11 +125,10 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
 
     Large calls use every CPU in the process's affinity mask (``taskset -c 0``
     keeps them on one): the flattened grid is cut into one contiguous slice
-    per CPU, one slice runs on the calling thread and the others on a private
-    thread pool, each through the spin-blocked loop of :func:`_abs_sq_blocks`,
-    and the slices' results are joined in order.  The pool is built at import
-    and starts its threads on the first split call; a forked child builds its
-    own.
+    per CPU, one slice runs on the calling thread and the others on the
+    module's thread pool (:func:`_fan_out`, under the caller's
+    ``np.errstate``), each through the spin-blocked loop of
+    :func:`_abs_sq_blocks`, and the slices' results are joined in order.
     A call is split only when each slice gets at least ``_ABS_SQ_BLOCK``
     spin-points.  A point's value depends only on its own time and the fixed
     spin order, so the result has the same bits however many CPUs there are
@@ -115,22 +137,13 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
     g4, mean, swing = _abs_sq_factors(env)
-    slices = _ABS_SQ_WORKERS
+    slices = _WORKERS
     # every slice holds at least flat.size // slices points
     if slices < 2 or env.n * (flat.size // slices) < _ABS_SQ_BLOCK:
         return _abs_sq_blocks(flat, g4, mean, swing).reshape(times.shape)
     bounds = [flat.size * i // slices for i in range(slices + 1)]
-    futures = [
-        _pool.submit(_abs_sq_blocks, flat[a:b], g4, mean, swing)
-        for a, b in zip(bounds[:-2], bounds[1:-1])
-    ]
-    try:
-        last = _abs_sq_blocks(flat[bounds[-2] :], g4, mean, swing)
-    finally:
-        # no slice outlives this call, even when the caller's own one raises
-        wait(futures)
-    pieces = [future.result() for future in futures] + [last]
-    return np.concatenate(pieces).reshape(times.shape)
+    calls = [(flat[a:b], g4, mean, swing) for a, b in zip(bounds[:-1], bounds[1:])]
+    return np.concatenate(_fan_out(_abs_sq_blocks, calls)).reshape(times.shape)
 
 
 def _abs_sq_blocks(flat, g4, mean, swing) -> np.ndarray:

@@ -27,6 +27,11 @@ template of ``%.17g`` fields; a column that is bit-constant within the chunk
 is formatted once, into the template.  The bytes are those of formatting
 every cell on its own.
 
+Verify mode runs its cases on up to two CPUs of the process's affinity mask
+(``taskset -c 0`` keeps it serial), each worker evolving its own state in
+place, so the oracle holds at most three 2^(n+1)-amplitude arrays; rows are
+written in case order and the bytes do not depend on the CPU count.
+
 Modes write CSV only: `.` decimal separator, fixed column order, LF line
 endings, 17 significant digits, and a leading provenance comment carrying
 the artifact version and the SHA-256 of the config text.  Identical config
@@ -52,13 +57,14 @@ import math
 import os
 import sys as _sys
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, analytic
 from .analytic import trace_columns
 
 # Unused here, but the benchmark's traced run patches them as einlab.cli.<name>.
@@ -422,15 +428,19 @@ def _run_verify(config: RunConfig) -> _Result:
     """Drive the brute-force crosscheck on seeded random cases.
 
     Case stream: PCG64(seed) supplies, per case, an environment seed, a
-    Bloch-uniform system state and a time in [0, 20).
+    Bloch-uniform system state and a time in [0, 20).  The stream is drawn
+    first.  Then up to two workers, the calling thread and one thread of
+    :mod:`einlab.analytic`'s pool (two when the affinity mask holds two
+    CPUs; ``taskset -c 0`` keeps verify serial), take the cases one at a
+    time, each worker evolving its own state buffer in place.  Rows are
+    written in case order, so the CSV bytes depend neither on the worker
+    count nor on which worker ran which case; a worker on a busy CPU just
+    takes fewer cases.  Two workers is the cap that keeps the oracle at three
+    2^(n+1) arrays: one state per worker and the shared conjugate scratch.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    lines = ["case,env_seed,t,max_deviation,passed"]
-    worst = 0.0
-    worst_case = None
-    all_passed = True
-    buffers = None
-    for case in range(VERIFY_CASES):
+    cases = []
+    for _ in range(VERIFY_CASES):
         env_seed = int(rng.integers(0, 2**63, dtype=np.int64))
         u = rng.random(3)
         half_theta = 0.5 * math.acos(2.0 * u[0] - 1.0)
@@ -438,19 +448,44 @@ def _run_verify(config: RunConfig) -> _Result:
             complex(math.cos(half_theta)),
             complex(np.exp(2j * math.pi * u[1]) * math.sin(half_theta)),
         )
-        t = VERIFY_T_MAX * u[2]
-        env = build_environment_random(config.n, env_seed, config.g_min, config.g_max)
-        if buffers is None:
-            # after the first build, so a bad coupling range is still reported first
-            buffers = crosscheck_buffers(config.n)
-        report = crosscheck(sys_amp, env, t, VERIFY_TOLERANCE, buffers)
+        cases.append((env_seed, sys_amp, VERIFY_T_MAX * u[2]))
+    # built before the buffers, so a bad coupling range is reported before the cap
+    first_env = build_environment_random(config.n, cases[0][0], config.g_min, config.g_max)
+    workers = min(2, analytic._WORKERS)
+    buffers = crosscheck_buffers(config.n, workers)
+    reports = [None] * VERIFY_CASES
+    pending = iter(range(VERIFY_CASES))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def work(worker: int) -> None:
+        try:
+            while not failed.is_set():
+                with lock:
+                    case = next(pending, None)
+                if case is None:
+                    return
+                env_seed, sys_amp, t = cases[case]
+                env = first_env if case == 0 else build_environment_random(
+                    config.n, env_seed, config.g_min, config.g_max
+                )
+                reports[case] = crosscheck(sys_amp, env, t, VERIFY_TOLERANCE, buffers, worker)
+        except BaseException:
+            failed.set()  # the other worker stops after its current case
+            raise
+
+    analytic._fan_out(work, [(worker,) for worker in range(workers)])
+    lines = ["case,env_seed,t,max_deviation,passed"]
+    worst = 0.0
+    worst_case = None
+    for case, ((env_seed, _, t), report) in enumerate(zip(cases, reports)):
         if worst_case is None or report.max_deviation > worst:
             worst_case = f"case={case} env_seed={env_seed} t={_format(t)}"
         worst = max(worst, report.max_deviation)
-        all_passed = all_passed and report.passed
         lines.append(
             "%d,%d,%.17g,%.17g,%d" % (case, env_seed, t, report.max_deviation, report.passed)
         )
+    all_passed = all(report.passed for report in reports)
     lines.append(f"# max_deviation={_format(worst)} tolerance={_format(VERIFY_TOLERANCE)}")
     verdict = "PASS" if all_passed else "FAIL"
     summary = f"verify: cases={VERIFY_CASES} max_deviation={worst:.3e} at {worst_case} {verdict}"

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,7 @@ def split_abs_sq(env, times, workers):
         return blocks(flat, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analytic, "_ABS_SQ_WORKERS", workers)
+        patch.setattr(analytic, "_WORKERS", workers)
         patch.setattr(analytic, "_abs_sq_blocks", recorded)
         return decoherence_abs_sq(env, times), sorted(sizes)
 
@@ -188,7 +189,7 @@ def test_slice_error_reaches_the_caller(monkeypatch, failing):
             raise SliceFailed(failing)
         return blocks(flat, *args)
 
-    monkeypatch.setattr(analytic, "_ABS_SQ_WORKERS", 3)
+    monkeypatch.setattr(analytic, "_WORKERS", 3)
     monkeypatch.setattr(analytic, "_abs_sq_blocks", fail_one)
     with pytest.raises(SliceFailed):
         decoherence_abs_sq(env, times)
@@ -196,14 +197,31 @@ def test_slice_error_reaches_the_caller(monkeypatch, failing):
     assert_same_bits(decoherence_abs_sq(env, times), per_spin_abs_sq(env, times))
 
 
+@pytest.mark.parametrize("inf_at", (0, 3999))
+def test_pool_slices_keep_the_callers_errstate(monkeypatch, inf_at):
+    # numpy keeps np.errstate in a context variable, which pool threads do
+    # not inherit by themselves; slice 0 runs on the pool, slice 1 on the caller
+    monkeypatch.setattr(analytic, "_WORKERS", 2)
+    env = build_environment_random(50, 6, None, 1.0)
+    times = np.linspace(0.0, 100.0, 4000)
+    times[inf_at] = np.inf
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        decoherence_abs_sq(env, times)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(invalid="ignore"):
+        warnings.simplefilter("always")
+        result = decoherence_abs_sq(env, times)
+    assert caught == []
+    assert np.isnan(result[inf_at]) and np.isfinite(np.delete(result, inf_at)).all()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_gets_the_parents_bits(monkeypatch, tmp_path):
-    monkeypatch.setattr(analytic, "_ABS_SQ_WORKERS", 2)
+    monkeypatch.setattr(analytic, "_WORKERS", 2)
     env = build_environment_random(2000, 5, None, 1.0)
     times = 50.0 + np.arange(319) * 0.157
     expected = decoherence_abs_sq(env, times)
     # the child inherits a pool whose thread runs only in the parent
-    assert any(t.name.startswith("einlab-abs-sq") for t in threading.enumerate())
+    assert any(t.name.startswith("einlab-pool") for t in threading.enumerate())
     result = tmp_path / "child.bin"
     pid = os.fork()
     if pid == 0:
@@ -232,7 +250,7 @@ import einlab.analytic as analytic
 from einlab.ensemble import TimeGrid, scaling_sweep
 before = threading.active_count()
 scaling_sweep((300, 2000), 2, TimeGrid(50.0, 100.0, 0.157))
-print(analytic._ABS_SQ_WORKERS, threading.active_count() - before)
+print(analytic._WORKERS, threading.active_count() - before)
 """
 
 IMPORT_ONLY = """

@@ -29,6 +29,7 @@ from einlab import (
     crosscheck_buffers,
     evolve_full,
 )
+import einlab.oracle as oracle
 from einlab.oracle import _coupling_sums
 
 from conftest import assert_golden_digests, random_system
@@ -138,6 +139,49 @@ def test_non_finite_times_match_reference():
             assert got.tobytes() == expected.tobytes(), t
 
 
+SPECIAL_TIMES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.75]
+
+
+@pytest.mark.parametrize(
+    "n, block",
+    [
+        (0, None),
+        (1, None),  # rows of two entries: a block would be one entry long
+        (2, None),  # the lower half is one block of two entries
+        (3, None),  # two blocks
+        (9, None),  # four blocks (a block is at most an eighth of a row)
+        (14, 1 << 3),  # 1024 blocks, past the elision boundary
+    ],
+)
+def test_in_place_and_out_of_place_evolve_match_reference(monkeypatch, n, block):
+    if block is not None:
+        monkeypatch.setattr(oracle, "_EVOLVE_BLOCK", block)
+    amps = entangled_amplitudes(n, n)
+    envs = [make_environment(kind, n, 3) for kind in ("random", "balanced", "repeated")]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for env in envs:
+            for t in SPECIAL_TIMES:
+                expected = two_exp_evolve(amps, env, t).tobytes()
+                fresh = evolve_full(FullState(n, amps), env, t).amplitudes
+                in_place = amps.copy()
+                evolve_full(FullState(n, in_place), env, t, out=in_place)
+                assert fresh.tobytes() == expected and in_place.tobytes() == expected, (env, t)
+
+
+def test_non_finite_couplings_match_reference():
+    # coupling sums of inf - inf are NaN, whose sign the mirrored phases
+    # must not change
+    g = [np.inf, 1.0, -np.inf, 1e308, 1e308, np.nan, 0.0, -0.0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in (2, 3, 5, 8):
+            env = EnvironmentSpec(g[:n], np.full(n, 0.6 + 0.8j), np.zeros(n))
+            amps = entangled_amplitudes(n, 5)
+            for t in SPECIAL_TIMES:
+                expected = two_exp_evolve(amps, env, t)
+                got = evolve_full(FullState(n, amps), env, t).amplitudes
+                assert got.tobytes() == expected.tobytes(), (n, t)
+
+
 # SHA-256 of verify CSVs written by the commit before the half-table exp and
 # the reused buffers; n = 13 and n = 14 sit on either side of the elision
 # boundary.
@@ -211,9 +255,19 @@ class TestBuffers:
         evolve_full(state, env, 2.5)
         evolve_full(state, env, -1.0, out=np.empty_like(amps))
         assert amps.tobytes() == before
+        # an out that overlaps the input without being it is refused untouched
+        shifted = np.empty(amps.size + 1, dtype=complex)
+        shifted[1:] = amps
         with pytest.raises(ValueError):
-            evolve_full(state, env, 2.5, out=amps)
-        assert amps.tobytes() == before
+            evolve_full(FullState(6, shifted[1:]), env, 2.5, out=shifted[:-1])
+        assert shifted[1:].tobytes() == before
+        # the input's own array, or a view of all of it, is evolved in place
+        expected = two_exp_evolve(amps, env, 2.5)
+        for view in (lambda a: a, lambda a: a[:]):
+            state = FullState(6, amps.copy())
+            out = view(state.amplitudes)
+            assert evolve_full(state, env, 2.5, out=out).amplitudes is out
+            assert state.amplitudes.tobytes() == expected.tobytes()
 
     def test_fresh_results_never_alias(self):
         env = build_environment_random(5, 8, 0.05, 1.0)

@@ -5,7 +5,10 @@ import importlib
 import importlib.util
 import sys
 import threading
+from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 METRICS = Path(__file__).resolve().parents[1] / "perfbench" / "metrics.py"
 
@@ -52,7 +55,7 @@ def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
         slice_threads.add(threading.get_ident())
         return blocks(*args)
 
-    monkeypatch.setattr(analytic, "_ABS_SQ_WORKERS", 2)
+    monkeypatch.setattr(analytic, "_WORKERS", 2)
     monkeypatch.setattr(analytic, "_abs_sq_blocks", traced_blocks)
     monkeypatch.setattr(ensemble, "build_environment_random", traced_build)
     monkeypatch.setattr(ensemble, "decoherence_abs_sq", traced_kernel)
@@ -71,25 +74,37 @@ def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
 
 def test_verify_calls_the_oracle_through_module_attributes(monkeypatch, tmp_path):
     # the tracer's oracle.* spans wrap einlab.cli.crosscheck and the three
-    # einlab.oracle stages; its amplitudes counter reads the assembled state
+    # einlab.oracle stages; its amplitudes counter reads the assembled state.
+    # With two workers each case's four calls still run in order on one thread.
+    import einlab.analytic as analytic
     import einlab.cli as cli
     import einlab.oracle as oracle
 
-    calls, addresses = [], set()
+    workers = 2
+    calls, addresses, times = defaultdict(list), set(), []
+    both_started = threading.Barrier(workers, timeout=30)
+    started = set()
 
     def traced(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
+            thread = threading.get_ident()
+            if name == "assemble_full_state" and thread not in started:
+                started.add(thread)
+                both_started.wait()  # so that every worker takes a case
             result = fn(*args, **kwargs)
             amplitudes = getattr(result, "amplitudes", None)
-            calls.append((name, getattr(amplitudes, "size", None)))
-            if amplitudes is not None:
-                addresses.add((name, amplitudes.ctypes.data))
+            calls[thread].append((name, getattr(amplitudes, "size", None)))
+            arrays = [a for a in args if isinstance(a, np.ndarray)] + [amplitudes]
+            addresses.update(a.ctypes.data for a in arrays if a is not None)
+            if name == "crosscheck":
+                times.append(args[2])
             return result
 
         monkeypatch.setattr(module, name, wrapper)
 
+    monkeypatch.setattr(analytic, "_WORKERS", workers)
     traced(cli, "crosscheck")
     for name in ("assemble_full_state", "evolve_full", "partial_trace_to_system"):
         traced(oracle, name)
@@ -103,6 +118,12 @@ def test_verify_calls_the_oracle_through_module_attributes(monkeypatch, tmp_path
         ("partial_trace_to_system", None),
         ("crosscheck", None),
     ]
-    assert calls == case * cli.VERIFY_CASES
-    # one set of state buffers serves every case of the job
-    assert len(addresses) == 2
+    assert len(calls) == workers
+    for sequence in calls.values():
+        assert sequence == case * (len(sequence) // len(case))
+    # each of the job's cases was crosschecked exactly once
+    rows = (tmp_path / "v.csv").read_text().splitlines()[2:-1]
+    assert sorted("%.17g" % t for t in times) == sorted(row.split(",")[2] for row in rows)
+    assert len(rows) == cli.VERIFY_CASES
+    # one state buffer per worker, evolved in place, and one conjugate scratch
+    assert len(addresses) == workers + 1

@@ -469,7 +469,7 @@ def _run_verify(config: RunConfig) -> _Result:
                 env = first_env if case == 0 else build_environment_random(
                     config.n, env_seed, config.g_min, config.g_max
                 )
-                reports[case] = crosscheck(sys_amp, env, t, VERIFY_TOLERANCE, buffers, worker)
+                reports[case] = crosscheck(sys_amp, env, t, VERIFY_TOLERANCE, buffers[worker:])
         except BaseException:
             failed.set()  # the other worker stops after its current case
             raise

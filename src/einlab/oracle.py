@@ -45,7 +45,9 @@ from .model import EnvironmentSpec, SystemAmplitudes
 
 MAX_SPINS = 24
 
-# Guards every scratch array handed to partial_trace_to_system.
+# One lock for every scratch array handed to partial_trace_to_system, whichever
+# buffers it belongs to: scratch-backed partial traces run one at a time in a
+# process.
 _scratch_lock = threading.Lock()
 
 
@@ -268,7 +270,9 @@ def partial_trace_to_system(state: FullState, scratch: np.ndarray | None = None)
 
     ``scratch``, a contiguous complex128 array of the state's size, receives
     ``conj(psi)`` in place of a fresh temporary; the matrix product is the
-    same.  Threads may share one scratch array: they take turns under a lock.
+    same.  Threads may share one scratch array: every call with a scratch takes
+    one module-wide lock, so partial traces into scratch arrays run one at a
+    time in a process, even into different arrays.
     """
     psi = state.amplitudes.reshape(2, -1)
     if scratch is None:
@@ -294,8 +298,8 @@ def crosscheck_buffers(n: int, workers: int = 1) -> np.ndarray:
 
     Row ``w`` holds the full state of worker ``w``, assembled and then evolved
     in place; the last row is the conjugate scratch of the partial trace,
-    which the workers share.  Pass it to every :func:`crosscheck` of the
-    batch, with each thread's own ``worker``, so the cases reuse it instead of
+    which the workers share.  Worker ``w`` passes ``buffers[w:]`` to every
+    :func:`crosscheck` it runs, so the cases reuse the array instead of
     allocating.  Raises :class:`TooLargeError` past ``MAX_SPINS``, before
     allocating anything.
     """
@@ -309,22 +313,21 @@ def crosscheck(
     t: float,
     tolerance: float,
     buffers: np.ndarray | None = None,
-    worker: int = 0,
 ) -> CrosscheckReport:
     """Assemble, evolve and trace the full state, then compare against the
     closed-form reduced density matrix.
 
     ``buffers`` (from :func:`crosscheck_buffers`, for at least ``env.n``
-    spins) holds the state, in row ``worker``, and the conjugate scratch;
-    the report is the same either way.  The state is evolved in place, so a
+    spins) holds the state in its first row and the conjugate scratch in its
+    last; the report is the same either way.  A thread of a batch passes the
+    rows from its own onward, so every thread's first row is its own and the
+    last row is the shared scratch.  The state is evolved in place, so a
     crosscheck holds at most two 2^(n+1) arrays of its own.
     """
     state_out = scratch = None
     if buffers is not None:
-        if not 0 <= worker < len(buffers) - 1:
-            raise ValueError(f"worker {worker} has no row in buffers for {len(buffers) - 1}")
         size = 2 ** (env.n + 1)
-        state_out, scratch = buffers[worker, :size], buffers[-1, :size]
+        state_out, scratch = buffers[0, :size], buffers[-1, :size]
     full = assemble_full_state(sys, env, out=state_out)
     evolved = evolve_full(full, env, t, out=full.amplitudes)
     rho_brute = partial_trace_to_system(evolved, scratch)

@@ -35,6 +35,7 @@ import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,9 +176,136 @@ def _abs_sq_blocks(flat, g4, mean, swing) -> np.ndarray:
     return out
 
 
-# Per-spin slack on the tail bounds of decoherence_abs_sq_above; it rounds to
+# Per-spin slack on the bounds of decoherence_abs_sq_above; it rounds to
 # 1 + 2 ulp(1) = 1 + 4u with u = 2^-53.
 _TAIL_SLACK = 1.0 + 4e-16
+
+# Phase windows of decoherence_abs_sq_above (see _above_plan): the margin,
+# both in cos units and in radians; the largest |4 g t| and the smallest
+# swing (1 - d^2)/2 for which a spin's window is used; and how many of the
+# narrowest windows one call intersects.
+_WINDOW_MARGIN = 1e-7
+_WINDOW_PHASE_MAX = 2.0**20
+_WINDOW_SWING_MIN = 0.01
+_WINDOW_SPINS = 3
+
+
+class _AbovePlan(NamedTuple):
+    """What decoherence_abs_sq_above derives from the bath and the floor alone."""
+
+    spins: list[tuple[float, float, float]]  # (g4, mean, swing) as Python floats
+    tail: list[float]  # tail[j] bounds the product of the factors of spins j..n-1
+    floor_sq: float  # 0.0 for a floor that is not a normal number
+    window_g4: np.ndarray  # |4 g| of the spins with a phase window, narrowest first
+    window_width: np.ndarray  # their half-widths in radians
+
+
+def _above_plan(env: EnvironmentSpec, floor_sq: float) -> _AbovePlan:
+    """The tail bounds and phase windows of ``env`` for ``floor_sq``."""
+    g4, mean, swing = _abs_sq_factors(env)
+    # Python floats with the bits of decoherence_abs_sq's factor arrays
+    spins = list(zip(g4.tolist(), mean.tolist(), swing.tolist()))
+    # Why pruning is safe.  A computed factor mean + swing*cos lies in
+    # [0, top_j], top_j = mean_j + swing_j as computed here: cos <= 1,
+    # swing >= 0 and rounding is monotone.  top_j <= 1 too, since
+    # fl(1 + d^2) + fl(1 - d^2) is within 1.5u of 2 and rounds to at most 2.
+    # While products stay normal, each rounds up by at most a factor 1 + u,
+    # and each bound step below grows by at least (1 + 4u)(1 - u)^2 >= 1 + u,
+    # so a point with partial product P after spin j ends at most at
+    # P * tail[j + 1].  A product that turns subnormal is below any normal
+    # floor_sq and, no factor exceeding 1, stays below it; a subnormal
+    # floor_sq prunes nothing.  Every tail is >= 1 (top_j >= 1 - u), so a
+    # point whose partial products stay exactly 1, as under eigenstate spins,
+    # survives floor_sq = 1.
+    tops = [mean + swing for _, mean, swing in spins]
+    tail = [1.0]
+    for top in reversed(tops):
+        tail.append(tail[-1] * top * _TAIL_SLACK)
+    tail.reverse()
+    none = np.empty(0)
+    if not floor_sq >= np.finfo(float).tiny:
+        return _AbovePlan(spins, tail, 0.0, none, none)
+    # Why the phase windows are safe.  The same argument bounds the final
+    # product by f_k * B_k for every spin k, with B_k = head[k] * tail[k + 1]
+    # * _TAIL_SLACK >= (1 + u)^n prod_{j != k} top_j (the last slack pays for
+    # joining the two partial bounds).  So a point can reach floor_sq only if
+    # f_k >= F = floor_sq / B_k, and as f_k = fl(mean + fl(swing * c)) with
+    # c the computed cos, only if c >= (F / (1 + u) - mean) / swing - u.  For
+    # swing >= 0.01 the computed q below is within 1e-13 of that, and numpy's
+    # cos within 1e-15 of the true cos of the computed angle fl(4 g t); the
+    # cos margin covers both.  So the angle lies within acos(q - margin) of
+    # a multiple of 2 pi.  The radian margin covers the rest: fl(4 g t) is
+    # within 2^-33 of 4 g t for |4 g t| <= 2^20, acos within an ulp, and
+    # the window edges (2 pi m -+ w) / |4 g| within about 1e-9 rad.  Spins
+    # whose window spans the whole turn, or whose swing or coupling is too
+    # small for these bounds, get no window.
+    head = [1.0]
+    for top in tops:
+        head.append(head[-1] * top * _TAIL_SLACK)
+    fit = (swing >= _WINDOW_SWING_MIN) & (np.abs(g4) >= np.finfo(float).tiny)
+    bound = np.array([head[k] * tail[k + 1] for k in range(env.n)])[fit] * _TAIL_SLACK
+    q = (floor_sq / bound - mean[fit]) / swing[fit]
+    width = np.arccos(np.clip(q - _WINDOW_MARGIN, -1.0, 1.0)) + _WINDOW_MARGIN
+    usable = width < np.pi
+    order = np.argsort(width[usable], kind="stable")
+    return _AbovePlan(
+        spins, tail, floor_sq, np.abs(g4[fit][usable])[order], width[usable][order]
+    )
+
+
+def _window_points(times: np.ndarray, g4: float, width: float) -> np.ndarray:
+    """Ascending positions of the finite ascending ``times`` whose phase
+    ``g4 * t`` lies within ``width`` of a multiple of 2 pi (``g4 > 0``)."""
+    turn = 2.0 * math.pi
+    first = math.floor((g4 * times[0] - width) / turn)
+    last = math.ceil((g4 * times[-1] + width) / turn)
+    centres = turn * np.arange(first, last + 1)
+    lo = np.searchsorted(times, (centres - width) / g4, "left")
+    hi = np.searchsorted(times, (centres + width) / g4, "right")
+    # the run of window m is lo[m]..hi[m] - 1; start each run after the one
+    # before so that no point is listed twice
+    lo[1:] = np.maximum(lo[1:], hi[:-1])
+    lengths = np.maximum(hi - lo, 0)
+    ends = np.cumsum(lengths)
+    points = np.arange(ends[-1])  # added to in place: one temporary fewer
+    points += np.repeat(lo - (ends - lengths), lengths)
+    return points
+
+
+def _abs_sq_above(plan: _AbovePlan, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """decoherence_abs_sq_above on the 1-D float array ``times``."""
+    # positions in the caller's times of the points left; None while that
+    # is all of them, which saves a chunk-sized arange and its copies
+    index = None
+    if (
+        plan.window_g4.size
+        and times.size
+        and math.isfinite(times[0])
+        and math.isfinite(times[-1])
+        and np.all(times[1:] >= times[:-1])
+    ):
+        # |t| is largest at an end of an ascending grid
+        in_range = plan.window_g4 * max(abs(times[0]), abs(times[-1])) <= _WINDOW_PHASE_MAX
+        for g4, width in zip(
+            plan.window_g4[in_range][:_WINDOW_SPINS].tolist(),
+            plan.window_width[in_range][:_WINDOW_SPINS].tolist(),
+        ):
+            if not times.size:
+                break
+            keep = _window_points(times, g4, width)
+            index, times = (keep if index is None else index[keep]), times[keep]
+    if index is None:
+        index = np.arange(times.size)
+    values = np.ones(times.shape)
+    spin_points = 0
+    for j, (g4, mean, swing) in enumerate(plan.spins):
+        if not index.size:
+            break
+        spin_points += index.size
+        values = values * (mean + swing * np.cos(g4 * times))
+        keep = np.nonzero(values * plan.tail[j + 1] >= plan.floor_sq)[0]
+        index, values, times = index[keep], values[keep], times[keep]
+    return index, values, spin_points
 
 
 def decoherence_abs_sq_above(
@@ -191,37 +319,27 @@ def decoherence_abs_sq_above(
     is kept, and every kept value equals :func:`decoherence_abs_sq` to the
     bit: spins are multiplied in the same order with the same expressions,
     each factor only onto the points still kept.
+
+    Two rules drop points.  The window rule comes first and evaluates no
+    cosine: as every other spin's factor is at most ``(1 + d_j^2)/2 +
+    (1 - d_j^2)/2``, a point can reach ``floor_sq`` only where
+    ``cos(4 g_k t) >= q_k`` for each spin k, that is where ``4 g_k t`` lies
+    within ``acos(q_k)`` (plus a margin) of a multiple of 2 pi.  Up to three
+    spins with the narrowest such windows are turned into runs of grid
+    points with ``np.searchsorted``, and only points inside every run go on.
+    The rule is skipped for times that are not finite and ascending, for
+    spins with ``|4 g t| > 2^20`` or ``(1 - d^2)/2 < 0.01``, and for a
+    subnormal ``floor_sq``.  The tail rule then evaluates the spins in
+    order and drops a point once its partial product times a bound on the
+    spins still to come is below ``floor_sq``.  ``spin_points`` counts the
+    factors the tail rule evaluates, not the window arithmetic.
+
+    Raises ValueError if ``times`` is not 1-D.
     """
     times = np.asarray(times, dtype=float)
-    # Python floats with the bits of decoherence_abs_sq's factor arrays
-    spins = list(zip(*(column.tolist() for column in _abs_sq_factors(env))))
-    # Why pruning is safe.  A computed factor mean + swing*cos lies in
-    # [0, top_j], top_j = mean_j + swing_j as computed here: cos <= 1,
-    # swing >= 0 and rounding is monotone.  top_j <= 1 too, since
-    # fl(1 + d^2) + fl(1 - d^2) is within 1.5u of 2 and rounds to at most 2.
-    # While products stay normal, each rounds up by at most a factor 1 + u,
-    # and each tail step below grows by at least (1 + 4u)(1 - u)^2 >= 1 + u,
-    # so a point with partial product P after spin j ends at most at
-    # P * tail[j + 1].  A product that turns subnormal is below any normal
-    # floor_sq and, no factor exceeding 1, stays below it; a subnormal
-    # floor_sq prunes nothing.  Every tail is >= 1 (top_j >= 1 - u), so a
-    # point whose partial products stay exactly 1, as under eigenstate spins,
-    # survives floor_sq = 1.
-    tail = [1.0]
-    for _, mean, swing in reversed(spins):
-        tail.append(tail[-1] * (mean + swing) * _TAIL_SLACK)
-    tail.reverse()
-    if not floor_sq >= np.finfo(float).tiny:
-        floor_sq = 0.0
-    index = np.arange(times.size)
-    values = np.ones(times.shape)
-    spin_points = 0
-    for j, (g4, mean, swing) in enumerate(spins):
-        spin_points += index.size
-        values = values * (mean + swing * np.cos(g4 * times))
-        keep = np.nonzero(values * tail[j + 1] >= floor_sq)[0]
-        index, values, times = index[keep], values[keep], times[keep]
-    return index, values, spin_points
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
+    return _abs_sq_above(_above_plan(env, floor_sq), times)
 
 
 def decoherence_factor(env: EnvironmentSpec, t: float) -> complex:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import decoherence_abs_sq, decoherence_abs_sq_above, ergodic_prediction
+from .analytic import _above_plan, _abs_sq_above, decoherence_abs_sq, ergodic_prediction
 from .errors import InvalidRangeError, NoDecayError
 from .model import EnvironmentSpec, build_environment_random
 
@@ -64,7 +64,15 @@ class TimeGrid:
 
     def chunks(self, size: int, first_step: int = 0):
         """Yield the grid's times in arrays of at most ``size`` points, from
-        step index ``first_step`` on; each point equals its :meth:`times` value."""
+        step index ``first_step`` on; each point equals its :meth:`times` value.
+
+        Raises :class:`InvalidRangeError`, before yielding anything, if
+        ``size < 1`` or ``first_step < 0``.
+        """
+        if size < 1:
+            raise InvalidRangeError(f"chunk size must be at least 1, got {size}")
+        if first_step < 0:
+            raise InvalidRangeError(f"first step must be non-negative, got {first_step}")
         last = self.steps()
         k = first_step
         while k <= last:
@@ -78,7 +86,9 @@ class RecurrenceReport:
     threshold: float
     found: float | None
     scanned_points: int
-    # per-spin factors evaluated; at most n * (points of the chunks scanned)
+    # per-spin factors actually evaluated (the phase-window arithmetic that
+    # drops points before any factor is not counted); at most
+    # n * (points of the chunks scanned)
     spin_points: int = 0
 
 
@@ -125,19 +135,23 @@ def recurrence_search(env: EnvironmentSpec, threshold: float, grid: TimeGrid) ->
     """First grid time in (t_start, t_end] with |z| >= threshold, if any.
 
     ``t_start`` must be positive so the trivial z(0) = 1 is skipped.  Grid
-    points whose |z| can no longer reach the threshold are dropped spin by
-    spin; ``scanned_points`` still counts the grid points covered, and
-    ``spin_points`` the per-spin factors actually evaluated.
+    points whose |z| cannot reach the threshold are dropped, first by the
+    spins' phase windows and then spin by spin (see
+    :func:`~einlab.analytic.decoherence_abs_sq_above`, whose bounds and
+    windows are worked out once per scan); ``scanned_points`` still counts
+    the grid points covered, and ``spin_points`` the per-spin factors
+    actually evaluated.
     """
     if not (0.0 < threshold <= 1.0):
         raise InvalidRangeError(f"threshold must lie in (0, 1], got {threshold}")
     if not (grid.t_start > 0.0):
         raise InvalidRangeError(f"recurrence scan needs t_start > 0, got {grid.t_start}")
     thr_sq = threshold * threshold
+    plan = _above_plan(env, thr_sq)
     scanned = 0
     spin_points = 0
     for times in grid.chunks(_SCAN_CHUNK, first_step=1):
-        index, vals, evaluated = decoherence_abs_sq_above(env, times, thr_sq)
+        index, vals, evaluated = _abs_sq_above(plan, times)
         spin_points += evaluated
         hits = index[vals >= thr_sq]
         if hits.size:

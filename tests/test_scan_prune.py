@@ -7,6 +7,7 @@ of ``decoherence_abs_sq`` over the whole grid reports, and the recurrence
 CSV must not change by a byte.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import einlab.ensemble as ensemble
 from einlab import (
+    EnvironmentSpec,
     ScenarioKind,
     TimeGrid,
     build_environment_random,
@@ -36,6 +38,14 @@ KINDS = {
 def make_env(kind, n, seed, g):
     if kind == "random":
         return build_environment_random(n, seed, 0.05, g)
+    if kind == "mixed":
+        # spin 0 random, the rest eigenstates whose factors are exactly 1:
+        # |z|^2 is spin 0's factor, so a floor taken from the kernel sits on
+        # the edge of spin 0's phase window
+        spins = build_environment_random(n, seed, 0.05, g)
+        alpha, beta = spins.amplitudes().T.copy()
+        alpha[1:], beta[1:] = 1.0, 0.0
+        return EnvironmentSpec(spins.couplings(), alpha, beta)
     return build_environment_scenario(KINDS[kind], n, g)
 
 
@@ -49,41 +59,76 @@ def plain_scan(env, threshold, grid):
 
 
 baths = st.tuples(
-    st.sampled_from(["random", "balanced", "eigenstate"]),
+    st.sampled_from(["random", "balanced", "eigenstate", "mixed"]),
     st.integers(min_value=0, max_value=24),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.floats(min_value=0.05, max_value=2.0),
 )
 
 
-@settings(max_examples=120, deadline=None)
+def arrange(env, t_start, dt, size, layout, where):
+    """Grid times t_start + k dt, laid out as ``layout`` says: ascending; one
+    point moved (so not ascending) or made NaN or +-inf at ``where``; or
+    shifted so that |4 g t| of the fastest spin crosses 2^20 inside the grid."""
+    if layout == "phase limit" and env.n:
+        t_start = 2.0**20 / float(np.max(4.0 * env.couplings())) - dt * (where % size)
+    times = t_start + dt * np.arange(size)
+    if layout == "unsorted" and size > 1:
+        times = np.roll(times, 1 + where % (size - 1))
+    elif layout in ("nan", "inf", "-inf"):
+        times[where % size] = float(layout)
+    return times
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     bath=baths,
     t_start=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0)),
     dt=st.floats(min_value=1e-3, max_value=0.5),
     size=st.integers(min_value=1, max_value=400),
+    layout=st.sampled_from(["ascending", "ascending", "unsorted", "nan", "inf", "-inf", "phase limit"]),
+    where=st.integers(min_value=0, max_value=399),
     floor=st.one_of(
         st.just(1.0),
+        st.just("largest"),
         st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
         st.integers(min_value=0, max_value=399),
     ),
 )
-@example(bath=("eigenstate", 24, 0, 1.0), t_start=0.0, dt=0.1, size=50, floor=1.0)
-@example(bath=("balanced", 24, 0, 0.5), t_start=0.0, dt=0.1, size=100, floor=1.0)
-@example(bath=("random", 0, 0, 1.0), t_start=3.0, dt=0.1, size=10, floor=1.0)
-def test_kernel_keeps_reachable_points_bit_for_bit(bath, t_start, dt, size, floor):
+@example(bath=("eigenstate", 24, 0, 1.0), t_start=0.0, dt=0.1, size=50, layout="ascending", where=0, floor=1.0)
+@example(bath=("balanced", 24, 0, 0.5), t_start=0.0, dt=0.1, size=100, layout="ascending", where=0, floor=1.0)
+@example(bath=("random", 0, 0, 1.0), t_start=3.0, dt=0.1, size=10, layout="ascending", where=0, floor=1.0)
+@example(bath=("mixed", 5, 3, 1.0), t_start=0.0, dt=0.01, size=400, layout="ascending", where=0, floor="largest")
+@example(bath=("random", 3, 9, 2.0), t_start=0.0, dt=0.5, size=400, layout="phase limit", where=200, floor="largest")
+def test_kernel_keeps_reachable_points_bit_for_bit(bath, t_start, dt, size, layout, where, floor):
     env = make_env(*bath)
-    times = t_start + dt * np.arange(size)
-    reference = decoherence_abs_sq(env, times)
-    # an integer floor picks a value the plain kernel gives, to test the boundary
-    floor_sq = float(reference[floor % size]) if isinstance(floor, int) else floor
-    index, values, spin_points = decoherence_abs_sq_above(env, times, floor_sq)
+    times = arrange(env, t_start, dt, size, layout, where)
+    with np.errstate(invalid="ignore"):  # cos(+-inf)
+        reference = decoherence_abs_sq(env, times)
+    # a floor taken from the plain kernel tests the boundary, and its largest
+    # value gives the narrowest phase windows
+    finite = reference[np.isfinite(reference)]
+    if floor == "largest":
+        floor_sq = float(np.max(finite, initial=1.0))
+    elif isinstance(floor, int):
+        floor_sq = float(finite[floor % finite.size]) if finite.size else 1.0
+    else:
+        floor_sq = floor
+    with np.errstate(invalid="ignore"):
+        index, values, spin_points = decoherence_abs_sq_above(env, times, floor_sq)
     assert np.all(np.diff(index) > 0)
     assert values.tobytes() == reference[index].tobytes()
     dropped = np.setdiff1d(np.arange(size), index)
-    assert np.all(reference[dropped] < floor_sq)
+    assert not np.any(reference[dropped] >= floor_sq)
     assert np.all(np.isin(np.nonzero(reference >= floor_sq)[0], index))
     assert spin_points <= env.n * size
+
+
+@pytest.mark.parametrize("times", [np.zeros((3, 4)), np.array(2.5)], ids=["2-D", "0-d"])
+def test_kernel_rejects_times_that_are_not_1d(times):
+    env = build_environment_random(3, 1, 0.05, 1.0)
+    with pytest.raises(ValueError, match=re.escape(str(times.shape))):
+        decoherence_abs_sq_above(env, times, 0.5)
 
 
 def test_kernel_counts_every_factor_when_nothing_is_dropped():
@@ -153,3 +198,12 @@ GOLDEN = {
 
 def test_golden_recurrence_digests(tmp_path):
     assert_golden_digests(tmp_path, GOLDEN)
+
+
+def test_phase_windows_prune_the_golden_scan():
+    # the n = 20, seed 7 scan of GOLDEN: the tail rule alone evaluates about
+    # 1.5 factors per grid point, the phase windows cut that to about 0.04
+    env = build_environment_random(20, 7, 0.05, 1.0)
+    report = recurrence_search(env, 0.9, TimeGrid(1.0, 10000.0, 0.01))
+    assert report.found is None and report.scanned_points == 999900
+    assert report.spin_points <= 0.25 * report.scanned_points

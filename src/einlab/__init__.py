@@ -45,7 +45,6 @@ from .errors import (
     DimensionMismatchError,
     EinlabError,
     InvalidRangeError,
-    MissingColumnError,
     MissingKeyError,
     NoDecayError,
     ParseError,
@@ -79,7 +78,6 @@ __all__ = [
     "EnvironmentSpec",
     "FullState",
     "InvalidRangeError",
-    "MissingColumnError",
     "MissingKeyError",
     "NoDecayError",
     "ParseError",

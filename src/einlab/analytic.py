@@ -206,24 +206,36 @@ def _above_plan(env: EnvironmentSpec, floor_sq: float) -> _AbovePlan:
     # Python floats with the bits of decoherence_abs_sq's factor arrays
     spins = list(zip(g4.tolist(), mean.tolist(), swing.tolist()))
     # Why pruning is safe.  A computed factor mean + swing*cos lies in
-    # [0, top_j], top_j = mean_j + swing_j as computed here: cos <= 1,
-    # swing >= 0 and rounding is monotone.  top_j <= 1 too, since
-    # fl(1 + d^2) + fl(1 - d^2) is within 1.5u of 2 and rounds to at most 2.
-    # While products stay normal, each rounds up by at most a factor 1 + u,
-    # and each bound step below grows by at least (1 + 4u)(1 - u)^2 >= 1 + u,
-    # so a point with partial product P after spin j ends at most at
-    # P * tail[j + 1].  A product that turns subnormal is below any normal
-    # floor_sq and, no factor exceeding 1, stays below it; a subnormal
-    # floor_sq prunes nothing.  Every tail is >= 1 (top_j >= 1 - u), so a
-    # point whose partial products stay exactly 1, as under eigenstate spins,
-    # survives floor_sq = 1.
-    tops = [mean + swing for _, mean, swing in spins]
+    # [0, top_j], top_j = mean_j + |swing_j| as computed here: |cos| <= 1,
+    # mean_j >= |swing_j| and rounding is monotone.  top_j <= 1 when
+    # |d_j| <= 1, since fl(1 + d^2) + fl(1 - d^2) is within 1.5u of 2 and
+    # rounds to at most 2.  validate() accepts a spin whose norm is up to
+    # NORM_TOL above 1; then d_j^2 > 1, swing_j < 0 and top_j is about d_j^2.
+    # While products stay normal, each rounds up by at most a factor
+    # 1/(1 - u), and each bound step below grows by at least
+    # (1 + 4u)(1 - u)^2 >= 1/(1 - u), so a point with partial product P after
+    # spin j ends at most at P * tail[j + 1].  A product that turns subnormal
+    # is below tiny.  A later factor of at most 1 never raises it (monotone
+    # rounding), and a factor above 1, at most top_j, raises a bound b >= 1
+    # on product / tiny to at most b * top_j * (1 + u): a normal product
+    # rounds up by at most 1 + u, a subnormal one to at most tiny.  climb
+    # multiplies the top_j > 1 with a slack of at least 1 + u each, so such
+    # a product ends below tiny * climb, and a floor_sq below that prunes
+    # nothing; climb is 1 unless some |d_j| > 1.  Every tail is >= 1
+    # (top_j >= 1 - u), so a point whose partial products stay exactly 1, as
+    # under eigenstate spins, survives floor_sq = 1.
+    tops = [mean + abs(swing) for _, mean, swing in spins]
     tail = [1.0]
     for top in reversed(tops):
         tail.append(tail[-1] * top * _TAIL_SLACK)
     tail.reverse()
+    climb = 1.0
+    for top in tops:
+        if top > 1.0:
+            climb *= top * _TAIL_SLACK
     none = np.empty(0)
-    if not floor_sq >= np.finfo(float).tiny:
+    # tiny * climb is exact: tiny is a power of two
+    if not floor_sq >= np.finfo(float).tiny * climb:
         return _AbovePlan(spins, tail, 0.0, none, none)
     # Why the phase windows are safe.  The same argument bounds the final
     # product by f_k * B_k for every spin k, with B_k = head[k] * tail[k + 1]
@@ -238,7 +250,8 @@ def _above_plan(env: EnvironmentSpec, floor_sq: float) -> _AbovePlan:
     # within 2^-33 of 4 g t for |4 g t| <= 2^20, acos within an ulp, and
     # the window edges (2 pi m -+ w) / |4 g| within about 1e-9 rad.  Spins
     # whose window spans the whole turn, or whose swing or coupling is too
-    # small for these bounds, get no window.
+    # small for these bounds, get no window; a spin with |d_j| > 1 has a
+    # negative swing and so never gets one.
     head = [1.0]
     for top in tops:
         head.append(head[-1] * top * _TAIL_SLACK)
@@ -322,17 +335,19 @@ def decoherence_abs_sq_above(
 
     Two rules drop points.  The window rule comes first and evaluates no
     cosine: as every other spin's factor is at most ``(1 + d_j^2)/2 +
-    (1 - d_j^2)/2``, a point can reach ``floor_sq`` only where
+    |1 - d_j^2|/2``, a point can reach ``floor_sq`` only where
     ``cos(4 g_k t) >= q_k`` for each spin k, that is where ``4 g_k t`` lies
     within ``acos(q_k)`` (plus a margin) of a multiple of 2 pi.  Up to three
     spins with the narrowest such windows are turned into runs of grid
     points with ``np.searchsorted``, and only points inside every run go on.
-    The rule is skipped for times that are not finite and ascending, for
-    spins with ``|4 g t| > 2^20`` or ``(1 - d^2)/2 < 0.01``, and for a
-    subnormal ``floor_sq``.  The tail rule then evaluates the spins in
-    order and drops a point once its partial product times a bound on the
-    spins still to come is below ``floor_sq``.  ``spin_points`` counts the
-    factors the tail rule evaluates, not the window arithmetic.
+    The rule is skipped for times that are not finite and ascending, and for
+    spins with ``|4 g t| > 2^20`` or ``(1 - d^2)/2 < 0.01``.  The tail rule
+    then evaluates the spins in order and drops a point once its partial
+    product times a bound on the spins still to come is below ``floor_sq``.
+    Neither rule drops a finite point when ``floor_sq`` is below the
+    smallest normal number, scaled up by the factors above 1 that spins with
+    ``|d_j| > 1`` allow.  ``spin_points`` counts the factors the tail rule
+    evaluates, not the window arithmetic.
 
     Raises ValueError if ``times`` is not 1-D.
     """

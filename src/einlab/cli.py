@@ -42,10 +42,6 @@ an error raised while reading the config (a value out of range raises the
 one range error, :class:`~einlab.errors.InvalidRangeError`), a missing
 output path or a file that cannot be read or written; 2 for an error raised
 while running (the library's range checks included) or a failed verify.
-
-:func:`emit_svg_plot` renders one CSV column against t as a standalone SVG;
-it is library-level (the command-line surface stays the single config
-argument plus --output/--quiet/--version).
 """
 
 from __future__ import annotations
@@ -70,13 +66,7 @@ from .analytic import trace_columns
 # Unused here, but the benchmark's traced run patches them as einlab.cli.<name>.
 from .analytic import decoherence_factor, reduced_density_matrix, state_metrics  # noqa: F401
 from .ensemble import TimeGrid, ensemble_statistics, recurrence_search, scaling_sweep
-from .errors import (
-    EinlabError,
-    InvalidRangeError,
-    MissingColumnError,
-    MissingKeyError,
-    ParseError,
-)
+from .errors import EinlabError, InvalidRangeError, MissingKeyError, ParseError
 from .model import (
     DEFAULT_G_MIN_FRACTION,
     ScenarioKind,
@@ -521,110 +511,6 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     if not quiet:
         print(f"{summary} -> {config.output}")
     return 0 if ok else 2
-
-
-def _read_csv_table(csv_path: str) -> tuple[list[str], dict[str, np.ndarray], str]:
-    """Header, column arrays and the provenance digest of an einlab CSV."""
-    digest = "unknown"
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line.split():
-                    if token.startswith("config_sha256="):
-                        digest = token.partition("=")[2]
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-            else:
-                rows.append(line.split(","))
-    if header is None:
-        raise MissingColumnError(f"{csv_path} holds no table")
-    data = {
-        name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)
-    }
-    return header, data, digest
-
-
-_SVG_WIDTH, _SVG_HEIGHT = 800, 480
-_SVG_MARGIN = (70.0, 20.0, 40.0, 50.0)  # left, right, top, bottom
-
-
-def _svg_axis_ticks(lo: float, hi: float) -> list[float]:
-    return [lo + (hi - lo) * i / 4.0 for i in range(5)]
-
-
-def emit_svg_plot(csv_path: str, column: str, out_path: str) -> str:
-    """Render one CSV column against t as a standalone SVG polyline.
-
-    The plot is labeled with the column name and the config digest recorded
-    in the CSV's provenance comment.  Output is deterministic text.
-    """
-    header, data, digest = _read_csv_table(csv_path)
-    for needed in ("t", column):
-        if needed not in header:
-            raise MissingColumnError(f"column '{needed}' not in {csv_path} (has {header})")
-    x, y = data["t"], data[column]
-    left, right, top, bottom = _SVG_MARGIN
-    plot_w = _SVG_WIDTH - left - right
-    plot_h = _SVG_HEIGHT - top - bottom
-    x_lo, x_hi = float(np.min(x)), float(np.max(x))
-    y_lo, y_hi = float(np.min(y)), float(np.max(y))
-    # a numerically flat series must render flat, not as amplified noise
-    if x_hi - x_lo <= 1e-9 * max(1.0, abs(x_lo), abs(x_hi)):
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi - y_lo <= 1e-9 * max(1.0, abs(y_lo), abs(y_hi)):
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-
-    def px(v: float) -> float:
-        return left + (v - x_lo) / (x_hi - x_lo) * plot_w
-
-    def py(v: float) -> float:
-        return _SVG_HEIGHT - bottom - (v - y_lo) / (y_hi - y_lo) * plot_h
-
-    points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
-        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
-        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
-        f'<text x="{left}" y="24" font-family="monospace" font-size="14">'
-        f"{column} vs t (config {digest[:12]})</text>",
-        f'<line x1="{left}" y1="{_SVG_HEIGHT - bottom}" x2="{_SVG_WIDTH - right}" '
-        f'y2="{_SVG_HEIGHT - bottom}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{_SVG_HEIGHT - bottom}" stroke="black"/>',
-    ]
-    for tick in _svg_axis_ticks(x_lo, x_hi):
-        tx = px(tick)
-        parts.append(
-            f'<line x1="{tx:.2f}" y1="{_SVG_HEIGHT - bottom}" x2="{tx:.2f}" '
-            f'y2="{_SVG_HEIGHT - bottom + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{tx:.2f}" y="{_SVG_HEIGHT - bottom + 20}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{tick:.6g}</text>'
-        )
-    for tick in _svg_axis_ticks(y_lo, y_hi):
-        ty = py(tick)
-        parts.append(
-            f'<line x1="{left - 5}" y1="{ty:.2f}" x2="{left}" y2="{ty:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{ty + 4:.2f}" font-family="monospace" font-size="11" '
-            f'text-anchor="end">{tick:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{_SVG_WIDTH - right}" y="{_SVG_HEIGHT - 10}" font-family="monospace" '
-        f'font-size="12" text-anchor="end">t</text>'
-    )
-    parts.append(f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="{points}"/>')
-    parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    _write_atomic(out_path, text)
-    return out_path
 
 
 def main(argv: list[str] | None = None) -> int:

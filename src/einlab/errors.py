@@ -31,7 +31,3 @@ class ParseError(EinlabError, ValueError):
 
 class MissingKeyError(EinlabError, ValueError):
     """A key required by the selected mode is absent."""
-
-
-class MissingColumnError(EinlabError, LookupError):
-    """Requested CSV column does not exist."""

@@ -1,7 +1,11 @@
 import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -10,6 +14,19 @@ from einlab import EnvironmentSpec, SystemAmplitudes
 
 settings.register_profile("einlab", derandomize=True)
 settings.load_profile("einlab")
+
+PERFBENCH_METRICS = Path(__file__).resolve().parents[1] / "perfbench" / "metrics.py"
+
+
+@pytest.fixture()
+def perfbench_metrics(monkeypatch):
+    """The benchmark's ``perfbench/metrics.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_metrics", PERFBENCH_METRICS)
+    metrics = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, metrics)
+    spec.loader.exec_module(metrics)
+    return metrics
 
 
 def bloch_environment(spins) -> EnvironmentSpec:

@@ -11,12 +11,11 @@ import pytest
 import einlab.cli as cli
 from einlab import (
     InvalidRangeError,
-    MissingColumnError,
     MissingKeyError,
     ParseError,
     ScenarioKind,
 )
-from einlab.cli import emit_svg_plot, main, parse_config, run
+from einlab.cli import main, parse_config, run
 
 TRACE_TEXT = """\
 mode = trace
@@ -495,59 +494,3 @@ def test_exit_code_and_message(tmp_path, capsys, text, code, message):
     assert captured.err == f"einlab: {message}\n"
     assert captured.out == ""
     assert not out.exists()
-
-
-class TestSvgPlot:
-    @pytest.fixture()
-    def trace_csv(self, tmp_path):
-        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.1\n")
-        out = tmp_path / "trace.csv"
-        assert main([str(config), "--output", str(out), "--quiet"]) == 0
-        return out
-
-    @staticmethod
-    def polyline_points(svg_text):
-        match = re.search(r'points="([^"]+)"', svg_text)
-        assert match is not None
-        return [tuple(map(float, pair.split(","))) for pair in match.group(1).split()]
-
-    def test_polyline_starts_at_full_coherence(self, trace_csv, tmp_path):
-        out = tmp_path / "plot.svg"
-        emit_svg_plot(str(trace_csv), "abs_z", str(out))
-        svg = out.read_text()
-        points = self.polyline_points(svg)
-        # t = 0 maps to the left margin; |z| = 1 is the top of the y range
-        assert points[0][0] == pytest.approx(70.0, abs=0.01)
-        assert points[0][1] == min(p[1] for p in points)
-
-    def test_missing_column(self, trace_csv, tmp_path):
-        with pytest.raises(MissingColumnError):
-            emit_svg_plot(str(trace_csv), "no_such_column", str(tmp_path / "x.svg"))
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(OSError):
-            emit_svg_plot(str(tmp_path / "absent.csv"), "abs_z", str(tmp_path / "x.svg"))
-
-    def test_constant_series_flattens(self, tmp_path):
-        text = "mode = trace\nn = 5\nscenario = eigenstate\ng = 1.0\nt_max = 10\ndt = 0.1\n"
-        config = write_config(tmp_path, text)
-        csv_path = tmp_path / "eig.csv"
-        assert main([str(config), "--output", str(csv_path), "--quiet"]) == 0
-        out = tmp_path / "eig.svg"
-        emit_svg_plot(str(csv_path), "abs_z", str(out))
-        ys = {p[1] for p in self.polyline_points(out.read_text())}
-        assert len(ys) == 1
-
-    def test_label_carries_column_and_digest(self, trace_csv, tmp_path):
-        out = tmp_path / "plot.svg"
-        emit_svg_plot(str(trace_csv), "purity", str(out))
-        svg = out.read_text()
-        digest = re.search(r"config_sha256=([0-9a-f]{64})", trace_csv.read_text()).group(1)
-        assert "purity vs t" in svg
-        assert digest[:12] in svg
-
-    def test_deterministic_output(self, trace_csv, tmp_path):
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_svg_plot(str(trace_csv), "abs_z", str(a))
-        emit_svg_plot(str(trace_csv), "abs_z", str(b))
-        assert a.read_bytes() == b.read_bytes()

@@ -2,27 +2,17 @@
 would break ``perfbench/run.py --trace 1`` without failing any other test."""
 
 import importlib
-import importlib.util
-import sys
 import threading
 from collections import defaultdict
-from pathlib import Path
 
 import numpy as np
 
-METRICS = Path(__file__).resolve().parents[1] / "perfbench" / "metrics.py"
 
-
-def test_every_tracer_target_resolves(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_metrics", METRICS)
-    metrics = importlib.util.module_from_spec(spec)
-    # dataclasses look their defining module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, metrics)
-    spec.loader.exec_module(metrics)
-    assert metrics.TARGETS
+def test_every_tracer_target_resolves(perfbench_metrics):
+    assert perfbench_metrics.TARGETS
     missing = [
         (module, attr)
-        for module, attr, _name, _counter in metrics.TARGETS
+        for module, attr, _name, _counter in perfbench_metrics.TARGETS
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []

@@ -19,13 +19,16 @@ import einlab.ensemble as ensemble
 from einlab import (
     EnvironmentSpec,
     ScenarioKind,
+    SystemAmplitudes,
     TimeGrid,
     build_environment_random,
     build_environment_scenario,
     decoherence_abs_sq,
     decoherence_abs_sq_above,
     recurrence_search,
+    validate,
 )
+from einlab.model import NORM_TOL
 
 from conftest import assert_golden_digests
 
@@ -46,7 +49,36 @@ def make_env(kind, n, seed, g):
         alpha, beta = spins.amplitudes().T.copy()
         alpha[1:], beta[1:] = 1.0, 0.0
         return EnvironmentSpec(spins.couplings(), alpha, beta)
+    if kind == "overnormed":
+        # "mixed" with alpha and beta swapped at random and every norm drawn
+        # from [1, 1 + NORM_TOL), which validate accepts: the eigenstate spins
+        # then have d^2 > 1, so their factors exceed 1 and |z|^2 can exceed
+        # spin 0's factor
+        mixed = make_env("mixed", n, seed, g)
+        alpha, beta = mixed.amplitudes().T.copy()
+        rng = np.random.default_rng(seed)
+        flip = rng.random(n) < 0.5
+        alpha[flip], beta[flip] = beta[flip], alpha[flip]
+        scale = np.sqrt(1.0 + 0.99 * NORM_TOL * rng.random(n))
+        env = EnvironmentSpec(mixed.couplings(), alpha * scale, beta * scale)
+        assert validate(SystemAmplitudes(1.0, 0.0), env).ok
+        return env
     return build_environment_scenario(KINDS[kind], n, g)
+
+
+# Two spins that pass validate, the second 5e-10 over its norm: the plain
+# kernel first reaches |z|^2 >= 1 at t = 431.969, where spin 0's factor is
+# about 1 and spin 1's is d^2 > 1.
+OVERNORMED = EnvironmentSpec([1.0, 0.37], [0.5**0.5, (1.0 + 5e-10) ** 0.5], [0.5**0.5, 0.0])
+
+# Spins far off normal (validate rejects them; the kernel takes them): at
+# t = 1 every phase 4 g t is pi, so each factor is d^2.  22 factors 2^-48
+# and one 2^-16 take |z|^2 to the subnormal 4 * 2^-1074, where each product
+# rounds to a whole multiple of 2^-1074; 850 factors 2.25 bring it back to
+# 4.4e-24, above the tail bound taken where it was subnormal.
+CLIMB = EnvironmentSpec(
+    [np.pi / 4] * 873, [2.0**-12] * 22 + [2.0**-4] + [1.25] * 850, [0.0] * 23 + [0.25] * 850
+)
 
 
 def plain_scan(env, threshold, grid):
@@ -59,7 +91,7 @@ def plain_scan(env, threshold, grid):
 
 
 baths = st.tuples(
-    st.sampled_from(["random", "balanced", "eigenstate", "mixed"]),
+    st.sampled_from(["random", "balanced", "eigenstate", "mixed", "overnormed"]),
     st.integers(min_value=0, max_value=24),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.floats(min_value=0.05, max_value=2.0),
@@ -100,8 +132,10 @@ def arrange(env, t_start, dt, size, layout, where):
 @example(bath=("random", 0, 0, 1.0), t_start=3.0, dt=0.1, size=10, layout="ascending", where=0, floor=1.0)
 @example(bath=("mixed", 5, 3, 1.0), t_start=0.0, dt=0.01, size=400, layout="ascending", where=0, floor="largest")
 @example(bath=("random", 3, 9, 2.0), t_start=0.0, dt=0.5, size=400, layout="phase limit", where=200, floor="largest")
+@example(bath=OVERNORMED, t_start=0.0, dt=0.001, size=2000001, layout="ascending", where=0, floor=1.0)
+@example(bath=CLIMB, t_start=1.0, dt=0.1, size=1, layout="ascending", where=0, floor=0)
 def test_kernel_keeps_reachable_points_bit_for_bit(bath, t_start, dt, size, layout, where, floor):
-    env = make_env(*bath)
+    env = bath if isinstance(bath, EnvironmentSpec) else make_env(*bath)
     times = arrange(env, t_start, dt, size, layout, where)
     with np.errstate(invalid="ignore"):  # cos(+-inf)
         reference = decoherence_abs_sq(env, times)
@@ -148,8 +182,9 @@ def test_kernel_counts_every_factor_when_nothing_is_dropped():
     threshold=st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=1.0)),
     chunk=st.integers(min_value=1, max_value=64),
 )
+@example(bath=OVERNORMED, t_start=0.001, dt=0.001, steps=1999999, threshold=1.0, chunk=4096)
 def test_recurrence_search_matches_plain_scan(bath, t_start, dt, steps, threshold, chunk):
-    env = make_env(*bath)
+    env = bath if isinstance(bath, EnvironmentSpec) else make_env(*bath)
     grid = TimeGrid(t_start, t_start + dt * (steps + 0.5), dt)
     with mock.patch.object(ensemble, "_SCAN_CHUNK", chunk):
         report = recurrence_search(env, threshold, grid)

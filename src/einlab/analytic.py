@@ -20,13 +20,21 @@ function returning plain values: z(t) is a ``complex``, a branch state an
 (n, 2) complex array, a reduced state a 2x2 complex array.  The
 brute-force check lives in :mod:`einlab.oracle`.
 
-The |z|^2 kernel of decay-time scans, ensembles and sweeps,
-:func:`decoherence_abs_sq`, splits large grids across the CPUs in the
-process's affinity mask; its bits do not depend on how many there are, and
-``taskset -c 0`` keeps it on one thread.  Its thread pool, which also runs
-the second worker of the CLI's verify mode, is built at import and starts
-its threads on the first split call; a forked child builds its own.  Work
-handed to the pool runs under the caller's ``np.errstate``.
+Work is split across the CPUs in the process's affinity mask in two ways,
+and ``taskset -c 0`` keeps both on one thread:
+
+* by item (:func:`_hand_out`): sweeps hand out their ``(n, seed)`` pairs,
+  ensembles their seeds and the CLI's verify mode its cases, one whole item
+  per thread at a time;
+* by slice (:func:`_fan_out`): one call of the |z|^2 kernel
+  :func:`decoherence_abs_sq` on a large grid cuts the grid into one slice
+  per CPU, as in decay-time scans and one-seed ensembles.
+
+Nothing run by :func:`_fan_out` splits again: inside a hand-out every
+kernel call stays on its own thread.  No result's bits depend on the number
+of CPUs.  The thread pool is built at import and starts its threads on the
+first split call; a forked child builds its own.  Work handed to the pool
+runs under the caller's ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import NamedTuple
 
@@ -63,19 +72,21 @@ def decoherence_series(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
 _ABS_SQ_BLOCK = 1 << 15
 
 # Threads a split call may use: the CPUs this process may run on (``taskset``
-# limits it).  decoherence_abs_sq cuts large grids into this many slices, and
-# verify runs min(2, _WORKERS) crosscheck workers.
+# limits it).  decoherence_abs_sq cuts large grids into this many slices,
+# sweeps and ensembles hand their items to this many workers, and verify to
+# min(2, _WORKERS).
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity mask on this platform
     _WORKERS = os.cpu_count() or 1
 
 # Runs the calls a split hands off (see _fan_out).  Built at import, it starts
-# no thread until the first submit.  A pool task must never call a function
-# that splits, such as decoherence_abs_sq on a large grid: with every pool
-# thread busy, it would wait on its own pool.  Verify's crosscheck is safe: its
-# closed form goes through decoherence_series, which never splits.
+# no thread until the first submit.  A call run by _fan_out must not split
+# again: with every pool thread busy, it would wait on its own pool.
+# _IN_FAN_OUT marks those calls, and decoherence_abs_sq and _hand_out run
+# serially under the mark.
 _pool: ThreadPoolExecutor
+_IN_FAN_OUT = contextvars.ContextVar("einlab_in_fan_out", default=False)
 
 
 def _new_pool() -> None:
@@ -94,18 +105,61 @@ def _fan_out(fn, calls) -> list:
     """``[fn(*args) for args in calls]``, the last call on the calling thread
     and the others on the pool.
 
-    Each pool call runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` (a context variable since numpy 2) holds there too.  Returns once every
-    call has finished; an exception is raised only then, the caller's own
-    first, else the first pool call's in order.
+    Each call runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` (a context variable since numpy 2) holds there too, with
+    ``_IN_FAN_OUT`` set.  Returns once every call has finished; an exception
+    is raised only then, the caller's own first, else the first pool call's
+    in order.
     """
     *handed, own = calls
-    futures = [_pool.submit(contextvars.copy_context().run, fn, *args) for args in handed]
+    futures = [_pool.submit(contextvars.copy_context().run, _marked, fn, *args) for args in handed]
     try:
-        last = fn(*own)
+        last = contextvars.copy_context().run(_marked, fn, *own)
     finally:
         wait(futures)
     return [future.result() for future in futures] + [last]
+
+
+def _marked(fn, *args):
+    # runs in a context copy of its own, so the mark never reaches the caller
+    _IN_FAN_OUT.set(True)
+    return fn(*args)
+
+
+def _hand_out(fn, count: int, workers: int) -> list:
+    """``[fn(worker, i) for i in range(count)]``, the items handed out one at a
+    time to ``workers`` workers: the calling thread and ``workers - 1`` pool
+    calls of :func:`_fan_out`, numbered 0 to ``workers - 1``.
+
+    A worker takes the next item when it has finished its last one, so a
+    worker on a busy CPU just takes fewer.  Once an item raises, no further
+    item is handed out; the error is raised after every worker has finished
+    its current item, as :func:`_fan_out` raises it.  With fewer than two
+    workers, fewer items than workers, or inside a call run by
+    :func:`_fan_out`, worker 0 runs the items in order on the calling thread,
+    where a kernel call may still split its grid.
+    """
+    if workers < 2 or count < workers or _IN_FAN_OUT.get():
+        return [fn(0, i) for i in range(count)]
+    results = [None] * count
+    items = iter(range(count))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def take(worker: int) -> None:
+        try:
+            while not failed.is_set():
+                with lock:
+                    i = next(items, None)
+                if i is None:
+                    return
+                results[i] = fn(worker, i)
+        except BaseException:
+            failed.set()  # the other workers stop after their current item
+            raise
+
+    _fan_out(take, [(worker,) for worker in range(workers)])
+    return results
 
 
 def _abs_sq_factors(env: EnvironmentSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,16 +185,17 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     ``np.errstate``), each through the spin-blocked loop of
     :func:`_abs_sq_blocks`, and the slices' results are joined in order.
     A call is split only when each slice gets at least ``_ABS_SQ_BLOCK``
-    spin-points.  A point's value depends only on its own time and the fixed
-    spin order, so the result has the same bits however many CPUs there are
-    and wherever the cuts fall.
+    spin-points, and never inside a call run by :func:`_fan_out`, such as a
+    sweep's or an ensemble's item (:func:`_hand_out`).  A point's value
+    depends only on its own time and the fixed spin order, so the result has
+    the same bits however many CPUs there are and wherever the cuts fall.
     """
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
     g4, mean, swing = _abs_sq_factors(env)
     slices = _WORKERS
     # every slice holds at least flat.size // slices points
-    if slices < 2 or env.n * (flat.size // slices) < _ABS_SQ_BLOCK:
+    if slices < 2 or env.n * (flat.size // slices) < _ABS_SQ_BLOCK or _IN_FAN_OUT.get():
         return _abs_sq_blocks(flat, g4, mean, swing).reshape(times.shape)
     bounds = [flat.size * i // slices for i in range(slices + 1)]
     calls = [(flat[a:b], g4, mean, swing) for a, b in zip(bounds[:-1], bounds[1:])]

@@ -31,6 +31,8 @@ Verify mode runs its cases on up to two CPUs of the process's affinity mask
 (``taskset -c 0`` keeps it serial), each worker evolving its own state in
 place, so the oracle holds at most three 2^(n+1)-amplitude arrays; rows are
 written in case order and the bytes do not depend on the CPU count.
+Ensemble and sweep modes hand out their seeds the same way, one whole seed
+per thread, to every CPU of the mask (:func:`einlab.analytic._hand_out`).
 
 Modes write CSV only: `.` decimal separator, fixed column order, LF line
 endings, 17 significant digits, and a leading provenance comment carrying
@@ -53,7 +55,6 @@ import math
 import os
 import sys as _sys
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -422,10 +423,10 @@ def _run_verify(config: RunConfig) -> _Result:
     first.  Then up to two workers, the calling thread and one thread of
     :mod:`einlab.analytic`'s pool (two when the affinity mask holds two
     CPUs; ``taskset -c 0`` keeps verify serial), take the cases one at a
-    time, each worker evolving its own state buffer in place.  Rows are
-    written in case order, so the CSV bytes depend neither on the worker
-    count nor on which worker ran which case; a worker on a busy CPU just
-    takes fewer cases.  Two workers is the cap that keeps the oracle at three
+    time through :func:`einlab.analytic._hand_out`, each worker evolving its
+    own state buffer in place.  Rows are written in case order, so the CSV
+    bytes depend neither on the worker count nor on which worker ran which
+    case; a worker on a busy CPU just takes fewer cases.  Two workers is the cap that keeps the oracle at three
     2^(n+1) arrays: one state per worker and the shared conjugate scratch.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -443,28 +444,15 @@ def _run_verify(config: RunConfig) -> _Result:
     first_env = build_environment_random(config.n, cases[0][0], config.g_min, config.g_max)
     workers = min(2, analytic._WORKERS)
     buffers = crosscheck_buffers(config.n, workers)
-    reports = [None] * VERIFY_CASES
-    pending = iter(range(VERIFY_CASES))
-    lock = threading.Lock()
-    failed = threading.Event()
 
-    def work(worker: int) -> None:
-        try:
-            while not failed.is_set():
-                with lock:
-                    case = next(pending, None)
-                if case is None:
-                    return
-                env_seed, sys_amp, t = cases[case]
-                env = first_env if case == 0 else build_environment_random(
-                    config.n, env_seed, config.g_min, config.g_max
-                )
-                reports[case] = crosscheck(sys_amp, env, t, VERIFY_TOLERANCE, buffers[worker:])
-        except BaseException:
-            failed.set()  # the other worker stops after its current case
-            raise
+    def check(worker: int, case: int):
+        env_seed, sys_amp, t = cases[case]
+        env = first_env if case == 0 else build_environment_random(
+            config.n, env_seed, config.g_min, config.g_max
+        )
+        return crosscheck(sys_amp, env, t, VERIFY_TOLERANCE, buffers[worker:])
 
-    analytic._fan_out(work, [(worker,) for worker in range(workers)])
+    reports = analytic._hand_out(check, VERIFY_CASES, workers)
     lines = ["case,env_seed,t,max_deviation,passed"]
     worst = 0.0
     worst_case = None

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _above_plan, _abs_sq_above, decoherence_abs_sq, ergodic_prediction
+from . import analytic
+from .analytic import (
+    _above_plan,
+    _abs_sq_above,
+    _hand_out,
+    decoherence_abs_sq,
+    ergodic_prediction,
+)
 from .errors import InvalidRangeError, NoDecayError
 from .model import EnvironmentSpec, build_environment_random
 
@@ -174,6 +181,12 @@ def ensemble_statistics(
     prediction prod_j (1 + d_j^2)/2, and the largest |z| on the trailing
     quarter of the grid.  Aggregates (pooled |z| quantiles, median late
     sup-|z|) run in sorted-seed order.
+
+    Seeds are handed out to the CPUs in the process's affinity mask, one
+    whole seed per thread at a time (build, then |z|^2 on one thread); with
+    fewer seeds than CPUs they run in turn on the calling thread, and each
+    kernel call splits its grid instead.  Either way the report has the same
+    bits.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
@@ -184,20 +197,20 @@ def ensemble_statistics(
     # the last grid point can lie before late_from; the window always holds it
     late = times >= min(late_from, times[-1])
 
-    per_seed = []
     pooled = np.empty((len(seeds), times.size))
-    for i, seed in enumerate(seeds):
-        env = build_environment_random(n, seed, g_min, g_max)
+
+    def one_seed(_worker: int, i: int) -> SeedStatistics:
+        env = build_environment_random(n, seeds[i], g_min, g_max)
         abs_sq = decoherence_abs_sq(env, times)
         abs_z = np.sqrt(abs_sq, out=pooled[i])
-        per_seed.append(
-            SeedStatistics(
-                seed=seed,
-                mean_abs_z_sq=float(np.mean(abs_sq)),
-                predicted_mean_abs_z_sq=ergodic_prediction(env),
-                sup_abs_z_late=float(np.max(abs_z[late])),
-            )
+        return SeedStatistics(
+            seed=seeds[i],
+            mean_abs_z_sq=float(np.mean(abs_sq)),
+            predicted_mean_abs_z_sq=ergodic_prediction(env),
+            sup_abs_z_late=float(np.max(abs_z[late])),
         )
+
+    per_seed = _hand_out(one_seed, len(seeds), analytic._WORKERS)
     quantiles = tuple(
         (q, float(v)) for q, v in zip(QUANTILE_LEVELS, np.quantile(pooled, QUANTILE_LEVELS))
     )
@@ -221,7 +234,10 @@ def scaling_sweep(
     """Median over seeds of the largest |z| on a late-time window, per n.
 
     Seeds are 1..seeds_per_n for every n, so rerunning the sweep with the
-    same arguments reproduces the same table.
+    same arguments reproduces the same table.  The ``(n, seed)`` pairs are
+    handed out to the CPUs in the process's affinity mask, one whole pair per
+    thread at a time (build, then |z|^2 on one thread); the table's bits do
+    not depend on how many CPUs there are.
     """
     ns = tuple(int(n) for n in ns)
     if not ns:
@@ -233,11 +249,14 @@ def scaling_sweep(
     if seeds_per_n < 1:
         raise InvalidRangeError(f"need at least one seed per n, got {seeds_per_n}")
     times = late_window.times()
-    table = []
-    for n in ns:
-        sups = [
-            float(np.max(decoherence_abs_sq(build_environment_random(n, seed, g_min, g_max), times)))
-            for seed in range(1, seeds_per_n + 1)
-        ]
-        table.append((n, float(np.median(np.sqrt(sups)))))
-    return table
+    pairs = [(n, seed) for n in ns for seed in range(1, seeds_per_n + 1)]
+
+    def late_sup(_worker: int, i: int) -> float:
+        env = build_environment_random(*pairs[i], g_min, g_max)
+        return float(np.max(decoherence_abs_sq(env, times)))
+
+    sups = _hand_out(late_sup, len(pairs), analytic._WORKERS)
+    return [
+        (n, float(np.median(np.sqrt(sups[k * seeds_per_n : (k + 1) * seeds_per_n]))))
+        for k, n in enumerate(ns)
+    ]

@@ -62,9 +62,15 @@ class EnvironmentSpec:
         amps = np.stack((np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)), axis=-1)
         if amps.shape != (g.size, 2):
             raise ValueError(f"need one (alpha, beta) pair per coupling, got {amps.shape} for {g.size}")
-        # Python's complex abs and float ** 2 (libm pow, which differs from
-        # x * x in the last place for about 0.1% of values)
-        d = np.array([abs(a) ** 2 - abs(b) ** 2 for a, b in amps.tolist()], dtype=float)
+        # |alpha| and |beta| by libm hypot, as Python's complex abs computes
+        # them, with its OverflowError for a finite amplitude whose modulus
+        # overflows; then Python's float ** 2 (libm pow, which differs from
+        # x * x and from np.power in the last place for some values)
+        with np.errstate(all="ignore"):
+            moduli = np.hypot(amps.real, amps.imag)
+        if np.isinf(moduli[np.isfinite(amps)]).any():
+            raise OverflowError("absolute value too large")
+        d = np.array([a**2 - b**2 for a, b in moduli.tolist()], dtype=float)
         for array in (g, amps, d):
             array.flags.writeable = False
         self._g, self._amps, self._d = g, amps, d

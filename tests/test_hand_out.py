@@ -1,0 +1,197 @@
+"""Sweeps and ensembles hand whole seeds to the CPUs and keep their bits.
+
+``scaling_sweep`` and ``ensemble_statistics`` hand their ``(n, seed)`` items,
+one at a time, to the calling thread and the threads of ``einlab.analytic``'s
+pool (``analytic._hand_out``).  A report may depend neither on the worker
+count nor on the order the seeds were given in; an item that fails stops the
+hand-out and reaches the caller as it would on one worker; and nothing run on
+the pool splits its work again.
+"""
+
+import random
+import sys
+import threading
+import time
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import einlab.analytic as analytic
+import einlab.ensemble as ensemble
+from einlab import InvalidRangeError
+from einlab.ensemble import TimeGrid, ensemble_statistics, scaling_sweep
+
+from conftest import assert_golden_digests
+from test_abs_sq_block import GOLDEN
+
+WINDOW = TimeGrid(50.0, 60.0, 0.157)
+SHORT = TimeGrid(5.0, 6.0, 0.01)
+
+
+def reports(seeds):
+    """repr of a sweep and three ensembles (one with fewer seeds than most
+    worker counts below), run with the given ensemble seed order."""
+    return repr(
+        (
+            scaling_sweep((0, 3, 100, 700), 3, WINDOW),
+            ensemble_statistics(300, seeds, WINDOW),
+            ensemble_statistics(700, [s for s in seeds if s in (1, 2)], SHORT),
+            ensemble_statistics(40, (7,), SHORT),
+        )
+    )
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3, 5))
+def test_reports_do_not_depend_on_the_worker_count_or_seed_order(monkeypatch, workers):
+    seeds = [4, 9, 1, 7, 2, 11]
+    monkeypatch.setattr(analytic, "_WORKERS", 1)
+    expected = reports(sorted(seeds))
+    monkeypatch.setattr(analytic, "_WORKERS", workers)
+    random.Random(workers).shuffle(seeds)
+    # repr prints each float's shortest round trip, so equal text is equal bits
+    assert reports(seeds) == expected
+
+
+@pytest.mark.parametrize("workers", (1, 3, 5))
+def test_golden_digests_at_any_worker_count(monkeypatch, tmp_path, workers):
+    monkeypatch.setattr(analytic, "_WORKERS", workers)
+    assert_golden_digests(tmp_path, GOLDEN)
+
+
+def raised(call, workers):
+    """(type, message) of the exception ``call()`` raises with ``workers`` CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytic, "_WORKERS", workers)
+        with pytest.raises(Exception) as info:
+            call()
+    return info.type, str(info.value)
+
+
+def underflow_sweep():
+    with np.errstate(under="raise"):
+        scaling_sweep((2000,), 4, WINDOW)
+
+
+def underflow_ensemble():
+    with np.errstate(under="raise"):
+        ensemble_statistics(2000, (1, 2, 3), WINDOW)
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        (lambda: scaling_sweep((10, 20), 3, WINDOW, g_min=2.0, g_max=1.0), InvalidRangeError),
+        (lambda: ensemble_statistics(10, (1, 2, 3), WINDOW, g_min=-1.0), InvalidRangeError),
+        (underflow_sweep, FloatingPointError),
+        (underflow_ensemble, FloatingPointError),
+    ],
+)
+def test_an_error_is_the_same_at_one_and_two_workers(call, kind):
+    one = raised(call, 1)
+    assert one[0] is kind
+    assert raised(call, 2) == one
+    # the pool takes the next call as before
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytic, "_WORKERS", 1)
+        expected = repr(scaling_sweep((3, 300), 4, WINDOW))
+        patch.setattr(analytic, "_WORKERS", 2)
+        assert repr(scaling_sweep((3, 300), 4, WINDOW)) == expected
+
+
+class ItemFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["caller", "pool"])
+def test_handing_out_stops_after_a_failure(monkeypatch, failing):
+    # each worker holds its first item until the other has one; then one
+    # worker fails while the other is still inside its item
+    monkeypatch.setattr(analytic, "_WORKERS", 2)
+    build = ensemble.build_environment_random
+    main = threading.get_ident()
+    barrier = threading.Barrier(2, timeout=30)
+    failed = threading.Event()
+    started = []
+
+    def fail_on_one_side(n, seed, *args):
+        started.append(seed)
+        barrier.wait()
+        if (threading.get_ident() == main) == (failing == "caller"):
+            failed.set()
+            raise ItemFailed(failing)
+        failed.wait(30)
+        time.sleep(0.05)
+        return build(n, seed, *args)
+
+    monkeypatch.setattr(ensemble, "build_environment_random", fail_on_one_side)
+    with pytest.raises(ItemFailed, match=failing):
+        scaling_sweep((5, 6), 5, WINDOW)
+    # the other worker finished its item and took no further one
+    assert len(started) == 2
+    monkeypatch.setattr(ensemble, "build_environment_random", build)
+    expected = repr(scaling_sweep((5, 6), 5, WINDOW))
+    monkeypatch.setattr(analytic, "_WORKERS", 1)
+    assert repr(scaling_sweep((5, 6), 5, WINDOW)) == expected
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3, 4))
+@pytest.mark.parametrize("count", (0, 1, 2, 3, 7))
+def test_results_come_in_index_order(count, workers):
+    taken = []
+
+    def item(worker, i):
+        taken.append((worker, threading.get_ident()))
+        return i * i
+
+    assert analytic._hand_out(item, count, workers) == [i * i for i in range(count)]
+    assert all(0 <= worker < max(workers, 1) for worker, _ in taken)
+    if workers < 2 or count < workers:
+        # run in turn by worker 0 on the calling thread
+        assert taken == [(0, threading.get_ident())] * count
+
+
+def test_nothing_on_the_pool_hands_out_or_splits_again():
+    # a hand-out inside a hand-out runs inline instead of waiting on the pool
+    # threads it occupies; a kernel call there does not split either
+    env = ensemble.build_environment_random(700, 3)
+    times = SHORT.times()
+    serial = analytic._abs_sq_blocks(times, *analytic._abs_sq_factors(env))
+    outcome = {}
+
+    def outer(worker, i):
+        inner = analytic._hand_out(lambda w, j: (w, threading.get_ident()), 3, 2)
+        return inner, analytic._IN_FAN_OUT.get(), analytic.decoherence_abs_sq(env, times)
+
+    def run():
+        outcome["results"] = analytic._hand_out(outer, 4, 2)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(30)
+    assert not runner.is_alive()
+    for inner, marked, values in outcome["results"]:
+        assert marked and len({thread for _, thread in inner}) == 1
+        assert [w for w, _ in inner] == [0, 0, 0]
+        assert values.tobytes() == serial.tobytes()
+    assert analytic._IN_FAN_OUT.get() is False
+
+
+def test_every_item_is_taken_once_under_fast_thread_switches():
+    # more workers than the pool has threads, and a thread switch every 1 us
+    count, taken = 3000, Counter()
+    lock = threading.Lock()
+
+    def item(worker, i):
+        with lock:
+            taken[i] += 1
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = analytic._hand_out(item, count, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result == list(range(count))
+    assert taken == Counter(range(count))

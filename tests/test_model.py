@@ -215,6 +215,36 @@ class TestTypes:
         assert env.amplitudes().tolist() == [[1.0 + 0j, 0j], [INV_SQRT2 + 0j, 1j * INV_SQRT2]]
         assert env != EnvironmentSpec([0.3], [1.0], [0.0])
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (complex(1e-320, 0.0), complex(-0.0, -0.0)),
+            (complex(math.inf, 0.0), 0j),
+            (complex(math.nan, 1.0), complex(0.6, 0.8)),
+            (complex(math.inf, math.nan), 1j),
+            (complex(1e153, 1e153), 0j),
+        ],
+    )
+    def test_imbalance_of_extreme_amplitudes_matches_python_abs(self, alpha, beta):
+        # the moduli come from one np.hypot call; Python's complex abs is the reference
+        env = EnvironmentSpec([1.0], [alpha], [beta])
+        expected = abs(alpha) ** 2 - abs(beta) ** 2
+        assert repr(env.imbalances()[0]) == repr(np.float64(expected))
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            (complex(1.5e308, 1.5e308), 0j),  # |alpha| overflows, as in Python's abs
+            (0j, complex(1e308, 1e308)),  # |beta| is finite, |beta| ** 2 overflows
+            (complex(1e200, 0.0), 0j),
+        ],
+    )
+    def test_imbalance_overflow_raises_like_python_abs(self, alpha, beta):
+        with pytest.raises(OverflowError):
+            abs(alpha) ** 2 - abs(beta) ** 2
+        with np.errstate(all="raise"), pytest.raises(OverflowError):
+            EnvironmentSpec([1.0, 0.5], [1.0, alpha], [0.0, beta])
+
     def test_constructor_rejects_mismatched_lengths(self):
         for g, alpha, beta in (
             ([0.3, 0.7], [1.0], [0.0]),

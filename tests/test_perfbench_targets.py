@@ -3,7 +3,7 @@ would break ``perfbench/run.py --trace 1`` without failing any other test."""
 
 import importlib
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -20,46 +20,72 @@ def test_every_tracer_target_resolves(perfbench_metrics):
 
 def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
     # the tracer's model.* and analytic.abs_sq_* spans wrap these two names
-    # in einlab.ensemble: one build and one kernel call per (n, seed), on the
-    # calling thread, since the tracer's span stack assumes one thread, even
-    # when the kernel splits its grid across threads (n = 700 here)
+    # in einlab.ensemble.  Sweeps and ensembles hand their (n, seed) items to
+    # up to _WORKERS threads: each item is built once and evaluated once,
+    # build then kernel on one thread, and a kernel call inside a hand-out
+    # runs one unsplit slice on its own thread.  A one-seed ensemble runs on
+    # the calling thread and still splits its grid (n = 700 here).
     import einlab.analytic as analytic
     import einlab.ensemble as ensemble
 
-    calls, built, threads, slice_threads = [], [], set(), set()
-    build, kernel = ensemble.build_environment_random, ensemble.decoherence_abs_sq
-    blocks = analytic._abs_sq_blocks
+    workers = 2
+    build, kernel, blocks = (
+        ensemble.build_environment_random,
+        ensemble.decoherence_abs_sq,
+        analytic._abs_sq_blocks,
+    )
+    calls, slices, built = defaultdict(list), Counter(), {}
+    barrier = [None]  # each thread's first build waits here, so every worker takes an item
 
     def traced_build(n, seed, *args):
-        built.append(build(n, seed, *args))
-        calls.append(("build", n, seed))
-        threads.add(threading.get_ident())
-        return built[-1]
+        thread = threading.get_ident()
+        if barrier[0] is not None and thread not in calls:
+            barrier[0].wait()
+        built[thread] = build(n, seed, *args)
+        calls[thread].append(("build", n, seed))
+        return built[thread]
 
     def traced_kernel(env, times):
-        calls.append(("kernel", env is built[-1]))
-        threads.add(threading.get_ident())
+        thread = threading.get_ident()
+        calls[thread].append(("kernel", env is built.get(thread)))
         return kernel(env, times)
 
     def traced_blocks(*args):
-        slice_threads.add(threading.get_ident())
+        slices[threading.get_ident()] += 1
         return blocks(*args)
 
-    monkeypatch.setattr(analytic, "_WORKERS", 2)
+    def run(fn, *args, handed_out=True):
+        calls.clear()
+        slices.clear()
+        built.clear()
+        barrier[0] = threading.Barrier(workers, timeout=30) if handed_out else None
+        fn(*args)
+        return dict(calls), dict(slices)
+
+    def check_hand_out(per_thread, per_thread_slices, items):
+        assert Counter(c for seq in per_thread.values() for c in seq if c[0] == "build") == Counter(
+            ("build", n, seed) for n, seed in items
+        )
+        for sequence in per_thread.values():
+            assert [c[0] for c in sequence] == ["build", "kernel"] * (len(sequence) // 2)
+            assert sequence[1::2] == [("kernel", True)] * (len(sequence) // 2)
+        assert len(per_thread) == min(workers, len(items))
+        # one slice per kernel call, on the thread that made the call
+        assert per_thread_slices == {t: len(seq) // 2 for t, seq in per_thread.items()}
+
+    monkeypatch.setattr(analytic, "_WORKERS", workers)
     monkeypatch.setattr(analytic, "_abs_sq_blocks", traced_blocks)
     monkeypatch.setattr(ensemble, "build_environment_random", traced_build)
     monkeypatch.setattr(ensemble, "decoherence_abs_sq", traced_kernel)
     window = ensemble.TimeGrid(5.0, 6.0, 0.01)
-    ensemble.scaling_sweep((0, 3, 700), 2, window)
-    assert calls == [
-        call for n in (0, 3, 700) for seed in (1, 2) for call in (("build", n, seed), ("kernel", True))
-    ]
-    calls.clear()
-    ensemble.ensemble_statistics(700, (9, 2, 5), window)
-    assert calls == [call for seed in (2, 5, 9) for call in (("build", 700, seed), ("kernel", True))]
-    assert threads == {threading.get_ident()}
-    # the split did run: some slices ran off the calling thread
-    assert slice_threads - threads
+    per_thread, per_slice = run(ensemble.scaling_sweep, (0, 3, 700), 2, window)
+    check_hand_out(per_thread, per_slice, [(n, seed) for n in (0, 3, 700) for seed in (1, 2)])
+    per_thread, per_slice = run(ensemble.ensemble_statistics, 700, (9, 2, 5), window)
+    check_hand_out(per_thread, per_slice, [(700, seed) for seed in (2, 5, 9)])
+    # one seed, fewer items than workers: the calling thread splits the grid
+    per_thread, per_slice = run(ensemble.ensemble_statistics, 700, (4,), window, handed_out=False)
+    assert per_thread == {threading.get_ident(): [("build", 700, 4), ("kernel", True)]}
+    assert len(per_slice) == workers and per_slice[threading.get_ident()] == 1
 
 
 def test_verify_calls_the_oracle_through_module_attributes(monkeypatch, tmp_path):

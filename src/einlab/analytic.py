@@ -235,18 +235,20 @@ def _abs_sq_blocks(flat, g4, mean, swing) -> np.ndarray:
 # 1 + 2 ulp(1) = 1 + 4u with u = 2^-53.
 _TAIL_SLACK = 1.0 + 4e-16
 
-# Phase windows of decoherence_abs_sq_above (see _above_plan): the margin,
+# Phase windows of grid scans (see _above_plan and _window_index): the margin,
 # both in cos units and in radians; the largest |4 g t| and the smallest
-# swing (1 - d^2)/2 for which a spin's window is used; and how many of the
-# narrowest windows one call intersects.
+# swing (1 - d^2)/2 for which a spin's window is used; how many of the
+# narrowest windows one index range intersects; and the largest grid index
+# for which window edges are worked out.
 _WINDOW_MARGIN = 1e-7
 _WINDOW_PHASE_MAX = 2.0**20
 _WINDOW_SWING_MIN = 0.01
 _WINDOW_SPINS = 3
+_WINDOW_INDEX_MAX = 2**51
 
 
 class _AbovePlan(NamedTuple):
-    """What decoherence_abs_sq_above derives from the bath and the floor alone."""
+    """What a pruned |z|^2 evaluation derives from the bath and the floor alone."""
 
     spins: list[tuple[float, float, float]]  # (g4, mean, swing) as Python floats
     tail: list[float]  # tail[j] bounds the product of the factors of spins j..n-1
@@ -301,9 +303,19 @@ def _above_plan(env: EnvironmentSpec, floor_sq: float) -> _AbovePlan:
     # swing >= 0.01 the computed q below is within 1e-13 of that, and numpy's
     # cos within 1e-15 of the true cos of the computed angle fl(4 g t); the
     # cos margin covers both.  So the angle lies within acos(q - margin) of
-    # a multiple of 2 pi.  The radian margin covers the rest: fl(4 g t) is
-    # within 2^-33 of 4 g t for |4 g t| <= 2^20, acos within an ulp, and
-    # the window edges (2 pi m -+ w) / |4 g| within about 1e-9 rad.  Spins
+    # a multiple of 2 pi.  The radian margin covers the rest.  A grid scan
+    # (_window_index) evaluates t = T_k = fl(t0 + fl(dt * k)) with t0 >= 0
+    # and dt > 0: fl(4 g t) is within 2^-33 of 4 g t for |4 g t| <= 2^20,
+    # T_k within 2u T_k of t0 + dt k (2^-32 rad more), acos within an ulp,
+    # and the edge time e = fl(fl(fl(2 pi m) -+ w) / |4 g|) within about
+    # 1e-9 rad of (2 pi m -+ w) / |4 g|.  So every index k that can reach
+    # floor_sq lies between the exact x = (e - t0) / dt of window m's two
+    # edges.  The +-1 index padding covers computing x: fl(e - t0) and the
+    # division each err by at most u |x|, at most 1/4 for |x| <= 2^51, so
+    # ceil(x) - 1 and floor(x) + 1 still bound k.  An edge further out
+    # rounds no nearer (rounding is monotone), and indices past 2^51 get no
+    # window.  (Those index errors are also below 2^-31 rad of phase, so the
+    # radian margin alone would cover them too.)  Spins
     # whose window spans the whole turn, or whose swing or coupling is too
     # small for these bounds, get no window; a spin with |d_j| > 1 has a
     # negative swing and so never gets one.
@@ -321,49 +333,65 @@ def _above_plan(env: EnvironmentSpec, floor_sq: float) -> _AbovePlan:
     )
 
 
-def _window_points(times: np.ndarray, g4: float, width: float) -> np.ndarray:
-    """Ascending positions of the finite ascending ``times`` whose phase
-    ``g4 * t`` lies within ``width`` of a multiple of 2 pi (``g4 > 0``)."""
+def _window_index(
+    plan: _AbovePlan, t0: float, dt: float, first: int, stop: int
+) -> np.ndarray | None:
+    """Ascending indices k in [first, stop) of the grid t0 + k dt (t0 >= 0,
+    dt > 0) that lie in the phase windows of up to ``_WINDOW_SPINS`` spins
+    of ``plan``, or None where no window applies to the range.
+
+    Window m of a spin with |4 g| = a and half-width w holds the indices from
+    ceil(((2 pi m - w)/a - t0)/dt) - 1 to floor(((2 pi m + w)/a - t0)/dt) + 1
+    (see _above_plan for why this padding is enough).  Each spin's runs are
+    made disjoint, and one sorted sweep over all their edges keeps the
+    indices that every spin's runs cover, so the cost is O(runs + indices
+    kept), not O(stop - first).
+    """
+    if not (plan.window_g4.size and stop <= _WINDOW_INDEX_MAX):
+        return None
+    t_lo, t_hi = t0 + dt * first, t0 + dt * (stop - 1)
+    in_range = plan.window_g4 * t_hi <= _WINDOW_PHASE_MAX
     turn = 2.0 * math.pi
-    first = math.floor((g4 * times[0] - width) / turn)
-    last = math.ceil((g4 * times[-1] + width) / turn)
-    centres = turn * np.arange(first, last + 1)
-    lo = np.searchsorted(times, (centres - width) / g4, "left")
-    hi = np.searchsorted(times, (centres + width) / g4, "right")
-    # the run of window m is lo[m]..hi[m] - 1; start each run after the one
-    # before so that no point is listed twice
-    lo[1:] = np.maximum(lo[1:], hi[:-1])
-    lengths = np.maximum(hi - lo, 0)
-    ends = np.cumsum(lengths)
-    points = np.arange(ends[-1])  # added to in place: one temporary fewer
-    points += np.repeat(lo - (ends - lengths), lengths)
-    return points
-
-
-def _abs_sq_above(plan: _AbovePlan, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """decoherence_abs_sq_above on the 1-D float array ``times``."""
-    # positions in the caller's times of the points left; None while that
-    # is all of them, which saves a chunk-sized arange and its copies
-    index = None
-    if (
-        plan.window_g4.size
-        and times.size
-        and math.isfinite(times[0])
-        and math.isfinite(times[-1])
-        and np.all(times[1:] >= times[:-1])
+    opens, closes = [], []
+    for a, w in zip(
+        plan.window_g4[in_range][:_WINDOW_SPINS].tolist(),
+        plan.window_width[in_range][:_WINDOW_SPINS].tolist(),
     ):
-        # |t| is largest at an end of an ascending grid
-        in_range = plan.window_g4 * max(abs(times[0]), abs(times[-1])) <= _WINDOW_PHASE_MAX
-        for g4, width in zip(
-            plan.window_g4[in_range][:_WINDOW_SPINS].tolist(),
-            plan.window_width[in_range][:_WINDOW_SPINS].tolist(),
-        ):
-            if not times.size:
-                break
-            keep = _window_points(times, g4, width)
-            index, times = (keep if index is None else index[keep]), times[keep]
-    if index is None:
-        index = np.arange(times.size)
+        centres = turn * np.arange(
+            math.floor((a * t_lo - w) / turn), math.ceil((a * t_hi + w) / turn) + 1
+        )
+        if centres.size > stop - first:
+            continue  # more windows than points: the spin would drop little
+        lo = np.clip(np.ceil(((centres - w) / a - t0) / dt) - 1.0, first, stop).astype(np.int64)
+        hi = np.clip(np.floor(((centres + w) / a - t0) / dt) + 2.0, first, stop).astype(np.int64)
+        # run m is lo[m]..hi[m] - 1; start each run after the one before so
+        # that no index is in two runs of one spin
+        lo[1:] = np.maximum(lo[1:], hi[:-1])
+        run = lo < hi
+        opens.append(lo[run])
+        closes.append(hi[run])
+    if not opens:
+        return None
+    # a run opening at k is the edge 2 k + 1 and one closing at k is 2 k, so
+    # the sort puts a close before an open at the same index; the depth after
+    # an edge is the number of spins whose runs cover the indices up to the
+    # next edge
+    edges = np.concatenate([2 * np.concatenate(opens) + 1, 2 * np.concatenate(closes)])
+    edges.sort()
+    depth = np.cumsum(2 * (edges & 1) - 1)
+    covered = np.nonzero(depth == len(opens))[0]  # never the last edge, a close
+    lo, hi = edges[covered] >> 1, edges[covered + 1] >> 1
+    lengths = hi - lo
+    index = np.arange(lengths.sum())  # added to in place: one temporary fewer
+    index += np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+    return index
+
+
+def _tail_above(
+    plan: _AbovePlan, index: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The tail rule of decoherence_abs_sq_above on the 1-D ``times``, labelled
+    by ``index``: ``(index, values, times, spin_points)`` of the points kept."""
     values = np.ones(times.shape)
     spin_points = 0
     for j, (g4, mean, swing) in enumerate(plan.spins):
@@ -373,13 +401,13 @@ def _abs_sq_above(plan: _AbovePlan, times: np.ndarray) -> tuple[np.ndarray, np.n
         values = values * (mean + swing * np.cos(g4 * times))
         keep = np.nonzero(values * plan.tail[j + 1] >= plan.floor_sq)[0]
         index, values, times = index[keep], values[keep], times[keep]
-    return index, values, spin_points
+    return index, values, times, spin_points
 
 
 def decoherence_abs_sq_above(
     env: EnvironmentSpec, times: np.ndarray, floor_sq: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """|z|^2 on a 1-D time grid, dropping points that cannot reach ``floor_sq``.
+    """|z|^2 on a 1-D array of times, dropping points that cannot reach ``floor_sq``.
 
     Returns ``(index, values, spin_points)``: the ascending positions in
     ``times`` of the points kept, their |z|^2, and the number of per-spin
@@ -388,28 +416,24 @@ def decoherence_abs_sq_above(
     bit: spins are multiplied in the same order with the same expressions,
     each factor only onto the points still kept.
 
-    Two rules drop points.  The window rule comes first and evaluates no
-    cosine: as every other spin's factor is at most ``(1 + d_j^2)/2 +
-    |1 - d_j^2|/2``, a point can reach ``floor_sq`` only where
-    ``cos(4 g_k t) >= q_k`` for each spin k, that is where ``4 g_k t`` lies
-    within ``acos(q_k)`` (plus a margin) of a multiple of 2 pi.  Up to three
-    spins with the narrowest such windows are turned into runs of grid
-    points with ``np.searchsorted``, and only points inside every run go on.
-    The rule is skipped for times that are not finite and ascending, and for
-    spins with ``|4 g t| > 2^20`` or ``(1 - d^2)/2 < 0.01``.  The tail rule
-    then evaluates the spins in order and drops a point once its partial
-    product times a bound on the spins still to come is below ``floor_sq``.
-    Neither rule drops a finite point when ``floor_sq`` is below the
+    The tail rule drops points: the spins are evaluated in order, and a
+    point is dropped once its partial product times a bound on the spins
+    still to come, each at most ``(1 + d_j^2)/2 + |1 - d_j^2|/2``, is below
+    ``floor_sq``.  It drops no finite point when ``floor_sq`` is below the
     smallest normal number, scaled up by the factors above 1 that spins with
-    ``|d_j| > 1`` allow.  ``spin_points`` counts the factors the tail rule
-    evaluates, not the window arithmetic.
+    ``|d_j| > 1`` allow.  Any array of times is taken, in any order and with
+    non-finite entries.  Grid scans (:func:`~einlab.ensemble.recurrence_search`)
+    first drop points by phase windows as well, which need a uniform grid.
 
     Raises ValueError if ``times`` is not 1-D.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
-    return _abs_sq_above(_above_plan(env, floor_sq), times)
+    index, values, _, spin_points = _tail_above(
+        _above_plan(env, floor_sq), np.arange(times.size), times
+    )
+    return index, values, spin_points
 
 
 def decoherence_factor(env: EnvironmentSpec, t: float) -> complex:

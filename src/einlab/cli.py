@@ -377,8 +377,8 @@ def _run_recurrence(config: RunConfig) -> _Result:
             f"recurrence: no |z| >= {config.threshold} in ({grid.t_start}, {grid.t_end}]"
         )
     summary += (
-        f" (spin_points={report.spin_points} of n*scanned_points="
-        f"{env.n * report.scanned_points})"
+        f" (window_points={report.window_points} spin_points={report.spin_points}"
+        f" of n*scanned_points={env.n * report.scanned_points})"
     )
     return lines, summary, True
 

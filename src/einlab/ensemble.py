@@ -21,21 +21,26 @@ import numpy as np
 from . import analytic
 from .analytic import (
     _above_plan,
-    _abs_sq_above,
     _hand_out,
+    _tail_above,
+    _window_index,
     decoherence_abs_sq,
     ergodic_prediction,
 )
 from .errors import InvalidRangeError, NoDecayError
 from .model import EnvironmentSpec, build_environment_random
 
-# Grid points per chunk of the decay_time and recurrence_search scans; both
-# stop at the first chunk with a hit.  recurrence_search compacts its
-# survivors after every spin, so each chunk allocates fresh arrays of
-# shrinking size.  With 1 << 18 points per chunk these took the benchmark's
-# scan peak RSS from 49.8 MB (unpruned) to 54.0 MB; with 1 << 15 it falls to
-# 44.2 MB.
+# Grid points per chunk of decay_time, and the unit of recurrence_search's
+# index ranges; both scans stop at the first chunk or range with a hit.
+# recurrence_search compacts its survivors after every spin, so each range
+# allocates fresh arrays of shrinking size.  With 1 << 18 points per chunk
+# these took the benchmark's scan peak RSS from 49.8 MB (unpruned) to
+# 54.0 MB; with 1 << 15 it falls to 44.2 MB.  A range starts at _SCAN_CHUNK
+# points and doubles, up to _SCAN_RANGE_MAX, after each range without a hit
+# whose phase windows kept at most half a chunk's points; a range without
+# windows is one chunk.
 _SCAN_CHUNK = 1 << 15
+_SCAN_RANGE_MAX = 1 << 20
 
 QUANTILE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -69,19 +74,17 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.steps() + 1)
 
-    def chunks(self, size: int, first_step: int = 0):
-        """Yield the grid's times in arrays of at most ``size`` points, from
-        step index ``first_step`` on; each point equals its :meth:`times` value.
+    def chunks(self, size: int):
+        """Yield the grid's times in arrays of at most ``size`` points; each
+        point equals its :meth:`times` value.
 
         Raises :class:`InvalidRangeError`, before yielding anything, if
-        ``size < 1`` or ``first_step < 0``.
+        ``size < 1``.
         """
         if size < 1:
             raise InvalidRangeError(f"chunk size must be at least 1, got {size}")
-        if first_step < 0:
-            raise InvalidRangeError(f"first step must be non-negative, got {first_step}")
         last = self.steps()
-        k = first_step
+        k = 0
         while k <= last:
             stop = min(k + size, last + 1)
             yield self.t_start + self.dt * np.arange(k, stop)
@@ -95,8 +98,12 @@ class RecurrenceReport:
     scanned_points: int
     # per-spin factors actually evaluated (the phase-window arithmetic that
     # drops points before any factor is not counted); at most
-    # n * (points of the chunks scanned)
+    # n * (points of the index ranges scanned)
     spin_points: int = 0
+    # grid points the phase windows passed on to the spin-by-spin rule (every
+    # point of a range without windows); at most spin_points when n >= 1.
+    # A range's points past a hit count too, so this can exceed scanned_points.
+    window_points: int = 0
 
 
 @dataclass(frozen=True)
@@ -143,29 +150,54 @@ def recurrence_search(env: EnvironmentSpec, threshold: float, grid: TimeGrid) ->
 
     ``t_start`` must be positive so the trivial z(0) = 1 is skipped.  Grid
     points whose |z| cannot reach the threshold are dropped, first by the
-    spins' phase windows and then spin by spin (see
-    :func:`~einlab.analytic.decoherence_abs_sq_above`, whose bounds and
-    windows are worked out once per scan); ``scanned_points`` still counts
-    the grid points covered, and ``spin_points`` the per-spin factors
-    actually evaluated.
+    spins' phase windows, worked out in grid-index space so that only the
+    points inside them are touched, and then spin by spin by the tail rule
+    of :func:`~einlab.analytic.decoherence_abs_sq_above`; the bounds and
+    windows are worked out once per scan.  ``scanned_points`` still counts
+    the grid points covered, ``window_points`` the points the windows passed
+    on and ``spin_points`` the per-spin factors actually evaluated.
     """
     if not (0.0 < threshold <= 1.0):
         raise InvalidRangeError(f"threshold must lie in (0, 1], got {threshold}")
     if not (grid.t_start > 0.0):
         raise InvalidRangeError(f"recurrence scan needs t_start > 0, got {grid.t_start}")
     thr_sq = threshold * threshold
-    plan = _above_plan(env, thr_sq)
-    scanned = 0
-    spin_points = 0
-    for times in grid.chunks(_SCAN_CHUNK, first_step=1):
-        index, vals, evaluated = _abs_sq_above(plan, times)
+    spin_points = window_points = 0
+    for index, vals, times, evaluated, passed in _scan_ranges(_above_plan(env, thr_sq), grid):
         spin_points += evaluated
-        hits = index[vals >= thr_sq]
+        window_points += passed
+        hits = np.nonzero(vals >= thr_sq)[0]
         if hits.size:
-            scanned += int(hits[0]) + 1
-            return RecurrenceReport(threshold, float(times[hits[0]]), scanned, spin_points)
-        scanned += times.size
-    return RecurrenceReport(threshold, None, scanned, spin_points)
+            # grid index k is the k-th point of (t_start, t_end]
+            return RecurrenceReport(
+                threshold, float(times[hits[0]]), int(index[hits[0]]), spin_points, window_points
+            )
+    return RecurrenceReport(threshold, None, grid.steps(), spin_points, window_points)
+
+
+def _scan_ranges(plan, grid: TimeGrid):
+    """Yield ``(index, values, times, spin_points, window_points)`` for each
+    index range of ``grid`` from step 1 on: the grid indices of the points
+    left after the phase windows and the tail rule of ``plan``, their |z|^2
+    and times, the factors evaluated and the points the windows passed on.
+
+    Only the indices inside the windows are materialised, and each time is
+    ``t_start + dt * k``, the bits of ``grid.times()[k]``.  Ranges grow as
+    the comment on ``_SCAN_CHUNK`` says, as long as the caller asks for more.
+    """
+    last = grid.steps()
+    first, size = 1, _SCAN_CHUNK
+    while first <= last:
+        stop = min(first + size, last + 1)
+        index = _window_index(plan, grid.t_start, grid.dt, first, stop)
+        if index is None:
+            stop = min(first + _SCAN_CHUNK, last + 1)
+            index = np.arange(first, stop)
+        passed = index.size
+        yield *_tail_above(plan, index, grid.t_start + grid.dt * index), passed
+        if 2 * passed <= _SCAN_CHUNK:
+            size = min(2 * size, _SCAN_RANGE_MAX)
+        first = stop
 
 
 def ensemble_statistics(

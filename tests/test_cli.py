@@ -386,9 +386,15 @@ class TestMainEntry:
         assert main([str(config), "--output", str(quiet), "--quiet"]) == 0
         assert main([str(config), "--output", str(loud)]) == 0
         line = capsys.readouterr().out
-        match = re.search(r"spin_points=(\d+) of n\*scanned_points=(\d+)", line)
+        match = re.search(
+            r"window_points=(\d+) spin_points=(\d+) of n\*scanned_points=(\d+)", line
+        )
         assert match, line
-        assert 0 < int(match.group(1)) < int(match.group(2)) == 20 * 19900
+        window_points, spin_points, most = map(int, match.groups())
+        assert 0 < spin_points < most == 20 * 19900
+        # the grid has 19900 steps; a range's window survivors past a hit
+        # count too, so scanned_points is no bound
+        assert 0 < window_points <= spin_points and window_points <= 19900
         assert loud.read_bytes() == quiet.read_bytes()
 
     def test_verify_summary_names_worst_case(self, tmp_path, capsys):

@@ -1,18 +1,21 @@
 """Pruned recurrence scans against the plain |z|^2 kernel.
 
-``decoherence_abs_sq_above`` may drop a grid point only when its |z|^2 is
-below the floor, and must give every point it keeps the exact bits of
-``decoherence_abs_sq``.  ``recurrence_search`` must report what a plain scan
-of ``decoherence_abs_sq`` over the whole grid reports, and the recurrence
-CSV must not change by a byte.
+``decoherence_abs_sq_above`` (the tail rule, on any array of times) and the
+grid path of ``recurrence_search`` (phase windows in grid-index space, then
+the tail rule) may drop a grid point only when its |z|^2 is below the floor,
+and must give every point they keep the exact bits of ``decoherence_abs_sq``.
+``recurrence_search`` must report what a plain scan of
+``decoherence_abs_sq`` over the whole grid reports, in bounded memory, and
+the recurrence CSV must not change by a byte.
 """
 
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import einlab.ensemble as ensemble
@@ -28,6 +31,7 @@ from einlab import (
     recurrence_search,
     validate,
 )
+from einlab.analytic import _WINDOW_PHASE_MAX, _above_plan
 from einlab.model import NORM_TOL
 
 from conftest import assert_golden_digests
@@ -98,12 +102,9 @@ baths = st.tuples(
 )
 
 
-def arrange(env, t_start, dt, size, layout, where):
-    """Grid times t_start + k dt, laid out as ``layout`` says: ascending; one
-    point moved (so not ascending) or made NaN or +-inf at ``where``; or
-    shifted so that |4 g t| of the fastest spin crosses 2^20 inside the grid."""
-    if layout == "phase limit" and env.n:
-        t_start = 2.0**20 / float(np.max(4.0 * env.couplings())) - dt * (where % size)
+def arrange(t_start, dt, size, layout, where):
+    """Grid times t_start + k dt, laid out as ``layout`` says: ascending, or
+    with one point moved (so not ascending) or made NaN or +-inf at ``where``."""
     times = t_start + dt * np.arange(size)
     if layout == "unsorted" and size > 1:
         times = np.roll(times, 1 + where % (size - 1))
@@ -118,7 +119,7 @@ def arrange(env, t_start, dt, size, layout, where):
     t_start=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0)),
     dt=st.floats(min_value=1e-3, max_value=0.5),
     size=st.integers(min_value=1, max_value=400),
-    layout=st.sampled_from(["ascending", "ascending", "unsorted", "nan", "inf", "-inf", "phase limit"]),
+    layout=st.sampled_from(["ascending", "ascending", "unsorted", "nan", "inf", "-inf"]),
     where=st.integers(min_value=0, max_value=399),
     floor=st.one_of(
         st.just(1.0),
@@ -131,16 +132,17 @@ def arrange(env, t_start, dt, size, layout, where):
 @example(bath=("balanced", 24, 0, 0.5), t_start=0.0, dt=0.1, size=100, layout="ascending", where=0, floor=1.0)
 @example(bath=("random", 0, 0, 1.0), t_start=3.0, dt=0.1, size=10, layout="ascending", where=0, floor=1.0)
 @example(bath=("mixed", 5, 3, 1.0), t_start=0.0, dt=0.01, size=400, layout="ascending", where=0, floor="largest")
-@example(bath=("random", 3, 9, 2.0), t_start=0.0, dt=0.5, size=400, layout="phase limit", where=200, floor="largest")
 @example(bath=OVERNORMED, t_start=0.0, dt=0.001, size=2000001, layout="ascending", where=0, floor=1.0)
 @example(bath=CLIMB, t_start=1.0, dt=0.1, size=1, layout="ascending", where=0, floor=0)
 def test_kernel_keeps_reachable_points_bit_for_bit(bath, t_start, dt, size, layout, where, floor):
+    # the tail-rule contract of the public kernel, which takes any array of
+    # times: out of order, NaN and +-inf included
     env = bath if isinstance(bath, EnvironmentSpec) else make_env(*bath)
-    times = arrange(env, t_start, dt, size, layout, where)
+    times = arrange(t_start, dt, size, layout, where)
     with np.errstate(invalid="ignore"):  # cos(+-inf)
         reference = decoherence_abs_sq(env, times)
     # a floor taken from the plain kernel tests the boundary, and its largest
-    # value gives the narrowest phase windows
+    # value prunes hardest
     finite = reference[np.isfinite(reference)]
     if floor == "largest":
         floor_sq = float(np.max(finite, initial=1.0))
@@ -171,6 +173,68 @@ def test_kernel_counts_every_factor_when_nothing_is_dropped():
     assert index.tolist() == list(range(101))
     assert np.all(values == 1.0)
     assert spin_points == 7 * 101
+
+
+def test_kernel_applies_no_phase_window():
+    # the seed-7 golden bath at its scan threshold, whose phase windows pass
+    # about 3% of a grid: on a plain array every point still gets spin 0's
+    # factor, as only the tail rule drops points there
+    env = build_environment_random(20, 7, 0.05, 1.0)
+    times = TimeGrid(1.0, 100.0, 0.01).times()
+    index, values, spin_points = decoherence_abs_sq_above(env, times, 0.81)
+    assert spin_points >= times.size
+    reference = decoherence_abs_sq(env, times)
+    assert values.tobytes() == reference[index].tobytes()
+    assert np.all(np.isin(np.nonzero(reference >= 0.81)[0], index))
+
+
+def grid_scan(env, floor_sq, grid):
+    """(index, values, times, spin_points, window_points) of recurrence_search's
+    grid path over every index range of ``grid``, joined."""
+    ranges = list(ensemble._scan_ranges(_above_plan(env, floor_sq), grid))
+    index, values, times = (np.concatenate([r[i] for r in ranges]) for i in range(3))
+    return index, values, times, sum(r[3] for r in ranges), sum(r[4] for r in ranges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bath=baths,
+    # log-uniform, so that most grids stay inside |4 g t| <= 2^20
+    t_start=st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0**e),
+    dt=st.floats(min_value=-6.0, max_value=0.0).map(lambda e: 10.0**e),
+    steps=st.integers(min_value=1, max_value=200_000),
+    # floors are the kernel's values by rank from the top, 0 the largest:
+    # small ranks give the narrowest windows, with reachable points on edges
+    rank=st.integers(min_value=0, max_value=200_000),
+    cross=st.one_of(st.none(), st.integers(min_value=0, max_value=200_000)),
+    chunk=st.sampled_from([1024, ensemble._SCAN_CHUNK]),
+)
+# |4 g t| of the fastest spin crosses 2^20 inside one index range
+@example(bath=("random", 3, 9, 2.0), t_start=1.0, dt=0.5, steps=400, rank=0, cross=200, chunk=1024)
+@example(bath=("mixed", 5, 3, 1.0), t_start=1.0, dt=0.01, steps=60000, rank=0, cross=30000, chunk=ensemble._SCAN_CHUNK)
+@example(bath=("random", 20, 7, 1.0), t_start=1.0, dt=1e-3, steps=100000, rank=5, cross=70000, chunk=1024)
+# narrow windows a few grid points wide, and windows much narrower than a step
+@example(bath=("random", 20, 7, 1.0), t_start=1.0, dt=0.01, steps=200000, rank=0, cross=None, chunk=ensemble._SCAN_CHUNK)
+@example(bath=("balanced", 24, 0, 0.5), t_start=1e3, dt=0.7, steps=5000, rank=0, cross=None, chunk=1024)
+@example(bath=("random", 0, 0, 1.0), t_start=3.0, dt=0.1, steps=10, rank=0, cross=None, chunk=1024)
+def test_grid_scan_keeps_reachable_points_bit_for_bit(bath, t_start, dt, steps, rank, cross, chunk):
+    env = make_env(*bath)
+    if cross is not None and env.n:
+        t_start = _WINDOW_PHASE_MAX / float(np.max(4.0 * np.abs(env.couplings()))) - dt * (cross % steps)
+        assume(t_start > 0.0)
+    grid = TimeGrid(t_start, t_start + dt * (steps + 0.5), dt)
+    times = grid.times()
+    # the scan covers grid indices 1..steps
+    reference = decoherence_abs_sq(env, times)
+    floor_sq = float(np.sort(reference[1:])[-1 - rank % steps])
+    with mock.patch.object(ensemble, "_SCAN_CHUNK", chunk):
+        index, values, kept_times, spin_points, window_points = grid_scan(env, floor_sq, grid)
+    assert np.all(np.diff(index) > 0) and (not index.size or index[0] >= 1)
+    assert values.tobytes() == reference[index].tobytes()
+    assert kept_times.tobytes() == times[index].tobytes()
+    assert np.all(np.isin(np.nonzero(reference[1:] >= floor_sq)[0] + 1, index))
+    assert index.size <= window_points <= steps
+    assert spin_points <= env.n * window_points
 
 
 @settings(max_examples=80, deadline=None)
@@ -242,3 +306,36 @@ def test_phase_windows_prune_the_golden_scan():
     report = recurrence_search(env, 0.9, TimeGrid(1.0, 10000.0, 0.01))
     assert report.found is None and report.scanned_points == 999900
     assert report.spin_points <= 0.25 * report.scanned_points
+    assert 0 < report.window_points <= report.spin_points
+
+
+def traced_peak(env, threshold, grid):
+    """(report, peak bytes traced by tracemalloc) of one recurrence_search."""
+    tracemalloc.start()
+    try:
+        report = recurrence_search(env, threshold, grid)
+        return report, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("bath", ["windowless", "golden", "wide"])
+def test_recurrence_search_memory_stays_within_a_few_chunks(bath):
+    # index ranges grow only where phase windows keep few points; a range
+    # without windows stays one chunk.  With 2^18-point chunks the
+    # benchmark's scan peak RSS rose from 44.2 to 54.0 MB.  The "wide" scan
+    # keeps about a fifth of its points: ranges of 2^20 points would take
+    # its peak to about 20 chunks.
+    if bath == "windowless":
+        # every swing (1 - d^2)/2 is 0.00995 < 0.01, so no spin has a window
+        couplings = build_environment_random(20, 3, 0.05, 1.0).couplings()
+        env = EnvironmentSpec(couplings, [0.995**0.5] * 20, [0.005**0.5] * 20)
+        grid = TimeGrid(0.01, 0.01 * (2**21 + 0.5), 0.01)
+        threshold = 1.0
+    else:
+        env = build_environment_random(20, 7, 0.05, 1.0)
+        grid = TimeGrid(1.0, 10000.0, 0.01)
+        threshold = 0.9 if bath == "golden" else 0.6
+    report, peak = traced_peak(env, threshold, grid)
+    assert report.found is None and report.scanned_points == grid.steps()
+    assert peak < 8 * ensemble._SCAN_CHUNK * 8

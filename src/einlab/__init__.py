@@ -22,13 +22,11 @@ from .analytic import (
     branch_overlap,
     coherence_in_basis,
     decoherence_abs_sq,
-    decoherence_abs_sq_above,
     decoherence_factor,
     decoherence_series,
     ergodic_prediction,
     reduced_density_matrix,
     state_metrics,
-    time_averaged_coherence_sq,
     trace_columns,
 )
 from .ensemble import (
@@ -98,7 +96,6 @@ __all__ = [
     "crosscheck_buffers",
     "decay_time",
     "decoherence_abs_sq",
-    "decoherence_abs_sq_above",
     "decoherence_factor",
     "decoherence_series",
     "ensemble_statistics",
@@ -109,7 +106,6 @@ __all__ = [
     "reduced_density_matrix",
     "scaling_sweep",
     "state_metrics",
-    "time_averaged_coherence_sq",
     "trace_columns",
     "validate",
 ]

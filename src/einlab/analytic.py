@@ -44,7 +44,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import NamedTuple
 
 import numpy as np
 
@@ -175,8 +174,10 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
 
         |z|^2 = prod_j [(1 + d_j^2)/2 + (1 - d_j^2)/2 * cos(4 g_j t)].
 
-    Half the trigonometric work of :func:`decoherence_series`; used by the
-    grid scans, ensembles and sweeps.
+    Half the trigonometric work of :func:`decoherence_series`; used by
+    decay-time scans, ensembles and sweeps.  Recurrence scans apply the same
+    per-spin factors through their own pruned loop
+    (:func:`~einlab.ensemble.recurrence_search`).
 
     Large calls use every CPU in the process's affinity mask (``taskset -c 0``
     keeps them on one): the flattened grid is cut into one contiguous slice
@@ -229,211 +230,6 @@ def _abs_sq_blocks(flat, g4, mean, swing) -> np.ndarray:
         rows += mean[start:stop, None]
         out = np.multiply.reduce(block, axis=0)
     return out
-
-
-# Per-spin slack on the bounds of decoherence_abs_sq_above; it rounds to
-# 1 + 2 ulp(1) = 1 + 4u with u = 2^-53.
-_TAIL_SLACK = 1.0 + 4e-16
-
-# Phase windows of grid scans (see _above_plan and _window_index): the margin,
-# both in cos units and in radians; the largest |4 g t| and the smallest
-# swing (1 - d^2)/2 for which a spin's window is used; how many of the
-# narrowest windows one index range intersects; and the largest grid index
-# for which window edges are worked out.
-_WINDOW_MARGIN = 1e-7
-_WINDOW_PHASE_MAX = 2.0**20
-_WINDOW_SWING_MIN = 0.01
-_WINDOW_SPINS = 3
-_WINDOW_INDEX_MAX = 2**51
-
-
-class _AbovePlan(NamedTuple):
-    """What a pruned |z|^2 evaluation derives from the bath and the floor alone."""
-
-    spins: list[tuple[float, float, float]]  # (g4, mean, swing) as Python floats
-    tail: list[float]  # tail[j] bounds the product of the factors of spins j..n-1
-    floor_sq: float  # 0.0 for a floor that is not a normal number
-    window_g4: np.ndarray  # |4 g| of the spins with a phase window, narrowest first
-    window_width: np.ndarray  # their half-widths in radians
-
-
-def _above_plan(env: EnvironmentSpec, floor_sq: float) -> _AbovePlan:
-    """The tail bounds and phase windows of ``env`` for ``floor_sq``."""
-    g4, mean, swing = _abs_sq_factors(env)
-    # Python floats with the bits of decoherence_abs_sq's factor arrays
-    spins = list(zip(g4.tolist(), mean.tolist(), swing.tolist()))
-    # Why pruning is safe.  A computed factor mean + swing*cos lies in
-    # [0, top_j], top_j = mean_j + |swing_j| as computed here: |cos| <= 1,
-    # mean_j >= |swing_j| and rounding is monotone.  top_j <= 1 when
-    # |d_j| <= 1, since fl(1 + d^2) + fl(1 - d^2) is within 1.5u of 2 and
-    # rounds to at most 2.  validate() accepts a spin whose norm is up to
-    # NORM_TOL above 1; then d_j^2 > 1, swing_j < 0 and top_j is about d_j^2.
-    # While products stay normal, each rounds up by at most a factor
-    # 1/(1 - u), and each bound step below grows by at least
-    # (1 + 4u)(1 - u)^2 >= 1/(1 - u), so a point with partial product P after
-    # spin j ends at most at P * tail[j + 1].  A product that turns subnormal
-    # is below tiny.  A later factor of at most 1 never raises it (monotone
-    # rounding), and a factor above 1, at most top_j, raises a bound b >= 1
-    # on product / tiny to at most b * top_j * (1 + u): a normal product
-    # rounds up by at most 1 + u, a subnormal one to at most tiny.  climb
-    # multiplies the top_j > 1 with a slack of at least 1 + u each, so such
-    # a product ends below tiny * climb, and a floor_sq below that prunes
-    # nothing; climb is 1 unless some |d_j| > 1.  Every tail is >= 1
-    # (top_j >= 1 - u), so a point whose partial products stay exactly 1, as
-    # under eigenstate spins, survives floor_sq = 1.
-    tops = [mean + abs(swing) for _, mean, swing in spins]
-    tail = [1.0]
-    for top in reversed(tops):
-        tail.append(tail[-1] * top * _TAIL_SLACK)
-    tail.reverse()
-    climb = 1.0
-    for top in tops:
-        if top > 1.0:
-            climb *= top * _TAIL_SLACK
-    none = np.empty(0)
-    # tiny * climb is exact: tiny is a power of two
-    if not floor_sq >= np.finfo(float).tiny * climb:
-        return _AbovePlan(spins, tail, 0.0, none, none)
-    # Why the phase windows are safe.  The same argument bounds the final
-    # product by f_k * B_k for every spin k, with B_k = head[k] * tail[k + 1]
-    # * _TAIL_SLACK >= (1 + u)^n prod_{j != k} top_j (the last slack pays for
-    # joining the two partial bounds).  So a point can reach floor_sq only if
-    # f_k >= F = floor_sq / B_k, and as f_k = fl(mean + fl(swing * c)) with
-    # c the computed cos, only if c >= (F / (1 + u) - mean) / swing - u.  For
-    # swing >= 0.01 the computed q below is within 1e-13 of that, and numpy's
-    # cos within 1e-15 of the true cos of the computed angle fl(4 g t); the
-    # cos margin covers both.  So the angle lies within acos(q - margin) of
-    # a multiple of 2 pi.  The radian margin covers the rest.  A grid scan
-    # (_window_index) evaluates t = T_k = fl(t0 + fl(dt * k)) with t0 >= 0
-    # and dt > 0: fl(4 g t) is within 2^-33 of 4 g t for |4 g t| <= 2^20,
-    # T_k within 2u T_k of t0 + dt k (2^-32 rad more), acos within an ulp,
-    # and the edge time e = fl(fl(fl(2 pi m) -+ w) / |4 g|) within about
-    # 1e-9 rad of (2 pi m -+ w) / |4 g|.  So every index k that can reach
-    # floor_sq lies between the exact x = (e - t0) / dt of window m's two
-    # edges.  The +-1 index padding covers computing x: fl(e - t0) and the
-    # division each err by at most u |x|, at most 1/4 for |x| <= 2^51, so
-    # ceil(x) - 1 and floor(x) + 1 still bound k.  An edge further out
-    # rounds no nearer (rounding is monotone), and indices past 2^51 get no
-    # window.  (Those index errors are also below 2^-31 rad of phase, so the
-    # radian margin alone would cover them too.)  Spins
-    # whose window spans the whole turn, or whose swing or coupling is too
-    # small for these bounds, get no window; a spin with |d_j| > 1 has a
-    # negative swing and so never gets one.
-    head = [1.0]
-    for top in tops:
-        head.append(head[-1] * top * _TAIL_SLACK)
-    fit = (swing >= _WINDOW_SWING_MIN) & (np.abs(g4) >= np.finfo(float).tiny)
-    bound = np.array([head[k] * tail[k + 1] for k in range(env.n)])[fit] * _TAIL_SLACK
-    q = (floor_sq / bound - mean[fit]) / swing[fit]
-    width = np.arccos(np.clip(q - _WINDOW_MARGIN, -1.0, 1.0)) + _WINDOW_MARGIN
-    usable = width < np.pi
-    order = np.argsort(width[usable], kind="stable")
-    return _AbovePlan(
-        spins, tail, floor_sq, np.abs(g4[fit][usable])[order], width[usable][order]
-    )
-
-
-def _window_index(
-    plan: _AbovePlan, t0: float, dt: float, first: int, stop: int
-) -> np.ndarray | None:
-    """Ascending indices k in [first, stop) of the grid t0 + k dt (t0 >= 0,
-    dt > 0) that lie in the phase windows of up to ``_WINDOW_SPINS`` spins
-    of ``plan``, or None where no window applies to the range.
-
-    Window m of a spin with |4 g| = a and half-width w holds the indices from
-    ceil(((2 pi m - w)/a - t0)/dt) - 1 to floor(((2 pi m + w)/a - t0)/dt) + 1
-    (see _above_plan for why this padding is enough).  Each spin's runs are
-    made disjoint, and one sorted sweep over all their edges keeps the
-    indices that every spin's runs cover, so the cost is O(runs + indices
-    kept), not O(stop - first).
-    """
-    if not (plan.window_g4.size and stop <= _WINDOW_INDEX_MAX):
-        return None
-    t_lo, t_hi = t0 + dt * first, t0 + dt * (stop - 1)
-    in_range = plan.window_g4 * t_hi <= _WINDOW_PHASE_MAX
-    turn = 2.0 * math.pi
-    opens, closes = [], []
-    for a, w in zip(
-        plan.window_g4[in_range][:_WINDOW_SPINS].tolist(),
-        plan.window_width[in_range][:_WINDOW_SPINS].tolist(),
-    ):
-        centres = turn * np.arange(
-            math.floor((a * t_lo - w) / turn), math.ceil((a * t_hi + w) / turn) + 1
-        )
-        if centres.size > stop - first:
-            continue  # more windows than points: the spin would drop little
-        lo = np.clip(np.ceil(((centres - w) / a - t0) / dt) - 1.0, first, stop).astype(np.int64)
-        hi = np.clip(np.floor(((centres + w) / a - t0) / dt) + 2.0, first, stop).astype(np.int64)
-        # run m is lo[m]..hi[m] - 1; start each run after the one before so
-        # that no index is in two runs of one spin
-        lo[1:] = np.maximum(lo[1:], hi[:-1])
-        run = lo < hi
-        opens.append(lo[run])
-        closes.append(hi[run])
-    if not opens:
-        return None
-    # a run opening at k is the edge 2 k + 1 and one closing at k is 2 k, so
-    # the sort puts a close before an open at the same index; the depth after
-    # an edge is the number of spins whose runs cover the indices up to the
-    # next edge
-    edges = np.concatenate([2 * np.concatenate(opens) + 1, 2 * np.concatenate(closes)])
-    edges.sort()
-    depth = np.cumsum(2 * (edges & 1) - 1)
-    covered = np.nonzero(depth == len(opens))[0]  # never the last edge, a close
-    lo, hi = edges[covered] >> 1, edges[covered + 1] >> 1
-    lengths = hi - lo
-    index = np.arange(lengths.sum())  # added to in place: one temporary fewer
-    index += np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
-    return index
-
-
-def _tail_above(
-    plan: _AbovePlan, index: np.ndarray, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The tail rule of decoherence_abs_sq_above on the 1-D ``times``, labelled
-    by ``index``: ``(index, values, times, spin_points)`` of the points kept."""
-    values = np.ones(times.shape)
-    spin_points = 0
-    for j, (g4, mean, swing) in enumerate(plan.spins):
-        if not index.size:
-            break
-        spin_points += index.size
-        values = values * (mean + swing * np.cos(g4 * times))
-        keep = np.nonzero(values * plan.tail[j + 1] >= plan.floor_sq)[0]
-        index, values, times = index[keep], values[keep], times[keep]
-    return index, values, times, spin_points
-
-
-def decoherence_abs_sq_above(
-    env: EnvironmentSpec, times: np.ndarray, floor_sq: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """|z|^2 on a 1-D array of times, dropping points that cannot reach ``floor_sq``.
-
-    Returns ``(index, values, spin_points)``: the ascending positions in
-    ``times`` of the points kept, their |z|^2, and the number of per-spin
-    factors evaluated.  Every point with ``decoherence_abs_sq >= floor_sq``
-    is kept, and every kept value equals :func:`decoherence_abs_sq` to the
-    bit: spins are multiplied in the same order with the same expressions,
-    each factor only onto the points still kept.
-
-    The tail rule drops points: the spins are evaluated in order, and a
-    point is dropped once its partial product times a bound on the spins
-    still to come, each at most ``(1 + d_j^2)/2 + |1 - d_j^2|/2``, is below
-    ``floor_sq``.  It drops no finite point when ``floor_sq`` is below the
-    smallest normal number, scaled up by the factors above 1 that spins with
-    ``|d_j| > 1`` allow.  Any array of times is taken, in any order and with
-    non-finite entries.  Grid scans (:func:`~einlab.ensemble.recurrence_search`)
-    first drop points by phase windows as well, which need a uniform grid.
-
-    Raises ValueError if ``times`` is not 1-D.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
-    index, values, _, spin_points = _tail_above(
-        _above_plan(env, floor_sq), np.arange(times.size), times
-    )
-    return index, values, spin_points
 
 
 def decoherence_factor(env: EnvironmentSpec, t: float) -> complex:
@@ -562,25 +358,6 @@ def state_metrics(rho: np.ndarray) -> tuple[float, float]:
     nonzero = lam[lam > 0.0]
     entropy = max(0.0, float(-np.sum(nonzero * np.log(nonzero))))
     return purity, entropy
-
-
-def time_averaged_coherence_sq(
-    env: EnvironmentSpec, t_max: float, samples: int
-) -> tuple[float, float]:
-    """Empirical mean of |z|^2 on a uniform grid over [0, t_max], plus the
-    ergodic prediction prod_j (1 + d_j^2)/2.
-
-    The prediction is the infinite-time average when the couplings are
-    pairwise incommensurate; equal-coupling environments legitimately
-    violate it, so the caller does the comparing.
-    """
-    if not (t_max > 0.0) or not math.isfinite(t_max):
-        raise InvalidRangeError(f"t_max must be positive and finite, got {t_max}")
-    if samples < 2:
-        raise InvalidRangeError(f"need at least 2 samples, got {samples}")
-    times = np.linspace(0.0, float(t_max), int(samples))
-    empirical = float(np.mean(decoherence_abs_sq(env, times)))
-    return empirical, ergodic_prediction(env)
 
 
 def ergodic_prediction(env: EnvironmentSpec) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import einlab.analytic as analytic
 import einlab.ensemble as ensemble
 from einlab import (
     EnvironmentSpec,
@@ -15,6 +16,7 @@ from einlab import (
     decay_time,
     decoherence_abs_sq,
     ensemble_statistics,
+    ergodic_prediction,
     recurrence_search,
     scaling_sweep,
 )
@@ -254,6 +256,26 @@ class TestEnsembleStatistics:
     def test_empty_seeds_rejected(self):
         with pytest.raises(InvalidRangeError):
             ensemble_statistics(3, [], TimeGrid(0.0, 10.0, 0.1))
+
+    @pytest.mark.parametrize("t_start", [0.0, 7.5])
+    @pytest.mark.parametrize("n", [5, 300, 2000])
+    @pytest.mark.parametrize("seeds", [(1, 2, 3), (4,)], ids=["handed-out", "one-seed"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_time_average_is_the_grid_mean_of_the_kernel(
+        self, monkeypatch, workers, seeds, n, t_start
+    ):
+        # the package's one time average of |z|^2, to the bit: three seeds are
+        # handed out one per thread at two workers, one seed splits its grid
+        # from n = 300 on, and at n = 2000 |z|^2 underflows to 0 past the
+        # first few points and the prediction is a denormal
+        monkeypatch.setattr(analytic, "_WORKERS", workers)
+        grid = TimeGrid(t_start, 50.0, 0.05)
+        report = ensemble_statistics(n, seeds, grid)
+        for s in report.per_seed:
+            env = build_environment_random(n, s.seed, None, 1.0)
+            mean = float(np.mean(decoherence_abs_sq(env, grid.times())))
+            assert repr(s.mean_abs_z_sq) == repr(mean)
+            assert repr(s.predicted_mean_abs_z_sq) == repr(ergodic_prediction(env))
 
 
 class TestScalingSweep:

@@ -1,15 +1,15 @@
 """Pruned recurrence scans against the plain |z|^2 kernel.
 
-``decoherence_abs_sq_above`` (the tail rule, on any array of times) and the
-grid path of ``recurrence_search`` (phase windows in grid-index space, then
-the tail rule) may drop a grid point only when its |z|^2 is below the floor,
-and must give every point they keep the exact bits of ``decoherence_abs_sq``.
+The tail rule ``ensemble._tail_above`` (on any array of times, with the
+bounds of ``ensemble._above_plan``) and the grid path of
+``recurrence_search`` (phase windows in grid-index space, then the tail
+rule) may drop a grid point only when its |z|^2 is below the floor, and must
+give every point they keep the exact bits of ``decoherence_abs_sq``.
 ``recurrence_search`` must report what a plain scan of
 ``decoherence_abs_sq`` over the whole grid reports, in bounded memory, and
 the recurrence CSV must not change by a byte.
 """
 
-import re
 import tracemalloc
 from unittest import mock
 
@@ -27,11 +27,10 @@ from einlab import (
     build_environment_random,
     build_environment_scenario,
     decoherence_abs_sq,
-    decoherence_abs_sq_above,
     recurrence_search,
     validate,
 )
-from einlab.analytic import _WINDOW_PHASE_MAX, _above_plan
+from einlab.ensemble import _WINDOW_PHASE_MAX, _above_plan, _tail_above
 from einlab.model import NORM_TOL
 
 from conftest import assert_golden_digests
@@ -135,8 +134,8 @@ def arrange(t_start, dt, size, layout, where):
 @example(bath=OVERNORMED, t_start=0.0, dt=0.001, size=2000001, layout="ascending", where=0, floor=1.0)
 @example(bath=CLIMB, t_start=1.0, dt=0.1, size=1, layout="ascending", where=0, floor=0)
 def test_kernel_keeps_reachable_points_bit_for_bit(bath, t_start, dt, size, layout, where, floor):
-    # the tail-rule contract of the public kernel, which takes any array of
-    # times: out of order, NaN and +-inf included
+    # the tail-rule contract of _tail_above, which takes any array of times:
+    # out of order, NaN and +-inf included
     env = bath if isinstance(bath, EnvironmentSpec) else make_env(*bath)
     times = arrange(t_start, dt, size, layout, where)
     with np.errstate(invalid="ignore"):  # cos(+-inf)
@@ -151,25 +150,22 @@ def test_kernel_keeps_reachable_points_bit_for_bit(bath, t_start, dt, size, layo
     else:
         floor_sq = floor
     with np.errstate(invalid="ignore"):
-        index, values, spin_points = decoherence_abs_sq_above(env, times, floor_sq)
+        index, values, kept, spin_points = _tail_above(
+            _above_plan(env, floor_sq), np.arange(size), times
+        )
     assert np.all(np.diff(index) > 0)
     assert values.tobytes() == reference[index].tobytes()
+    assert kept.tobytes() == times[index].tobytes()
     dropped = np.setdiff1d(np.arange(size), index)
     assert not np.any(reference[dropped] >= floor_sq)
     assert np.all(np.isin(np.nonzero(reference >= floor_sq)[0], index))
     assert spin_points <= env.n * size
 
 
-@pytest.mark.parametrize("times", [np.zeros((3, 4)), np.array(2.5)], ids=["2-D", "0-d"])
-def test_kernel_rejects_times_that_are_not_1d(times):
-    env = build_environment_random(3, 1, 0.05, 1.0)
-    with pytest.raises(ValueError, match=re.escape(str(times.shape))):
-        decoherence_abs_sq_above(env, times, 0.5)
-
-
 def test_kernel_counts_every_factor_when_nothing_is_dropped():
     env = build_environment_scenario(ScenarioKind.EIGENSTATE, 7, 0.5)
-    index, values, spin_points = decoherence_abs_sq_above(env, np.linspace(0.0, 9.0, 101), 1.0)
+    times = np.linspace(0.0, 9.0, 101)
+    index, values, _, spin_points = _tail_above(_above_plan(env, 1.0), np.arange(101), times)
     assert index.tolist() == list(range(101))
     assert np.all(values == 1.0)
     assert spin_points == 7 * 101
@@ -181,7 +177,9 @@ def test_kernel_applies_no_phase_window():
     # factor, as only the tail rule drops points there
     env = build_environment_random(20, 7, 0.05, 1.0)
     times = TimeGrid(1.0, 100.0, 0.01).times()
-    index, values, spin_points = decoherence_abs_sq_above(env, times, 0.81)
+    index, values, _, spin_points = _tail_above(
+        _above_plan(env, 0.81), np.arange(times.size), times
+    )
     assert spin_points >= times.size
     reference = decoherence_abs_sq(env, times)
     assert values.tobytes() == reference[index].tobytes()

@@ -20,21 +20,16 @@ function returning plain values: z(t) is a ``complex``, a branch state an
 (n, 2) complex array, a reduced state a 2x2 complex array.  The
 brute-force check lives in :mod:`einlab.oracle`.
 
-Work is split across the CPUs in the process's affinity mask in two ways,
-and ``taskset -c 0`` keeps both on one thread:
-
-* by item (:func:`_hand_out`): sweeps hand out their ``(n, seed)`` pairs,
-  ensembles their seeds and the CLI's verify mode its cases, one whole item
-  per thread at a time;
-* by slice (:func:`_fan_out`): one call of the |z|^2 kernel
-  :func:`decoherence_abs_sq` on a large grid cuts the grid into one slice
-  per CPU, as in decay-time scans and one-seed ensembles.
-
-Nothing run by :func:`_fan_out` splits again: inside a hand-out every
-kernel call stays on its own thread.  No result's bits depend on the number
-of CPUs.  The thread pool is built at import and starts its threads on the
-first split call; a forked child builds its own.  Work handed to the pool
-runs under the caller's ``np.errstate``.
+Work is split across the CPUs in the process's affinity mask by one
+hand-out (:func:`_hand_out`), and ``taskset -c 0`` keeps it on one thread.
+Its items are a sweep's ``(n, seed)`` pairs, an ensemble's seeds, the CLI's
+verify cases, or the slices of one large call of the |z|^2 kernel
+:func:`decoherence_abs_sq` (one per CPU, as in decay-time scans and one-seed
+ensembles).  Nothing run in a hand-out hands out again: inside a sweep's or
+an ensemble's item every kernel call stays on its own thread.  No result's
+bits depend on the number of CPUs.  The thread pool is built at import and
+starts its threads on the first hand-out; a forked child builds its own.
+Work handed to the pool runs under the caller's ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -70,7 +65,7 @@ def decoherence_series(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
 # spin-points, so short calls never pay for the hand-off.
 _ABS_SQ_BLOCK = 1 << 15
 
-# Threads a split call may use: the CPUs this process may run on (``taskset``
+# Threads a hand-out may use: the CPUs this process may run on (``taskset``
 # limits it).  decoherence_abs_sq cuts large grids into this many slices,
 # sweeps and ensembles hand their items to this many workers, and verify to
 # min(2, _WORKERS).
@@ -79,13 +74,13 @@ try:
 except AttributeError:  # no affinity mask on this platform
     _WORKERS = os.cpu_count() or 1
 
-# Runs the calls a split hands off (see _fan_out).  Built at import, it starts
-# no thread until the first submit.  A call run by _fan_out must not split
+# Runs the workers of _hand_out past the first.  Built at import, it starts no
+# thread until the first submit.  Work run by a hand-out must not hand out
 # again: with every pool thread busy, it would wait on its own pool.
-# _IN_FAN_OUT marks those calls, and decoherence_abs_sq and _hand_out run
+# _IN_HAND_OUT marks that work, and decoherence_abs_sq and _hand_out run
 # serially under the mark.
 _pool: ThreadPoolExecutor
-_IN_FAN_OUT = contextvars.ContextVar("einlab_in_fan_out", default=False)
+_IN_HAND_OUT = contextvars.ContextVar("einlab_in_hand_out", default=False)
 
 
 def _new_pool() -> None:
@@ -100,64 +95,48 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _fan_out(fn, calls) -> list:
-    """``[fn(*args) for args in calls]``, the last call on the calling thread
-    and the others on the pool.
-
-    Each call runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` (a context variable since numpy 2) holds there too, with
-    ``_IN_FAN_OUT`` set.  Returns once every call has finished; an exception
-    is raised only then, the caller's own first, else the first pool call's
-    in order.
-    """
-    *handed, own = calls
-    futures = [_pool.submit(contextvars.copy_context().run, _marked, fn, *args) for args in handed]
-    try:
-        last = contextvars.copy_context().run(_marked, fn, *own)
-    finally:
-        wait(futures)
-    return [future.result() for future in futures] + [last]
-
-
-def _marked(fn, *args):
-    # runs in a context copy of its own, so the mark never reaches the caller
-    _IN_FAN_OUT.set(True)
-    return fn(*args)
-
-
 def _hand_out(fn, count: int, workers: int) -> list:
-    """``[fn(worker, i) for i in range(count)]``, the items handed out one at a
-    time to ``workers`` workers: the calling thread and ``workers - 1`` pool
-    calls of :func:`_fan_out`, numbered 0 to ``workers - 1``.
+    """``[fn(worker, i) for i in range(count)]``, the items handed out to
+    ``workers`` workers: worker 0 is the calling thread and workers 1 to
+    ``workers - 1`` run on the pool.
 
-    A worker takes the next item when it has finished its last one, so a
-    worker on a busy CPU just takes fewer.  Once an item raises, no further
-    item is handed out; the error is raised after every worker has finished
-    its current item, as :func:`_fan_out` raises it.  With fewer than two
-    workers, fewer items than workers, or inside a call run by
-    :func:`_fan_out`, worker 0 runs the items in order on the calling thread,
-    where a kernel call may still split its grid.
+    Worker ``w`` starts with item ``w``, then takes the next item left when it
+    has finished its last one, so a worker on a busy CPU just takes fewer.
+    Each worker runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` (a context variable since numpy 2) holds there too, with
+    ``_IN_HAND_OUT`` set.  Once an item raises, no further item is handed out;
+    the error is raised after every worker has finished its current item, the
+    calling thread's first, else the first pool worker's.  With fewer than two
+    workers, fewer items than workers, or inside a hand-out, worker 0 runs the
+    items in order on the calling thread, where a kernel call may still split
+    its grid.
     """
-    if workers < 2 or count < workers or _IN_FAN_OUT.get():
+    if workers < 2 or count < workers or _IN_HAND_OUT.get():
         return [fn(0, i) for i in range(count)]
     results = [None] * count
-    items = iter(range(count))
+    rest = iter(range(workers, count))
     lock = threading.Lock()
     failed = threading.Event()
 
-    def take(worker: int) -> None:
+    def work(worker: int) -> None:
+        _IN_HAND_OUT.set(True)  # in this worker's context copy only
+        i = worker
         try:
-            while not failed.is_set():
-                with lock:
-                    i = next(items, None)
-                if i is None:
-                    return
+            while i is not None and not failed.is_set():
                 results[i] = fn(worker, i)
+                with lock:
+                    i = next(rest, None)
         except BaseException:
             failed.set()  # the other workers stop after their current item
             raise
 
-    _fan_out(take, [(worker,) for worker in range(workers)])
+    futures = [_pool.submit(contextvars.copy_context().run, work, w) for w in range(1, workers)]
+    try:
+        contextvars.copy_context().run(work, 0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
     return results
 
 
@@ -181,26 +160,28 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
 
     Large calls use every CPU in the process's affinity mask (``taskset -c 0``
     keeps them on one): the flattened grid is cut into one contiguous slice
-    per CPU, one slice runs on the calling thread and the others on the
-    module's thread pool (:func:`_fan_out`, under the caller's
-    ``np.errstate``), each through the spin-blocked loop of
-    :func:`_abs_sq_blocks`, and the slices' results are joined in order.
-    A call is split only when each slice gets at least ``_ABS_SQ_BLOCK``
-    spin-points, and never inside a call run by :func:`_fan_out`, such as a
-    sweep's or an ensemble's item (:func:`_hand_out`).  A point's value
-    depends only on its own time and the fixed spin order, so the result has
-    the same bits however many CPUs there are and wherever the cuts fall.
+    per CPU and the slices are handed out one per worker (:func:`_hand_out`,
+    slice 0 on the calling thread, under the caller's ``np.errstate``), each
+    through the spin-blocked loop of :func:`_abs_sq_blocks`, and the slices'
+    results are joined in order.  A call is split only when each slice gets
+    at least ``_ABS_SQ_BLOCK`` spin-points, and never inside a hand-out, such
+    as a sweep's or an ensemble's item.  A point's value depends only on its
+    own time and the fixed spin order, so the result has the same bits
+    however many CPUs there are and wherever the cuts fall.
     """
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
     g4, mean, swing = _abs_sq_factors(env)
     slices = _WORKERS
     # every slice holds at least flat.size // slices points
-    if slices < 2 or env.n * (flat.size // slices) < _ABS_SQ_BLOCK or _IN_FAN_OUT.get():
+    if slices < 2 or env.n * (flat.size // slices) < _ABS_SQ_BLOCK or _IN_HAND_OUT.get():
         return _abs_sq_blocks(flat, g4, mean, swing).reshape(times.shape)
     bounds = [flat.size * i // slices for i in range(slices + 1)]
-    calls = [(flat[a:b], g4, mean, swing) for a, b in zip(bounds[:-1], bounds[1:])]
-    return np.concatenate(_fan_out(_abs_sq_blocks, calls)).reshape(times.shape)
+
+    def one_slice(worker: int, i: int) -> np.ndarray:
+        return _abs_sq_blocks(flat[bounds[i] : bounds[i + 1]], g4, mean, swing)
+
+    return np.concatenate(_hand_out(one_slice, slices, slices)).reshape(times.shape)
 
 
 def _abs_sq_blocks(flat, g4, mean, swing) -> np.ndarray:

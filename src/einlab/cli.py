@@ -426,8 +426,9 @@ def _run_verify(config: RunConfig) -> _Result:
     time through :func:`einlab.analytic._hand_out`, each worker evolving its
     own state buffer in place.  Rows are written in case order, so the CSV
     bytes depend neither on the worker count nor on which worker ran which
-    case; a worker on a busy CPU just takes fewer cases.  Two workers is the cap that keeps the oracle at three
-    2^(n+1) arrays: one state per worker and the shared conjugate scratch.
+    case; a worker on a busy CPU just takes fewer cases.  Two workers is the
+    cap that keeps the oracle at three 2^(n+1) arrays: one state per worker
+    and the shared conjugate scratch.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     cases = []

@@ -65,6 +65,24 @@ class TimeGrid:
             raise InvalidRangeError(
                 f"grid [{self.t_start}, {self.t_end}] with dt = {self.dt} has no finite step count"
             )
+        # Points must not repeat; 4 ulps of M = max(|t_start|, |t_end|) suffice.
+        # Let u = ulp(M), B = 2^53 u > M, D = t_end - t_start <= 2B - 2u and
+        # K = steps() >= 1.  Point k is fl(t_start + fl(k dt)); rounding a real
+        # below 2^j B errs by at most 2^(j-1) u, and two neighbours whose errors
+        # against t_start + k dt sum to less than dt stay in order.  If dt > 8u,
+        # K dt <= 1.01 fl(D) < 4B, so every product and sum is below 4B and a
+        # point errs by at most 4u < dt / 2.  If dt <= 8u, steps() rounds
+        # fl(D) / dt <= (D + u) / dt up by at most a relative 2^-53 (its + 1e-9
+        # adds under 5e-9 dt), so K dt <= D + 3u and only t_K passes t_end:
+        # every product is below 2B + u (error <= u), every sum but the last
+        # below B (error <= u / 2) and the last below 2B (error <= u).  Two
+        # neighbours err by at most 3.5u < dt together.
+        limit = 4.0 * math.ulp(max(abs(self.t_start), abs(self.t_end)))
+        if self.dt < limit:
+            raise InvalidRangeError(
+                f"grid [{self.t_start}, {self.t_end}] with dt = {self.dt} repeats points; "
+                f"dt must be at least {limit}"
+            )
 
     def steps(self) -> int:
         return int(math.floor((self.t_end - self.t_start) / self.dt + 1e-9))
@@ -385,7 +403,6 @@ def _tail_above(
         keep = np.nonzero(values * plan.tail[j + 1] >= plan.floor_sq)[0]
         index, values, times = index[keep], values[keep], times[keep]
     return index, values, times, spin_points
-
 
 
 def ensemble_statistics(

@@ -114,18 +114,27 @@ def test_whole_grid_equals_any_split(n, m, cuts, seed):
 
 
 def split_abs_sq(env, times, workers):
-    """decoherence_abs_sq with ``workers`` CPUs, and the sizes of the slices it ran."""
-    sizes = []
+    """decoherence_abs_sq with ``workers`` CPUs, and the sizes of the slices it ran.
+
+    A split grid must run slice 0 on the calling thread and every other slice
+    on the pool."""
+    slices = []
     blocks = analytic._abs_sq_blocks
 
     def recorded(flat, *args):
-        sizes.append(flat.size)
+        slices.append((flat.ctypes.data, flat.size, threading.current_thread()))
         return blocks(flat, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analytic, "_WORKERS", workers)
         patch.setattr(analytic, "_abs_sq_blocks", recorded)
-        return decoherence_abs_sq(env, times), sorted(sizes)
+        result = decoherence_abs_sq(env, times)
+    # the slices are views of one flat grid: their addresses give their order
+    threads = [thread for _, _, thread in sorted(slices, key=lambda s: s[0])]
+    if len(threads) > 1:
+        assert threads[0] is threading.current_thread()
+        assert all(thread.name.startswith("einlab-pool") for thread in threads[1:])
+    return result, sorted(size for _, size, _ in slices)
 
 
 def expected_slices(n, m, workers):
@@ -179,7 +188,7 @@ class SliceFailed(Exception):
 
 @pytest.mark.parametrize("failing", (0, 2))
 def test_slice_error_reaches_the_caller(monkeypatch, failing):
-    # slice 0 runs on the pool, slice 2 (the last) on the calling thread
+    # slice 0 runs on the calling thread, slice 2 (the last) on the pool
     env = build_environment_random(300, 4, None, 1.0)
     times = np.arange(900) * 0.11
     blocks = analytic._abs_sq_blocks
@@ -200,7 +209,7 @@ def test_slice_error_reaches_the_caller(monkeypatch, failing):
 @pytest.mark.parametrize("inf_at", (0, 3999))
 def test_pool_slices_keep_the_callers_errstate(monkeypatch, inf_at):
     # numpy keeps np.errstate in a context variable, which pool threads do
-    # not inherit by themselves; slice 0 runs on the pool, slice 1 on the caller
+    # not inherit by themselves; slice 0 runs on the caller, slice 1 on the pool
     monkeypatch.setattr(analytic, "_WORKERS", 2)
     env = build_environment_random(50, 6, None, 1.0)
     times = np.linspace(0.0, 100.0, 4000)

@@ -489,6 +489,10 @@ EXIT_TABLE = [
     # default dt = pi / 2e301: the step count overflows (a traceback before)
     ("mode = trace\nn = 2\nscenario = balanced\ng = 1e300\nt_max = 1e300\n", 2,
      "grid [0.0, 1e+300] with dt = 1.5707963267948965e-301 has no finite step count"),
+    # dt below 4 ulps of the times: rows with repeated t (written with exit 0 before)
+    ("mode = trace\nn = 2\nscenario = balanced\ng = 1.0\nt_start = 1e16\n"
+     "t_max = 1.000000000000001e16\ndt = 1\n", 2,
+     "grid [1e+16, 1.000000000000001e+16] with dt = 1.0 repeats points; dt must be at least 8.0"),
 ]
 
 @pytest.mark.parametrize("text,code,message", EXIT_TABLE)

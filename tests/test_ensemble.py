@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import einlab.analytic as analytic
 import einlab.ensemble as ensemble
@@ -52,11 +54,25 @@ class TestTimeGrid:
             # spans whose step count overflows to inf
             (0.0, math.inf, 1.0),
             (0.0, 1e300, math.pi / (20.0 * 1e300)),
+            # 21 points but 11 distinct times: dt is below 4 ulps of 1e16
+            (1e16, 1e16 + 20, 1.0),
         ],
     )
     def test_invalid(self, args):
         with pytest.raises(InvalidRangeError):
             TimeGrid(*args)
+
+    @given(st.floats(-1e17, 1e17), st.integers(1, 2000), st.floats(4.0, 12.0))
+    @settings(max_examples=200, deadline=None)
+    @example(1e16, 20, 4.0)
+    @example(2.0**53 - 100.0, 2000, 4.0)
+    @example(-(2.0**52), 2000, 4.0)
+    @example(-1e-300, 2000, 4.0)
+    def test_grids_near_the_bound_never_repeat_a_point(self, t_start, steps, ulps):
+        # dt a few ulps of the grid's largest time, about ``steps`` steps long
+        t_end = t_start + steps * ulps * math.ulp(t_start)
+        dt = ulps * math.ulp(max(abs(t_start), abs(t_end)))
+        assert (np.diff(TimeGrid(t_start, t_end, dt).times()) > 0.0).all()
 
     @pytest.mark.parametrize("size", [0, -3])
     def test_chunks_reject_bad_arguments_before_yielding(self, size):

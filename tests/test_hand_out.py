@@ -151,6 +151,50 @@ def test_results_come_in_index_order(count, workers):
         assert taken == [(0, threading.get_ident())] * count
 
 
+def taken_by_worker(workers, count, item=lambda worker, i: None):
+    """Run a hand-out of ``count`` items; per worker, the (item, thread name)
+    pairs it ran, in the order it ran them."""
+    taken = {}
+    lock = threading.Lock()
+
+    def record(worker, i):
+        with lock:
+            taken.setdefault(worker, []).append((i, threading.current_thread().name))
+        item(worker, i)
+        return i
+
+    assert analytic._hand_out(record, count, workers) == list(range(count))
+    return taken
+
+
+@pytest.mark.parametrize("workers, count", [(2, 2), (2, 7), (3, 3), (3, 10), (4, 9)])
+def test_worker_w_starts_with_item_w(workers, count):
+    taken = taken_by_worker(workers, count)
+    assert sorted(taken) == list(range(workers))
+    assert [taken[w][0][0] for w in range(workers)] == list(range(workers))
+    # worker 0 is the calling thread, the others run on the pool
+    assert {name for _, name in taken[0]} == {threading.current_thread().name}
+    for w in range(1, workers):
+        assert all(name.startswith("einlab-pool") for _, name in taken[w])
+
+
+def test_a_busy_worker_takes_fewer_items():
+    # the pool worker stays inside its first item until the caller has run
+    # every other item, as if its CPU were busy
+    count = 6
+    caller_done = threading.Event()
+
+    def item(worker, i):
+        if worker == 0 and i == count - 1:
+            caller_done.set()
+        elif worker == 1:
+            assert caller_done.wait(30)
+
+    taken = taken_by_worker(2, count, item)
+    assert [i for i, _ in taken[0]] == [0, *range(2, count)]
+    assert [i for i, _ in taken[1]] == [1]
+
+
 def test_nothing_on_the_pool_hands_out_or_splits_again():
     # a hand-out inside a hand-out runs inline instead of waiting on the pool
     # threads it occupies; a kernel call there does not split either
@@ -161,7 +205,7 @@ def test_nothing_on_the_pool_hands_out_or_splits_again():
 
     def outer(worker, i):
         inner = analytic._hand_out(lambda w, j: (w, threading.get_ident()), 3, 2)
-        return inner, analytic._IN_FAN_OUT.get(), analytic.decoherence_abs_sq(env, times)
+        return inner, analytic._IN_HAND_OUT.get(), analytic.decoherence_abs_sq(env, times)
 
     def run():
         outcome["results"] = analytic._hand_out(outer, 4, 2)
@@ -174,7 +218,7 @@ def test_nothing_on_the_pool_hands_out_or_splits_again():
         assert marked and len({thread for _, thread in inner}) == 1
         assert [w for w, _ in inner] == [0, 0, 0]
         assert values.tobytes() == serial.tobytes()
-    assert analytic._IN_FAN_OUT.get() is False
+    assert analytic._IN_HAND_OUT.get() is False
 
 
 def test_every_item_is_taken_once_under_fast_thread_switches():

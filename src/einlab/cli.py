@@ -22,10 +22,12 @@ starting a comment.  Unknown keys are rejected.  Keys:
 
 Trace mode computes its rows in chunks of grid points as arrays
 (:func:`einlab.analytic.trace_columns`), with the same bytes as the scalar
-functions give point by point.  Each chunk's rows come from one ``%``
-template of ``%.17g`` fields; a column that is bit-constant within the chunk
-is formatted once, into the template.  The bytes are those of formatting
-every cell on its own.
+functions give point by point, and prints them as arrays too: each cell's
+17 significant digits come from an exact double-double product with a
+power of ten, and its text from a table of cell layouts.  The bytes are
+those of ``"%.17g" % x`` cell by cell; a row holding a cell the arrays
+cannot prove (nan, an infinity, or a value within about 1e-6 of a rounding
+tie) is printed by Python's formatting.
 
 Verify mode runs its cases on up to two CPUs of the process's affinity mask
 (``taskset -c 0`` keeps it serial), each worker evolving its own state in
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -57,7 +60,7 @@ import sys as _sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,10 +87,10 @@ VERIFY_TOLERANCE = 1e-10
 
 TRACE_COLUMNS = ("t", "re_z", "im_z", "abs_z", "rho_pp", "rho_mm", "abs_rho_pm", "purity", "entropy")
 
-# Grid points per trace_columns call and per row template.  Any size gives
-# the same bytes; the chunk bounds the memory that one call's arrays and row
-# lists take, however long the grid is.  A column is formatted once when it is
-# bit-constant within its chunk, so a last chunk of one row is one literal.
+# Grid points per trace_columns call.  Any size gives the same bytes; the
+# chunk bounds the memory that one call's arrays and rows take, however long
+# the grid is.  Its rows are printed _FORMAT_CELLS cells at a time, about
+# 1.4 ms per 1 000 rows of nine columns (see _chunk_lines).
 TRACE_CHUNK = 8192
 
 
@@ -280,29 +283,225 @@ def _format(value: float) -> str:
     return f"{value:.17g}"
 
 
+# Trace rows are formatted as arrays, with the bytes of _format cell by cell.
+# A finite x != 0 prints as the 17-digit integer D = round(|x| 10^(16 - X)),
+# 10^16 <= D < 10^17, with X the decimal exponent of |x| after that rounding
+# (round half to even, from the exact binary value).  _digits17 computes D.
+# With k = 16 - X, y = |x| 10^k is formed as an exact Dekker product of
+# x' = |x| 2^s (exact) and the table's hi + lo ~ 10^k 2^-s, then rounded.
+#
+# Why D is right.  The table holds 10^k as m 2^q with a 192-bit m, truncated
+# at each of at most 633 steps from 10^-292 (relative error < 2^-181); hi is
+# m's top 53 bits and lo the rest rounded to a double, so hi + lo is within
+# 2^-105 of 10^k 2^-s, relatively (|lo| < 2^-52 hi, rounded by 2^-53 |lo|).
+# s = 512 for k > 250, -512 for k < -233 and 0 otherwise keeps x', hi and
+# |lo| between 1e-250 and 1e260, and every partial product far from overflow
+# and underflow, so Veltkamp's split (C = 2^27 + 1) and Dekker's product are
+# exact: p + err = x' hi with p = fl(x' hi) (Dekker 1971; Ogita, Rump and
+# Oishi 2005, TwoProduct).  The value computed is p + r, r = fl(err +
+# fl(x' lo)), and for y < 10^17 + 1 < 2^56.5: fl(x' lo) errs by at most
+# 2^-49 (|x' lo| < 2^-52 y < 2^4.5), the sum by at most 2^-49 (|err| <= 8,
+# |r| < 2^5), and the table by y 2^-105 < 2^-48.5; together under 7e-15
+# (under 7e-14 for y < 10^18, when the first guess of X is one too low).
+# p >= 2^53 is an integer, floor(r) and frac = r - floor(r) are exact, so
+# floor(p + r) = p + floor(r) and, unless frac lies within _TIE_MARGIN
+# (about 1e-6) of 1/2, D = p + floor(r) + (frac > 1/2) whatever the error.
+# Cells within the margin, which takes in every exact tie, are printed by
+# _format, so ties keep Python's half-even rounding; so are nan and +-inf.
+# X starts as floor(log10 |x|), which can be one off next to a power of
+# ten.  If p + floor(r) < 10^16 (y < 10^16), X is one less; if D > 10^17,
+# one more, and D is computed again; a cell still out of range is printed
+# by _format.  D = 10^17 means 10^16 at X + 1: y in [10^17 - 1/2, 10^17)
+# rounds up, and y in [10^17, 10^17 + 1/2) gives 10^16 at X + 1 directly.
+# A y within 7e-15 of 10^16 gives 10^16 at X on either side of that test.
+_POW10_K_MIN = -292  # k = 16 - X for X = 308; X = -324 gives k = 340
+_POW10_K_COUNT = 633
+_VELTKAMP = 134217729.0  # 2^27 + 1
+_TIE_MARGIN = 2.0**-20
+_D_MIN, _D_MAX = 10**16, 10**17
+
+
+def _powers_of_ten() -> np.ndarray:
+    """Rows (hi split high, hi split low, hi, lo, 2^s) over k, where
+    hi + lo ~ 10^k 2^-s, for k = _POW10_K_MIN .. _POW10_K_MIN + 632."""
+    m = (1 << 1165) // 10**-_POW10_K_MIN
+    shift = m.bit_length() - 192
+    m >>= shift
+    q = shift - 1165
+    his, los, scales = [], [], []
+    for k in range(_POW10_K_MIN, _POW10_K_MIN + _POW10_K_COUNT):
+        s = 512 if k > 250 else -512 if k < -233 else 0
+        top = m >> 139
+        his.append(math.ldexp(top, q + 139 - s))
+        los.append(math.ldexp(m - (top << 139), q - s))
+        scales.append(math.ldexp(1.0, s))
+        m *= 10
+        shift = m.bit_length() - 192
+        m >>= shift
+        q += shift
+    hi = np.array(his)
+    c = hi * _VELTKAMP
+    hi_high = c - (c - hi)
+    return np.array([hi_high, hi - hi_high, hi, los, scales])
+
+
+def _digits17(a: np.ndarray, exponent: np.ndarray):
+    """For finite a > 0 and a guess X of its exponent: D and two masks, X too
+    high (y < 10^16) and fraction of y within _TIE_MARGIN of 1/2."""
+    rows = 16 - _POW10_K_MIN - exponent
+    pow10 = _format_tables().pow10
+    hi_high, hi_low, hi, lo, scale = (np.take(t, rows, mode="clip") for t in pow10)
+    x = a * scale
+    c = x * _VELTKAMP
+    x_high = c - (c - x)
+    x_low = x - x_high
+    p = x * hi
+    err = ((x_high * hi_high - p) + x_high * hi_low + x_low * hi_high) + x_low * hi_low
+    r = err + x * lo
+    whole = np.floor(r)
+    frac = r - whole
+    base = p.astype(np.int64) + whole.astype(np.int64)
+    return base + (frac > 0.5), base < _D_MIN, np.abs(frac - 0.5) < _TIE_MARGIN
+
+
+# Each cell is printed into a field of six little-endian int64 words, whose
+# zero bytes are then dropped:
+#   bytes 0-5    "-0.000": the sign, then "0." and up to three zeros for
+#                1e-4 <= |x| < 1
+#   bytes 6-39   digit i at byte 6 + 2i, a "." slot after each of digits 0-15
+#   bytes 40-45  "e", the exponent's sign and three digits, then "," or "\n"
+# A layout, chosen by sign, form and the number of digits kept, holds "0"
+# in each digit byte it keeps and the other characters it prints; the
+# digits 0-9 are added on.  A trimmed digit is a trailing 0, so its byte
+# stays zero.  Forms 0-20 are fixed notation for X = -4..16; 21 and 22 are
+# exponents 17..99 and >= 100, 23 and 24 exponents -5..-99 and <= -100.
+_FORMS = 25
+_EXPONENT_MIN = -330
+
+
+class _FormatTables(NamedTuple):
+    pow10: np.ndarray  # _powers_of_ten()
+    layouts: np.ndarray  # (2 * _FORMS * 17, 6) int64, by (sign, form, digits kept - 1)
+    form_layout: np.ndarray  # by X - _EXPONENT_MIN: the first layout of X's form
+    exponent_chars: np.ndarray  # by X - _EXPONENT_MIN: word 5's exponent digits
+    group_word: np.ndarray  # by a group of four digits: the digits, 16 bits apart
+    group_kept: np.ndarray  # (4, 10^4) by group j's value: the index 4j + l of its
+    # last nonzero digit l (1-4), or 0; the largest over j is the digits kept - 1
+
+
+@functools.cache
+def _format_tables() -> _FormatTables:
+    """The formatter's tables, built on first use: modes other than trace
+    never build them."""
+    layout = np.arange(2 * _FORMS * 17)
+    negative, form, kept = layout // (_FORMS * 17), layout // 17 % _FORMS, layout % 17 + 1
+    x = form - 4
+    fixed = form < 21
+    small = fixed & (x < 0)
+    whole = np.where(fixed, np.maximum(x + 1, 0), 1)
+    kept = np.maximum(kept, whole)
+    cells = np.zeros((layout.size, 48), np.uint8)
+    cells[:, 0] = negative * ord("-")
+    cells[:, 1] = small * ord("0")
+    cells[:, 2] = small * ord(".")
+    cells[:, 3:6] = (np.arange(3) < np.where(small, -x - 1, 0)[:, None]) * ord("0")
+    cells[:, 6:40:2] = (np.arange(17) < kept[:, None]) * ord("0")
+    dot = (np.arange(16) == np.where(small, -1, whole - 1)[:, None]) & (whole < kept)[:, None]
+    cells[:, 7:39:2] = dot * ord(".")
+    cells[:, 40] = ~fixed * ord("e")
+    cells[:, 41] = ~fixed * np.where(form >= 23, ord("-"), ord("+"))
+    cells[:, 45] = ord(",")
+
+    exponent = np.arange(_EXPONENT_MIN, 320)
+    e = np.maximum(exponent, -exponent)
+    fixed = (exponent >= -4) & (exponent <= 16)
+    form = np.where(fixed, exponent + 4, 21 + 2 * (exponent < 0) + (e >= 100))
+    chars = ((e // 10 % 10 + 48) << 24) + ((e % 10 + 48) << 32)
+    chars += (e >= 100) * ((e // 100 + 48) << 16)
+
+    pair = np.arange(100)
+    tens = pair // 10
+    units = pair - tens * 10
+    group = np.arange(10**4)
+    high = group // 100
+    low = group - high * 100
+    pair_word = tens + (units << 16)
+    words = np.take(pair_word, high) + (np.take(pair_word, low) << 32)
+    pair_last = (pair > 0) * 1 + (units > 0)  # the last nonzero digit of a pair: 0, 1 or 2
+    last = np.where(low > 0, 2 + np.take(pair_last, low), np.take(pair_last, high))
+    group_kept = np.array([(last > 0) * (last + 4 * j) for j in range(4)], np.int8)
+    return _FormatTables(
+        _powers_of_ten(), cells.view(np.int64), form * 17, ~fixed * chars, words, group_kept
+    )
+
+
+# Cells per _format_rows call: the call's temporaries stay near 100 KB, in
+# cache and below the allocator's mmap threshold.
+_FORMAT_CELLS = 2048
+
+
+def _format_rows(block: np.ndarray) -> list[str]:
+    """The CSV rows of a C-contiguous ``(rows, columns)`` float64 block."""
+    rows, cols = block.shape
+    values = block.ravel()
+    n = values.size
+    a = np.abs(values)
+    finite = np.isfinite(a)
+    zero = a == 0.0
+    exact = finite & ~zero
+    a[~exact] = 1.0
+    exponent = np.floor(np.log10(a)).astype(np.intp)
+    d, high_guess, tie = _digits17(a, exponent)
+    fix = np.flatnonzero(high_guess | (d > _D_MAX))
+    if fix.size:
+        fixed = exponent[fix] + (d[fix] > _D_MAX) - high_guess[fix]
+        d[fix], still, tie[fix] = _digits17(a[fix], fixed)
+        tie[fix] |= still | (d[fix] > _D_MAX)
+        exponent[fix] = fixed
+    carry = d == _D_MAX
+    d[carry] = _D_MIN
+    exponent += carry
+    d[zero] = 0
+    exponent[zero] = 0
+
+    # digit 0, then four groups of four digits
+    lead = d // _D_MIN
+    d -= lead * _D_MIN
+    upper = d // 10**8
+    d -= upper * 10**8
+    groups = np.empty((4, n), np.intp)
+    np.floor_divide(upper, 10**4, out=groups[0])
+    np.subtract(upper, groups[0] * 10**4, out=groups[1])
+    np.floor_divide(d, 10**4, out=groups[2])
+    np.subtract(d, groups[2] * 10**4, out=groups[3])
+    tables = _format_tables()
+    kept = np.take(tables.group_kept[0], groups[0])
+    for j in (1, 2, 3):
+        np.maximum(kept, np.take(tables.group_kept[j], groups[j]), out=kept)
+
+    exponent -= _EXPONENT_MIN
+    layout = np.take(tables.form_layout, exponent) + np.signbit(values) * (_FORMS * 17) + kept
+    cells = np.take(tables.layouts, layout, axis=0)
+    cells[:, 0] += lead << 48
+    for j in range(4):
+        cells[:, j + 1] += np.take(tables.group_word, groups[j])
+    cells[:, 5] += np.take(tables.exponent_chars, exponent)
+    cells.reshape(rows, cols, 6)[:, -1, 5] += (ord("\n") - ord(",")) << 40
+    lines = cells.tobytes().translate(None, b"\0").decode("ascii")[:-1].split("\n")
+    for row in set((np.flatnonzero(~finite | (tie & exact)) // cols).tolist()):
+        lines[row] = ",".join(map(_format, block[row].tolist()))
+    return lines
+
+
 def _chunk_lines(columns: tuple[np.ndarray, ...]) -> list[str]:
     """CSV rows of equal-length, non-empty float columns, each cell as
-    :func:`_format` prints it.
-
-    The rows come from one ``%`` template.  A column whose values are all
-    bit-identical is formatted once, into the template; every other column
-    is a ``%.17g`` field, which prints what ``_format`` does.  Identity is
-    tested on the bits, not with ``==``: a column mixing ``0.0`` and ``-0.0``
-    prints both ``0`` and ``-0``.
-    """
-    fields = []
-    varying = []
-    for column in columns:
-        bits = column.view(np.int64)
-        if (bits == bits[0]).all():
-            fields.append(_format(float(column[0])))
-        else:
-            fields.append("%.17g")
-            varying.append(column.tolist())
-    template = ",".join(fields)
-    if not varying:
-        return [template] * columns[0].size
-    return [template % row for row in zip(*varying)]
+    :func:`_format` prints it (``-0`` and ``nan`` included)."""
+    block = np.column_stack(columns)
+    step = max(1, _FORMAT_CELLS // block.shape[1])
+    lines = []
+    for start in range(0, block.shape[0], step):
+        lines += _format_rows(block[start : start + step])
+    return lines
 
 
 def _provenance(config: RunConfig) -> str:

@@ -36,7 +36,12 @@ from .model import EnvironmentSpec, build_environment_random
 # 54.0 MB; with 1 << 15 it falls to 44.2 MB.  A range starts at _SCAN_CHUNK
 # points and doubles, up to _SCAN_RANGE_MAX, after each range without a hit
 # whose phase windows kept at most half a chunk's points; a range without
-# windows is one chunk.
+# windows is one chunk.  The first range is evaluated in two pieces, the
+# first _SCAN_FIRST points its windows pass and then the rest, so a hit
+# among those (as in balanced baths, whose wide windows pass most points)
+# is found without evaluating the whole range; a scan whose windows pass
+# fewer points pays nothing for it.
+_SCAN_FIRST = 1 << 10
 _SCAN_CHUNK = 1 << 15
 _SCAN_RANGE_MAX = 1 << 20
 
@@ -195,9 +200,10 @@ def recurrence_search(env: EnvironmentSpec, threshold: float, grid: TimeGrid) ->
 
 def _scan_ranges(plan, grid: TimeGrid):
     """Yield ``(index, values, times, spin_points, window_points)`` for each
-    index range of ``grid`` from step 1 on: the grid indices of the points
-    left after the phase windows and the tail rule of ``plan``, their |z|^2
-    and times, the factors evaluated and the points the windows passed on.
+    index range of ``grid`` from step 1 on, the first in two pieces (see
+    ``_SCAN_FIRST``): the grid indices of the points left after the phase
+    windows and the tail rule of ``plan``, their |z|^2 and times, the factors
+    evaluated and the points the windows passed on.
 
     Only the indices inside the windows are materialised, and each time is
     ``t_start + dt * k``, the bits of ``grid.times()[k]``.  Ranges grow as
@@ -212,7 +218,11 @@ def _scan_ranges(plan, grid: TimeGrid):
             stop = min(first + _SCAN_CHUNK, last + 1)
             index = np.arange(first, stop)
         passed = index.size
-        yield *_tail_above(plan, index, grid.t_start + grid.dt * index), passed
+        pieces = (index,)
+        if first == 1 and passed > _SCAN_FIRST:
+            pieces = (index[:_SCAN_FIRST], index[_SCAN_FIRST:])
+        for piece in pieces:
+            yield *_tail_above(plan, piece, grid.t_start + grid.dt * piece), piece.size
         if 2 * passed <= _SCAN_CHUNK:
             size = min(2 * size, _SCAN_RANGE_MAX)
         first = stop

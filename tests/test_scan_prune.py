@@ -337,3 +337,17 @@ def test_recurrence_search_memory_stays_within_a_few_chunks(bath):
     report, peak = traced_peak(env, threshold, grid)
     assert report.found is None and report.scanned_points == grid.steps()
     assert peak < 8 * ensemble._SCAN_CHUNK * 8
+
+
+def test_balanced_scan_stops_in_its_first_range():
+    # the hit at grid index 69 lies among the first _SCAN_FIRST points the
+    # phase windows pass, so the rest of the first range (9 796 points and
+    # 80 120 factors in all) is not evaluated; the report is that of a
+    # plain scan
+    env = build_environment_scenario(ScenarioKind.BALANCED_EQUAL_COUPLING, 20, 0.9)
+    grid = TimeGrid(1.0, 10000.0, 0.01)
+    report = recurrence_search(env, 0.9, grid)
+    assert (report.found, report.scanned_points) == plain_scan(env, 0.9, TimeGrid(1.0, 2.0, 0.01))
+    assert report.scanned_points == 69
+    assert report.window_points <= ensemble._SCAN_FIRST
+    assert report.spin_points <= env.n * ensemble._SCAN_FIRST

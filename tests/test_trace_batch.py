@@ -134,6 +134,15 @@ GOLDEN = {
     "dt = 0.01\n":
         "39d6adbdf735c9c3a3d2bb00d2cd86ca34e71625cccefc2f5e763ee5afd8ce49",
     ONE_ROW_LAST_CHUNK: "0cc15870a16ed2019412e016fe3bb36b37491e4e565010e1fa1e01e5170c3b17",
+    # Written before rows were formatted as arrays.  The benchmark's balanced
+    # n = 20 trace: 594 cells below 1e-160, down to 9e-316, and an im_z
+    # column of mixed 0 and -0.
+    "mode = trace\nn = 20\nscenario = balanced\ng = 1.0\na_sq = 0.331\nt_max = 314.2\n":
+        "020cca6eb26dae0243a651cf9607dd5fbd5ac08295af62c19eb6c1a8ba4fdd11",
+    # t from 1e17: the t column prints in exponent form
+    "mode = trace\nn = 5\nseed = 3\nscenario = random\ng_max = 1.0\na_sq = 0.7\nt_start = 1e17\n"
+    "t_max = 1.00000000001e17\ndt = 25000\n":
+        "2168a7d01ac4e40bc027e63e0640f860d7b56f0f791c72b164c15fe110fad348",
 }
 
 

@@ -26,8 +26,8 @@ functions give point by point, and prints them as arrays too: each cell's
 17 significant digits come from an exact double-double product with a
 power of ten, and its text from a table of cell layouts.  The bytes are
 those of ``"%.17g" % x`` cell by cell; a row holding a cell the arrays
-cannot prove (nan, an infinity, or a value within about 1e-6 of a rounding
-tie) is printed by Python's formatting.
+cannot prove (nan, an infinity, or a value within 2^-20 units of the 17th
+digit of a rounding tie) is printed by Python's formatting.
 
 Verify mode runs its cases on up to two CPUs of the process's affinity mask
 (``taskset -c 0`` keeps it serial), each worker evolving its own state in
@@ -448,8 +448,8 @@ def _format_rows(block: np.ndarray) -> list[str]:
     a = np.abs(values)
     finite = np.isfinite(a)
     zero = a == 0.0
-    exact = finite & ~zero
-    a[~exact] = 1.0
+    computed = finite & ~zero
+    a[~computed] = 1.0
     exponent = np.floor(np.log10(a)).astype(np.intp)
     d, high_guess, tie = _digits17(a, exponent)
     fix = np.flatnonzero(high_guess | (d > _D_MAX))
@@ -488,7 +488,7 @@ def _format_rows(block: np.ndarray) -> list[str]:
     cells[:, 5] += np.take(tables.exponent_chars, exponent)
     cells.reshape(rows, cols, 6)[:, -1, 5] += (ord("\n") - ord(",")) << 40
     lines = cells.tobytes().translate(None, b"\0").decode("ascii")[:-1].split("\n")
-    for row in set((np.flatnonzero(~finite | (tie & exact)) // cols).tolist()):
+    for row in set((np.flatnonzero(~finite | (tie & computed)) // cols).tolist()):
         lines[row] = ",".join(map(_format, block[row].tolist()))
     return lines
 

@@ -254,13 +254,20 @@ def reduced_density_matrix(sys: SystemAmplitudes, env: EnvironmentSpec, t: float
     Populations stay (|a|^2, |b|^2) for all t; the upper off-diagonal entry
     is z(t) * a * conj(b) and the lower one its conjugate.
     """
-    z = decoherence_factor(env, t)
+    return _reduced_states(sys, decoherence_factor(env, t))
+
+
+def _reduced_states(sys: SystemAmplitudes, z) -> np.ndarray:
+    """Reduced states for a ``complex`` z (Python's product ``z * a`` first)
+    or a complex array of them: shape ``np.shape(z) + (2, 2)``."""
     a, b = complex(sys.a), complex(sys.b)
     upper = z * a * np.conj(b)
-    return np.array(
-        [[abs(a) ** 2, upper], [np.conj(upper), abs(b) ** 2]],
-        dtype=complex,
-    )
+    rho = np.empty(np.shape(z) + (2, 2), dtype=complex)
+    rho[..., 0, 0] = abs(a) ** 2
+    rho[..., 0, 1] = upper
+    rho[..., 1, 0] = np.conj(upper)
+    rho[..., 1, 1] = abs(b) ** 2
+    return rho
 
 
 def trace_columns(
@@ -270,31 +277,18 @@ def trace_columns(
     t, Re z, Im z, |z|, rho[+,+], rho[-,-], |rho[+,-]|, purity, entropy.
 
     Row by row these are the numbers :func:`decoherence_factor`,
-    :func:`reduced_density_matrix` and :func:`state_metrics` give, to the
-    bit when the system amplitudes are real (with complex ones the complex
-    product may round differently in the last place).  Purity comes from a
-    batched ``rho @ rho`` and entropy from one batched ``eigvalsh``, which
-    make the same BLAS and LAPACK calls per matrix; magnitudes use ``hypot``,
-    as Python's ``abs`` on a complex does (``np.abs`` on a complex array can
-    differ from it in the last place).
+    :func:`reduced_density_matrix` and :func:`state_metrics` give, through
+    the same :func:`_reduced_states` and :func:`_purity_entropy`: to the bit
+    when the system amplitudes are real (with complex ones, numpy's complex
+    product may round differently from Python's in the last place).
+    Magnitudes use ``hypot``, as Python's ``abs`` on a complex does
+    (``np.abs`` on a complex array can differ from it in the last place).
     """
     times = np.asarray(times, dtype=float)
     z = decoherence_series(env, times)
-    a, b = complex(sys.a), complex(sys.b)
-    upper = z * a * np.conj(b)
-    rho = np.empty(times.shape + (2, 2), dtype=complex)
-    rho[..., 0, 0] = abs(a) ** 2
-    rho[..., 0, 1] = upper
-    rho[..., 1, 0] = np.conj(upper)
-    rho[..., 1, 1] = abs(b) ** 2
-    square = rho @ rho
-    purity = (square[..., 0, 0] + square[..., 1, 1]).real
-    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, lam * np.log(lam), 0.0)
-    entropy = -(terms[..., 0] + terms[..., 1])
-    # max(0.0, x) as in state_metrics: np.maximum(0.0, -0.0) would keep the -0
-    entropy = np.where(entropy > 0.0, entropy, 0.0)
+    rho = _reduced_states(sys, z)
+    purity, entropy = _purity_entropy(rho)
+    upper = rho[..., 0, 1]
     return (
         times,
         z.real,
@@ -334,11 +328,20 @@ def state_metrics(rho: np.ndarray) -> tuple[float, float]:
     0 ln 0 = 0.  Pure states give (1, 0); the maximally mixed qubit gives
     (1/2, ln 2).
     """
-    purity = float(np.real(np.trace(rho @ rho)))
-    lam = np.clip(np.linalg.eigvalsh(rho).real, 0.0, 1.0)
-    nonzero = lam[lam > 0.0]
-    entropy = max(0.0, float(-np.sum(nonzero * np.log(nonzero))))
-    return purity, entropy
+    purity, entropy = _purity_entropy(rho)
+    return float(purity), float(entropy)
+
+
+def _purity_entropy(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Purity and entropy arrays of a ``(..., 2, 2)`` stack of density matrices,
+    with one matrix's BLAS and LAPACK calls each; entropy <= 0 or nan reads 0."""
+    square = rho @ rho
+    purity = (square[..., 0, 0] + square[..., 1, 1]).real
+    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(lam > 0.0, lam * np.log(lam), 0.0)
+    entropy = -(terms[..., 0] + terms[..., 1])
+    return purity, np.where(entropy > 0.0, entropy, 0.0)
 
 
 def ergodic_prediction(env: EnvironmentSpec) -> float:

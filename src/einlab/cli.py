@@ -43,9 +43,11 @@ text yields byte-identical output.
 
 Exit codes follow where an error is raised, not its class: 0 success; 1 for
 an error raised while reading the config (a value out of range raises the
-one range error, :class:`~einlab.errors.InvalidRangeError`), a missing
-output path or a file that cannot be read or written; 2 for an error raised
-while running (the library's range checks included) or a failed verify.
+one range error, :class:`~einlab.errors.InvalidRangeError`; the config's
+:class:`~einlab.ensemble.TimeGrid` is built there too, so a grid with no
+finite step count or with repeated points exits 1), a missing output path
+or a file that cannot be read or written; 2 for an error raised while
+running (the library's range checks included) or a failed verify.
 """
 
 from __future__ import annotations
@@ -101,15 +103,12 @@ class RunConfig:
     ns: tuple[int, ...] | None = None
     seed: int | None = None
     seeds: tuple[int, ...] | None = None
-    seeds_per_n: int | None = None
     scenario: ScenarioKind | None = None
     g: float | None = None
     g_min: float | None = None
     g_max: float | None = None
     a_sq: float = 0.5
-    t_start: float = 0.0
-    t_max: float | None = None
-    dt: float | None = None
+    grid: TimeGrid | None = None  # None in verify mode
     threshold: float = 0.9
     output: str | None = None
     digest: str = ""
@@ -166,7 +165,6 @@ def _parse_seeds(key: str, raw: str, line_no: int, mode: str) -> dict[str, objec
             raise InvalidRangeError("sweep mode takes 'seeds' as a count, not a list")
         if numbers[0] < 1:
             raise InvalidRangeError(f"key 'seeds' must be a positive count, got {raw}")
-        return {"seeds_per_n": numbers[0]}
     seeds = tuple(numbers) if explicit else tuple(range(1, numbers[0] + 1))
     if not seeds:
         raise InvalidRangeError(f"key 'seeds' names no seeds: '{raw}'")
@@ -243,7 +241,8 @@ def _scan_lines(text: str) -> dict[str, tuple[str, int]]:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a run configuration; fills the documented defaults."""
+    """Parse and validate a run configuration: fills the documented defaults
+    and builds the grid of every mode but verify."""
     raw = _scan_lines(text)
     if "mode" not in raw:
         raise MissingKeyError("required key 'mode' is missing")
@@ -263,20 +262,19 @@ def parse_config(text: str) -> RunConfig:
         if key not in raw:
             raise MissingKeyError(f"mode '{mode}' requires key '{key}'")
 
-    g_fast = fields.get("g_max", fields.get("g"))
-    if g_fast is not None:
-        fields.setdefault("dt", math.pi / (20.0 * g_fast))
     if "g_max" in fields:
         fields.setdefault("g_min", DEFAULT_G_MIN_FRACTION * fields["g_max"])
-    config = RunConfig(digest=hashlib.sha256(text.encode("utf-8")).hexdigest(), **fields)
-
-    if mode == "recurrence" and config.t_start <= 0.0:
+    t_start, t_max = fields.pop("t_start", 0.0), fields.pop("t_max", None)
+    dt = fields.pop("dt", None)
+    if mode == "recurrence" and t_start <= 0.0:
         raise InvalidRangeError("recurrence mode requires t_start > 0 (set it explicitly)")
-    if mode == "sweep" and config.t_start >= config.t_max:
+    if mode == "sweep" and t_start >= t_max:
         raise InvalidRangeError("sweep mode needs a window with t_start < t_max")
-    if config.t_max is not None and config.t_start > config.t_max:
-        raise InvalidRangeError(f"t_start = {config.t_start} exceeds t_max = {config.t_max}")
-    return config
+    if "t_max" in required:
+        if dt is None:  # every grid mode requires g or g_max
+            dt = math.pi / (20.0 * fields.get("g_max", fields.get("g")))
+        fields["grid"] = TimeGrid(t_start, t_max, dt)
+    return RunConfig(digest=hashlib.sha256(text.encode("utf-8")).hexdigest(), **fields)
 
 
 def _format(value: float) -> str:
@@ -552,17 +550,15 @@ def _run_trace(config: RunConfig) -> _Result:
     report = validate(sys_amp, env)
     if not report.ok:
         raise EinlabError("; ".join(report.failures))
-    grid = TimeGrid(config.t_start, config.t_max, config.dt)
     lines = [",".join(TRACE_COLUMNS)]
-    for times in grid.chunks(TRACE_CHUNK):
+    for times in config.grid.chunks(TRACE_CHUNK):
         lines.extend(_chunk_lines(trace_columns(sys_amp, env, times)))
-    return lines, f"trace: n={env.n} rows={grid.steps() + 1}", True
+    return lines, f"trace: n={env.n} rows={config.grid.steps() + 1}", True
 
 
 def _run_recurrence(config: RunConfig) -> _Result:
     env = _build_environment(config)
-    grid = TimeGrid(config.t_start, config.t_max, config.dt)
-    report = recurrence_search(env, config.threshold, grid)
+    report = recurrence_search(env, config.threshold, config.grid)
     found_time = report.found if report.found is not None else float("nan")
     lines = [
         "threshold,found,t_found,scanned_points",
@@ -573,7 +569,8 @@ def _run_recurrence(config: RunConfig) -> _Result:
         summary = f"recurrence: |z| >= {config.threshold} first at t={report.found:.6g}"
     else:
         summary = (
-            f"recurrence: no |z| >= {config.threshold} in ({grid.t_start}, {grid.t_end}]"
+            f"recurrence: no |z| >= {config.threshold}"
+            f" in ({config.grid.t_start}, {config.grid.t_end}]"
         )
     summary += (
         f" (window_points={report.window_points} spin_points={report.spin_points}"
@@ -583,8 +580,7 @@ def _run_recurrence(config: RunConfig) -> _Result:
 
 
 def _run_ensemble(config: RunConfig) -> _Result:
-    grid = TimeGrid(config.t_start, config.t_max, config.dt)
-    report = ensemble_statistics(config.n, config.seeds, grid, config.g_min, config.g_max)
+    report = ensemble_statistics(config.n, config.seeds, config.grid, config.g_min, config.g_max)
     quantile_text = " ".join(
         f"q{int(round(q * 100)):02d}={_format(v)}" for q, v in report.abs_z_quantiles
     )
@@ -606,8 +602,7 @@ def _run_ensemble(config: RunConfig) -> _Result:
 
 
 def _run_sweep(config: RunConfig) -> _Result:
-    window = TimeGrid(config.t_start, config.t_max, config.dt)
-    table = scaling_sweep(config.ns, config.seeds_per_n, window, config.g_min, config.g_max)
+    table = scaling_sweep(config.ns, len(config.seeds), config.grid, config.g_min, config.g_max)
     lines = ["n,median_sup_abs_z"]
     lines.extend("%d,%.17g" % row for row in table)
     summary = "sweep: " + " ".join(f"n={n}:{median:.3g}" for n, median in table)

@@ -14,6 +14,7 @@ from einlab import (
     MissingKeyError,
     ParseError,
     ScenarioKind,
+    TimeGrid,
 )
 from einlab.cli import main, parse_config, run
 
@@ -41,12 +42,12 @@ class TestParseConfig:
         assert config.seed == 1
         assert config.scenario is ScenarioKind.RANDOM
         assert config.g_max == 1.0
-        assert config.t_max == 50.0
+        assert config.grid.t_end == 50.0
         assert config.a_sq == 0.5
         assert config.threshold == 0.9
-        assert config.dt == pytest.approx(math.pi / 20.0)
+        assert config.grid.dt == pytest.approx(math.pi / 20.0)
         assert config.g_min == pytest.approx(0.05)
-        assert config.t_start == 0.0
+        assert config.grid.t_start == 0.0
         assert len(config.digest) == 64
 
     def test_comments_and_blank_lines(self):
@@ -114,7 +115,34 @@ class TestParseConfig:
         text = "mode = sweep\nn = 5, 10, 15\nseeds = 4\ng_max = 1.0\nt_start = 50\nt_max = 100\n"
         config = parse_config(text)
         assert config.ns == (5, 10, 15)
-        assert config.seeds_per_n == 4
+        assert config.seeds == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize("text,grid", [
+        ("mode = trace\nn = 2\nseed = 1\nscenario = random\ng_max = 2.0\nt_max = 5\n",
+         TimeGrid(0.0, 5.0, math.pi / 40.0)),
+        ("mode = trace\nn = 2\nscenario = balanced\ng = 0.5\nt_start = 1\nt_max = 5\n",
+         TimeGrid(1.0, 5.0, math.pi / 10.0)),
+        ("mode = recurrence\nn = 2\nscenario = eigenstate\ng = 1.0\nt_start = 0.5\n"
+         "t_max = 9\ndt = 0.25\n", TimeGrid(0.5, 9.0, 0.25)),
+        ("mode = ensemble\nn = 2\nseeds = 3\ng_max = 1.0\nt_max = 7\n",
+         TimeGrid(0.0, 7.0, math.pi / 20.0)),
+        ("mode = sweep\nn = 2, 4\nseeds = 2\ng_max = 4.0\nt_start = 50\nt_max = 100\n",
+         TimeGrid(50.0, 100.0, math.pi / 80.0)),
+    ])
+    def test_grid_modes_carry_their_grid(self, text, grid):
+        # t_start defaults to 0 and dt to pi / (20 * g_max), or pi / (20 * g)
+        assert parse_config(text).grid == grid
+
+    def test_verify_has_no_grid(self, tmp_path):
+        plain = "mode = verify\nn = 3\nseed = 4\ng_max = 1.0\n"
+        timed = plain + "t_start = 1\nt_max = 5\ndt = 0.5\n"
+        assert parse_config(timed).grid is None
+        outputs = []
+        for i, text in enumerate((plain, timed)):
+            out = tmp_path / f"verify{i}.csv"
+            assert main([str(write_config(tmp_path, text)), "--output", str(out), "--quiet"]) == 0
+            outputs.append(out.read_text().split("\n", 1)[1])
+        assert outputs[0] == outputs[1]
 
     def test_sweep_rejects_seed_list(self):
         text = "mode = sweep\nn = 5, 10\nseeds = 1, 2\ng_max = 1.0\nt_start = 50\nt_max = 100\n"
@@ -477,7 +505,14 @@ EXIT_TABLE = [
     ("mode = sweep\nn = 2\nseeds = 2\ng_max = 1.0\nt_start = 5\nt_max = 5\n", 1,
      "sweep mode needs a window with t_start < t_max"),
     ("mode = trace\nn = 2\nscenario = balanced\ng = 1.0\nt_start = 9\nt_max = 5\n", 1,
-     "t_start = 9.0 exceeds t_max = 5.0"),
+     "need t_start <= t_end, got [9.0, 5.0]"),
+    # default dt = pi / 2e301: the step count overflows (exit 2 from the runner before)
+    ("mode = trace\nn = 2\nscenario = balanced\ng = 1e300\nt_max = 1e300\n", 1,
+     "grid [0.0, 1e+300] with dt = 1.5707963267948965e-301 has no finite step count"),
+    # dt below 4 ulps of the times: rows with repeated t (exit 2 from the runner before)
+    ("mode = trace\nn = 2\nscenario = balanced\ng = 1.0\nt_start = 1e16\n"
+     "t_max = 1.000000000000001e16\ndt = 1\n", 1,
+     "grid [1e+16, 1.000000000000001e+16] with dt = 1.0 repeats points; dt must be at least 8.0"),
     # an empty spin-count list in sweep mode (exit 2 from scaling_sweep before)
     ("mode = sweep\nn = ,\nseeds = 2\ng_max = 1.0\nt_start = 1\nt_max = 5\n", 1,
      "key 'n' names no spin counts: ','"),
@@ -486,13 +521,6 @@ EXIT_TABLE = [
      "need 0 < g_min <= g_max, got g_min=2.0, g_max=1.0"),
     ("mode = verify\nn = 25\nseed = 1\ng_max = 1.0\n", 2,
      "25 spins would need 2**26 amplitudes; cap is 24"),
-    # default dt = pi / 2e301: the step count overflows (a traceback before)
-    ("mode = trace\nn = 2\nscenario = balanced\ng = 1e300\nt_max = 1e300\n", 2,
-     "grid [0.0, 1e+300] with dt = 1.5707963267948965e-301 has no finite step count"),
-    # dt below 4 ulps of the times: rows with repeated t (written with exit 0 before)
-    ("mode = trace\nn = 2\nscenario = balanced\ng = 1.0\nt_start = 1e16\n"
-     "t_max = 1.000000000000001e16\ndt = 1\n", 2,
-     "grid [1e+16, 1.000000000000001e+16] with dt = 1.0 repeats points; dt must be at least 8.0"),
 ]
 
 @pytest.mark.parametrize("text,code,message", EXIT_TABLE)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import einlab.cli as cli
 from einlab import (
-    TimeGrid,
     build_environment_random,
     decoherence_factor,
     decoherence_series,
@@ -49,9 +48,8 @@ def scalar_trace_lines(config):
     """The CSV lines after the provenance comment, as the per-row loop gave them."""
     sys_amp = cli._system_amplitudes(config)
     env = cli._build_environment(config)
-    grid = TimeGrid(config.t_start, config.t_max, config.dt)
     lines = [",".join(cli.TRACE_COLUMNS)]
-    for t in grid.times():
+    for t in config.grid.times():
         lines.append(",".join(cli._format(v) for v in scalar_row(sys_amp, env, float(t))))
     return lines
 
@@ -87,8 +85,7 @@ def test_batched_trace_matches_scalar_rows(n, scenario, a_sq, t_start, dt, steps
 
 def test_grid_longer_than_a_chunk_matches_scalar_rows():
     config = trace_config(3, "random", 0.37, 1.25, 0.01, cli.TRACE_CHUNK + 100, seed=7)
-    grid = TimeGrid(config.t_start, config.t_max, config.dt)
-    assert grid.steps() + 1 > cli.TRACE_CHUNK
+    assert config.grid.steps() + 1 > cli.TRACE_CHUNK
     assert cli._run_trace(config)[0] == scalar_trace_lines(config)
 
 
@@ -243,5 +240,5 @@ def test_balanced_im_z_keeps_its_negative_zeros():
 
 def test_one_row_last_chunk_golden_has_a_one_row_last_chunk():
     config = cli.parse_config(ONE_ROW_LAST_CHUNK)
-    chunks = list(TimeGrid(config.t_start, config.t_max, config.dt).chunks(cli.TRACE_CHUNK))
+    chunks = list(config.grid.chunks(cli.TRACE_CHUNK))
     assert [c.size for c in chunks] == [cli.TRACE_CHUNK, 1]

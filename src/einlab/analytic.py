@@ -20,16 +20,15 @@ function returning plain values: z(t) is a ``complex``, a branch state an
 (n, 2) complex array, a reduced state a 2x2 complex array.  The
 brute-force check lives in :mod:`einlab.oracle`.
 
-Work is split across the CPUs in the process's affinity mask by one
-hand-out (:func:`_hand_out`), and ``taskset -c 0`` keeps it on one thread.
-Its items are a sweep's ``(n, seed)`` pairs, an ensemble's seeds, the CLI's
-verify cases, or the slices of one large call of the |z|^2 kernel
-:func:`decoherence_abs_sq` (one per CPU, as in decay-time scans and one-seed
-ensembles).  Nothing run in a hand-out hands out again: inside a sweep's or
-an ensemble's item every kernel call stays on its own thread.  No result's
-bits depend on the number of CPUs.  The thread pool is built at import and
-starts its threads on the first hand-out; a forked child builds its own.
-Work handed to the pool runs under the caller's ``np.errstate``.
+There is one level of parallelism.  A call of the |z|^2 kernel
+:func:`decoherence_abs_sq` runs on the calling thread, one CPU; whole items
+(a sweep's ``(n, seed)`` pairs, an ensemble's seeds, the CLI's verify cases)
+are handed out to the CPUs in the process's affinity mask by one hand-out
+(:func:`_hand_out`), so more seeds use more CPUs, and ``taskset -c 0`` keeps
+every mode on one thread.  Nothing run in a hand-out hands out again.  No
+result's bits depend on the number of CPUs.  The thread pool is built at
+import and starts its threads on the first hand-out; a forked child builds
+its own.  Work handed to the pool runs under the caller's ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -60,15 +59,12 @@ def decoherence_series(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
 
 
 # Element budget of one decoherence_abs_sq block: (k + 1) rows of m points
-# with k = max(1, _ABS_SQ_BLOCK // m), about 256 KiB of float64.  A call is
-# split across threads only when every slice gets at least this many
-# spin-points, so short calls never pay for the hand-off.
+# with k = max(1, _ABS_SQ_BLOCK // m), about 256 KiB of float64.
 _ABS_SQ_BLOCK = 1 << 15
 
 # Threads a hand-out may use: the CPUs this process may run on (``taskset``
-# limits it).  decoherence_abs_sq cuts large grids into this many slices,
-# sweeps and ensembles hand their items to this many workers, and verify to
-# min(2, _WORKERS).
+# limits it).  Sweeps and ensembles hand their items to this many workers,
+# and verify to min(2, _WORKERS).
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity mask on this platform
@@ -77,8 +73,7 @@ except AttributeError:  # no affinity mask on this platform
 # Runs the workers of _hand_out past the first.  Built at import, it starts no
 # thread until the first submit.  Work run by a hand-out must not hand out
 # again: with every pool thread busy, it would wait on its own pool.
-# _IN_HAND_OUT marks that work, and decoherence_abs_sq and _hand_out run
-# serially under the mark.
+# _IN_HAND_OUT marks that work, and _hand_out runs serially under the mark.
 _pool: ThreadPoolExecutor
 _IN_HAND_OUT = contextvars.ContextVar("einlab_in_hand_out", default=False)
 
@@ -97,8 +92,8 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
 
 def _hand_out(fn, count: int, workers: int) -> list:
     """``[fn(worker, i) for i in range(count)]``, the items handed out to
-    ``workers`` workers: worker 0 is the calling thread and workers 1 to
-    ``workers - 1`` run on the pool.
+    ``min(workers, count)`` workers: worker 0 is the calling thread and the
+    others run on the pool.
 
     Worker ``w`` starts with item ``w``, then takes the next item left when it
     has finished its last one, so a worker on a busy CPU just takes fewer.
@@ -106,12 +101,12 @@ def _hand_out(fn, count: int, workers: int) -> list:
     ``np.errstate`` (a context variable since numpy 2) holds there too, with
     ``_IN_HAND_OUT`` set.  Once an item raises, no further item is handed out;
     the error is raised after every worker has finished its current item, the
-    calling thread's first, else the first pool worker's.  With fewer than two
-    workers, fewer items than workers, or inside a hand-out, worker 0 runs the
-    items in order on the calling thread, where a kernel call may still split
-    its grid.
+    calling thread's first, else the first pool worker's.  Below two workers,
+    or inside a hand-out, worker 0 runs the items in order on the calling
+    thread.
     """
-    if workers < 2 or count < workers or _IN_HAND_OUT.get():
+    workers = min(workers, count)
+    if workers < 2 or _IN_HAND_OUT.get():
         return [fn(0, i) for i in range(count)]
     results = [None] * count
     rest = iter(range(workers, count))
@@ -158,30 +153,14 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     per-spin factors through their own pruned loop
     (:func:`~einlab.ensemble.recurrence_search`).
 
-    Large calls use every CPU in the process's affinity mask (``taskset -c 0``
-    keeps them on one): the flattened grid is cut into one contiguous slice
-    per CPU and the slices are handed out one per worker (:func:`_hand_out`,
-    slice 0 on the calling thread, under the caller's ``np.errstate``), each
-    through the spin-blocked loop of :func:`_abs_sq_blocks`, and the slices'
-    results are joined in order.  A call is split only when each slice gets
-    at least ``_ABS_SQ_BLOCK`` spin-points, and never inside a hand-out, such
-    as a sweep's or an ensemble's item.  A point's value depends only on its
-    own time and the fixed spin order, so the result has the same bits
-    however many CPUs there are and wherever the cuts fall.
+    One call runs on the calling thread, through the spin-blocked loop of
+    :func:`_abs_sq_blocks`; sweeps and ensembles use more CPUs by handing out
+    whole seeds (:func:`_hand_out`).  A point's value depends only on its own
+    time and the fixed spin order, so the result has the same bits whatever
+    the grid's shape or length.
     """
     times = np.asarray(times, dtype=float)
-    flat = times.reshape(-1)
-    g4, mean, swing = _abs_sq_factors(env)
-    slices = _WORKERS
-    # every slice holds at least flat.size // slices points
-    if slices < 2 or env.n * (flat.size // slices) < _ABS_SQ_BLOCK or _IN_HAND_OUT.get():
-        return _abs_sq_blocks(flat, g4, mean, swing).reshape(times.shape)
-    bounds = [flat.size * i // slices for i in range(slices + 1)]
-
-    def one_slice(worker: int, i: int) -> np.ndarray:
-        return _abs_sq_blocks(flat[bounds[i] : bounds[i + 1]], g4, mean, swing)
-
-    return np.concatenate(_hand_out(one_slice, slices, slices)).reshape(times.shape)
+    return _abs_sq_blocks(times.reshape(-1), *_abs_sq_factors(env)).reshape(times.shape)
 
 
 def _abs_sq_blocks(flat, g4, mean, swing) -> np.ndarray:

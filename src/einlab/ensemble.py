@@ -430,10 +430,9 @@ def ensemble_statistics(
     sup-|z|) run in sorted-seed order.
 
     Seeds are handed out to the CPUs in the process's affinity mask, one
-    whole seed per thread at a time (build, then |z|^2 on one thread); with
-    fewer seeds than CPUs they run in turn on the calling thread, and each
-    kernel call splits its grid instead.  Either way the report has the same
-    bits.
+    whole seed per thread at a time (build, then |z|^2 on one thread), so a
+    one-seed ensemble runs on one CPU.  The report has the same bits however
+    many CPUs there are.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:

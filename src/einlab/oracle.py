@@ -45,9 +45,8 @@ from .model import EnvironmentSpec, SystemAmplitudes
 
 MAX_SPINS = 24
 
-# One lock for every scratch array handed to partial_trace_to_system, whichever
-# buffers it belongs to: scratch-backed partial traces run one at a time in a
-# process.
+# One lock for every conjugate array of partial_trace_to_system, whichever
+# buffers it belongs to: partial traces run one at a time in a process.
 _scratch_lock = threading.Lock()
 
 
@@ -268,15 +267,13 @@ def _evolve_blocks(rows: np.ndarray, env: EnvironmentSpec, t: float) -> None:
 def partial_trace_to_system(state: FullState, scratch: np.ndarray | None = None) -> np.ndarray:
     """Reduced system matrix rho[s, s'] = sum_e psi[s, e] conj(psi[s', e]), a 2x2 complex array.
 
-    ``scratch``, a contiguous complex128 array of the state's size, receives
-    ``conj(psi)`` in place of a fresh temporary; the matrix product is the
-    same.  Threads may share one scratch array: every call with a scratch takes
-    one module-wide lock, so partial traces into scratch arrays run one at a
-    time in a process, even into different arrays.
+    ``conj(psi)`` is written into ``scratch``, a contiguous complex128 array
+    of the state's size, or into a fresh array without one; the matrix
+    product is the same.  Threads may share one scratch array: every call
+    takes one module-wide lock, so partial traces run one at a time in a
+    process, even into different arrays.
     """
     psi = state.amplitudes.reshape(2, -1)
-    if scratch is None:
-        return psi @ psi.conj().T
     conj = _out_array(scratch, psi.size).reshape(2, -1)
     with _scratch_lock:
         np.conjugate(psi, out=conj)
@@ -319,18 +316,18 @@ def crosscheck(
 
     ``buffers`` (from :func:`crosscheck_buffers`, for at least ``env.n``
     spins) holds the state in its first row and the conjugate scratch in its
-    last; the report is the same either way.  A thread of a batch passes the
+    last; without it the crosscheck allocates ``crosscheck_buffers(env.n)``,
+    and the report is the same either way.  A thread of a batch passes the
     rows from its own onward, so every thread's first row is its own and the
     last row is the shared scratch.  The state is evolved in place, so a
     crosscheck holds at most two 2^(n+1) arrays of its own.
     """
-    state_out = scratch = None
-    if buffers is not None:
-        size = 2 ** (env.n + 1)
-        state_out, scratch = buffers[0, :size], buffers[-1, :size]
-    full = assemble_full_state(sys, env, out=state_out)
+    if buffers is None:
+        buffers = crosscheck_buffers(env.n)
+    size = 2 ** (env.n + 1)
+    full = assemble_full_state(sys, env, out=buffers[0, :size])
     evolved = evolve_full(full, env, t, out=full.amplitudes)
-    rho_brute = partial_trace_to_system(evolved, scratch)
+    rho_brute = partial_trace_to_system(evolved, buffers[-1, :size])
     rho_closed = reduced_density_matrix(sys, env, t)
     dev = float(np.max(np.abs(rho_brute - rho_closed)))
     return CrosscheckReport(max_deviation=dev, tolerance=float(tolerance), passed=dev <= tolerance)

@@ -27,6 +27,7 @@ from einlab import (
     build_environment_scenario,
     decoherence_abs_sq,
 )
+from einlab.ensemble import TimeGrid, scaling_sweep
 
 from conftest import assert_golden_digests, assert_same_bits
 
@@ -113,36 +114,6 @@ def test_whole_grid_equals_any_split(n, m, cuts, seed):
     assert_same_bits(np.concatenate(pieces), decoherence_abs_sq(env, times))
 
 
-def split_abs_sq(env, times, workers):
-    """decoherence_abs_sq with ``workers`` CPUs, and the sizes of the slices it ran.
-
-    A split grid must run slice 0 on the calling thread and every other slice
-    on the pool."""
-    slices = []
-    blocks = analytic._abs_sq_blocks
-
-    def recorded(flat, *args):
-        slices.append((flat.ctypes.data, flat.size, threading.current_thread()))
-        return blocks(flat, *args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analytic, "_WORKERS", workers)
-        patch.setattr(analytic, "_abs_sq_blocks", recorded)
-        result = decoherence_abs_sq(env, times)
-    # the slices are views of one flat grid: their addresses give their order
-    threads = [thread for _, _, thread in sorted(slices, key=lambda s: s[0])]
-    if len(threads) > 1:
-        assert threads[0] is threading.current_thread()
-        assert all(thread.name.startswith("einlab-pool") for thread in threads[1:])
-    return result, sorted(size for _, size, _ in slices)
-
-
-def expected_slices(n, m, workers):
-    # split only when every slice gets at least BLOCK spin-points
-    return workers if workers > 1 and n * (m // workers) >= BLOCK else 1
-
-
-@pytest.mark.parametrize("workers", (1, 2, 3))
 @pytest.mark.parametrize(
     "n, m",
     [
@@ -153,82 +124,64 @@ def expected_slices(n, m, workers):
         if n * m <= 2_000_000
     ],
 )
-def test_split_equals_serial(n, m, workers):
+def test_kernel_equals_per_spin_loop_at_table_sizes(n, m):
     env = build_environment_random(n, 7, None, 1.0)
     times = 3.0 + np.arange(m) * 0.0173
-    serial, _ = split_abs_sq(env, times, 1)
-    split, sizes = split_abs_sq(env, times, workers)
-    assert_same_bits(split, serial)
-    assert len(sizes) == expected_slices(n, m, workers) and sum(sizes) == m
-
-
-@pytest.mark.parametrize("workers", (2, 3))
-def test_split_keeps_two_d_times(workers):
-    env = build_environment_random(2000, 3, None, 1.0)
-    times = 50.0 + np.arange(319).reshape(11, 29) * 0.157
-    split, sizes = split_abs_sq(env, times, workers)
-    assert len(sizes) == workers
-    assert_same_bits(split, per_spin_abs_sq(env, times))
-
-
-@given(st.integers(1, 6), st.integers(100, 400), st.integers(300, 3000), st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_split_equals_serial_at_any_cut(workers, n, m, seed):
-    # workers and m move the cuts m * i // workers anywhere on the grid
-    env = build_environment_random(n, seed, None, 1.0)
-    times = 40.0 + np.arange(m) * 0.0731
-    split, sizes = split_abs_sq(env, times, workers)
-    assert len(sizes) == expected_slices(n, m, workers)
-    assert_same_bits(split, split_abs_sq(env, times, 1)[0])
-
-
-class SliceFailed(Exception):
-    pass
-
-
-@pytest.mark.parametrize("failing", (0, 2))
-def test_slice_error_reaches_the_caller(monkeypatch, failing):
-    # slice 0 runs on the calling thread, slice 2 (the last) on the pool
-    env = build_environment_random(300, 4, None, 1.0)
-    times = np.arange(900) * 0.11
-    blocks = analytic._abs_sq_blocks
-
-    def fail_one(flat, *args):
-        if flat[0] == times[300 * failing]:
-            raise SliceFailed(failing)
-        return blocks(flat, *args)
-
-    monkeypatch.setattr(analytic, "_WORKERS", 3)
-    monkeypatch.setattr(analytic, "_abs_sq_blocks", fail_one)
-    with pytest.raises(SliceFailed):
-        decoherence_abs_sq(env, times)
-    monkeypatch.setattr(analytic, "_abs_sq_blocks", blocks)
     assert_same_bits(decoherence_abs_sq(env, times), per_spin_abs_sq(env, times))
 
 
+def test_a_long_grid_runs_once_on_the_calling_thread(monkeypatch):
+    # at three CPUs this grid has far more than BLOCK spin-points per CPU,
+    # yet the kernel neither cuts it nor hands out work
+    blocks = analytic._abs_sq_blocks
+    calls = []
+
+    def recorded(flat, *args):
+        calls.append((flat.size, threading.current_thread()))
+        return blocks(flat, *args)
+
+    def no_hand_out(*args):
+        raise AssertionError("decoherence_abs_sq handed out work")
+
+    monkeypatch.setattr(analytic, "_WORKERS", 3)
+    monkeypatch.setattr(analytic, "_abs_sq_blocks", recorded)
+    monkeypatch.setattr(analytic, "_hand_out", no_hand_out)
+    env = build_environment_random(7, 7, None, 1.0)
+    decoherence_abs_sq(env, 3.0 + np.arange(2**18 + 1) * 0.0173)
+    assert calls == [(2**18 + 1, threading.current_thread())]
+
+
 @pytest.mark.parametrize("inf_at", (0, 3999))
-def test_pool_slices_keep_the_callers_errstate(monkeypatch, inf_at):
+def test_pool_items_keep_the_callers_errstate(inf_at):
     # numpy keeps np.errstate in a context variable, which pool threads do
-    # not inherit by themselves; slice 0 runs on the caller, slice 1 on the pool
-    monkeypatch.setattr(analytic, "_WORKERS", 2)
+    # not inherit by themselves; item 0 runs on the caller, item 1 on the pool
     env = build_environment_random(50, 6, None, 1.0)
     times = np.linspace(0.0, 100.0, 4000)
     times[inf_at] = np.inf
+    halves = times.reshape(2, -1)
+    threads = {}
+
+    def item(worker, i):
+        threads[i] = threading.current_thread()
+        return decoherence_abs_sq(env, halves[i])
+
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        decoherence_abs_sq(env, times)
+        analytic._hand_out(item, 2, 2)
     with warnings.catch_warnings(record=True) as caught, np.errstate(invalid="ignore"):
         warnings.simplefilter("always")
-        result = decoherence_abs_sq(env, times)
+        result = np.concatenate(analytic._hand_out(item, 2, 2))
     assert caught == []
+    assert threads[0] is threading.current_thread()
+    assert threads[1].name.startswith("einlab-pool")
     assert np.isnan(result[inf_at]) and np.isfinite(np.delete(result, inf_at)).all()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_gets_the_parents_bits(monkeypatch, tmp_path):
+    # at two workers a two-seed sweep hands its second seed to the pool
     monkeypatch.setattr(analytic, "_WORKERS", 2)
-    env = build_environment_random(2000, 5, None, 1.0)
-    times = 50.0 + np.arange(319) * 0.157
-    expected = decoherence_abs_sq(env, times)
+    window = TimeGrid(50.0, 100.0, 0.157)
+    expected = repr(scaling_sweep((700,), 2, window))
     # the child inherits a pool whose thread runs only in the parent
     assert any(t.name.startswith("einlab-pool") for t in threading.enumerate())
     result = tmp_path / "child.bin"
@@ -236,7 +189,7 @@ def test_forked_child_gets_the_parents_bits(monkeypatch, tmp_path):
     if pid == 0:
         status = 1
         try:
-            result.write_bytes(decoherence_abs_sq(env, times).tobytes())
+            result.write_text(repr(scaling_sweep((700,), 2, window)))
             status = 0
         finally:
             os._exit(status)
@@ -249,7 +202,8 @@ def test_forked_child_gets_the_parents_bits(monkeypatch, tmp_path):
         os.waitpid(pid, 0)
         pytest.fail("forked child did not finish within 30 s")
     assert os.waitstatus_to_exitcode(done[1]) == 0
-    assert result.read_bytes() == expected.tobytes()
+    # repr prints each float's shortest round trip, so equal text is equal bits
+    assert result.read_text() == expected
 
 
 ONE_CPU_SWEEP = """
@@ -286,7 +240,7 @@ def test_one_cpu_starts_no_thread():
 
 
 def test_import_starts_no_thread():
-    # the pool is built at import; its thread starts with the first split call
+    # the pool is built at import; its thread starts with the first hand-out
     assert run_python(IMPORT_ONLY) == ["0"]
 
 

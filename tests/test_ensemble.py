@@ -281,8 +281,8 @@ class TestEnsembleStatistics:
         self, monkeypatch, workers, seeds, n, t_start
     ):
         # the package's one time average of |z|^2, to the bit: three seeds are
-        # handed out one per thread at two workers, one seed splits its grid
-        # from n = 300 on, and at n = 2000 |z|^2 underflows to 0 past the
+        # handed out one per thread at two workers, one seed runs on the
+        # calling thread, and at n = 2000 |z|^2 underflows to 0 past the
         # first few points and the prediction is a denormal
         monkeypatch.setattr(analytic, "_WORKERS", workers)
         grid = TimeGrid(t_start, 50.0, 0.05)

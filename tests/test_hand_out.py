@@ -5,7 +5,7 @@ one at a time, to the calling thread and the threads of ``einlab.analytic``'s
 pool (``analytic._hand_out``).  A report may depend neither on the worker
 count nor on the order the seeds were given in; an item that fails stops the
 hand-out and reaches the caller as it would on one worker; and nothing run on
-the pool splits its work again.
+the pool hands out again.
 """
 
 import random
@@ -146,7 +146,7 @@ def test_results_come_in_index_order(count, workers):
 
     assert analytic._hand_out(item, count, workers) == [i * i for i in range(count)]
     assert all(0 <= worker < max(workers, 1) for worker, _ in taken)
-    if workers < 2 or count < workers:
+    if min(workers, count) < 2:
         # run in turn by worker 0 on the calling thread
         assert taken == [(0, threading.get_ident())] * count
 
@@ -167,14 +167,16 @@ def taken_by_worker(workers, count, item=lambda worker, i: None):
     return taken
 
 
-@pytest.mark.parametrize("workers, count", [(2, 2), (2, 7), (3, 3), (3, 10), (4, 9)])
+@pytest.mark.parametrize("workers, count", [(2, 2), (2, 7), (3, 2), (3, 3), (3, 10), (4, 9)])
 def test_worker_w_starts_with_item_w(workers, count):
+    # fewer items than workers: one worker per item
+    used = min(workers, count)
     taken = taken_by_worker(workers, count)
-    assert sorted(taken) == list(range(workers))
-    assert [taken[w][0][0] for w in range(workers)] == list(range(workers))
+    assert sorted(taken) == list(range(used))
+    assert [taken[w][0][0] for w in range(used)] == list(range(used))
     # worker 0 is the calling thread, the others run on the pool
     assert {name for _, name in taken[0]} == {threading.current_thread().name}
-    for w in range(1, workers):
+    for w in range(1, used):
         assert all(name.startswith("einlab-pool") for _, name in taken[w])
 
 
@@ -195,29 +197,38 @@ def test_a_busy_worker_takes_fewer_items():
     assert [i for i, _ in taken[1]] == [1]
 
 
-def test_nothing_on_the_pool_hands_out_or_splits_again():
+def test_nothing_on_the_pool_hands_out_or_splits_again(monkeypatch):
     # a hand-out inside a hand-out runs inline instead of waiting on the pool
-    # threads it occupies; a kernel call there does not split either
+    # threads it occupies; a kernel call there runs once, on the item's thread
     env = ensemble.build_environment_random(700, 3)
     times = SHORT.times()
-    serial = analytic._abs_sq_blocks(times, *analytic._abs_sq_factors(env))
+    blocks = analytic._abs_sq_blocks
+    serial = blocks(times, *analytic._abs_sq_factors(env))
     outcome = {}
+    kernel_threads = []
+
+    def recorded(*args):
+        kernel_threads.append(threading.get_ident())
+        return blocks(*args)
 
     def outer(worker, i):
         inner = analytic._hand_out(lambda w, j: (w, threading.get_ident()), 3, 2)
-        return inner, analytic._IN_HAND_OUT.get(), analytic.decoherence_abs_sq(env, times)
+        values = analytic.decoherence_abs_sq(env, times)
+        return inner, analytic._IN_HAND_OUT.get(), values, threading.get_ident()
 
     def run():
         outcome["results"] = analytic._hand_out(outer, 4, 2)
 
+    monkeypatch.setattr(analytic, "_abs_sq_blocks", recorded)
     runner = threading.Thread(target=run, daemon=True)
     runner.start()
     runner.join(30)
     assert not runner.is_alive()
-    for inner, marked, values in outcome["results"]:
-        assert marked and len({thread for _, thread in inner}) == 1
+    for inner, marked, values, thread in outcome["results"]:
+        assert marked and {t for _, t in inner} == {thread}
         assert [w for w, _ in inner] == [0, 0, 0]
         assert values.tobytes() == serial.tobytes()
+    assert Counter(kernel_threads) == Counter(r[3] for r in outcome["results"])
     assert analytic._IN_HAND_OUT.get() is False
 
 

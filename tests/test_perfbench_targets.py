@@ -22,9 +22,9 @@ def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
     # the tracer's model.* and analytic.abs_sq_* spans wrap these two names
     # in einlab.ensemble.  Sweeps and ensembles hand their (n, seed) items to
     # up to _WORKERS threads: each item is built once and evaluated once,
-    # build then kernel on one thread, and a kernel call inside a hand-out
-    # runs one unsplit slice on its own thread.  A one-seed ensemble runs on
-    # the calling thread and still splits its grid (n = 700 here).
+    # build then kernel on one thread, and a kernel call runs the blocked
+    # loop once on its own thread.  A one-seed ensemble runs on the calling
+    # thread, one loop on one CPU.
     import einlab.analytic as analytic
     import einlab.ensemble as ensemble
 
@@ -34,7 +34,7 @@ def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
         ensemble.decoherence_abs_sq,
         analytic._abs_sq_blocks,
     )
-    calls, slices, built = defaultdict(list), Counter(), {}
+    calls, loops, built = defaultdict(list), Counter(), {}
     barrier = [None]  # each thread's first build waits here, so every worker takes an item
 
     def traced_build(n, seed, *args):
@@ -51,18 +51,18 @@ def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
         return kernel(env, times)
 
     def traced_blocks(*args):
-        slices[threading.get_ident()] += 1
+        loops[threading.get_ident()] += 1
         return blocks(*args)
 
     def run(fn, *args, handed_out=True):
         calls.clear()
-        slices.clear()
+        loops.clear()
         built.clear()
         barrier[0] = threading.Barrier(workers, timeout=30) if handed_out else None
         fn(*args)
-        return dict(calls), dict(slices)
+        return dict(calls), dict(loops)
 
-    def check_hand_out(per_thread, per_thread_slices, items):
+    def check_hand_out(per_thread, per_thread_loops, items):
         assert Counter(c for seq in per_thread.values() for c in seq if c[0] == "build") == Counter(
             ("build", n, seed) for n, seed in items
         )
@@ -70,22 +70,22 @@ def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
             assert [c[0] for c in sequence] == ["build", "kernel"] * (len(sequence) // 2)
             assert sequence[1::2] == [("kernel", True)] * (len(sequence) // 2)
         assert len(per_thread) == min(workers, len(items))
-        # one slice per kernel call, on the thread that made the call
-        assert per_thread_slices == {t: len(seq) // 2 for t, seq in per_thread.items()}
+        # one blocked loop per kernel call, on the thread that made the call
+        assert per_thread_loops == {t: len(seq) // 2 for t, seq in per_thread.items()}
 
     monkeypatch.setattr(analytic, "_WORKERS", workers)
     monkeypatch.setattr(analytic, "_abs_sq_blocks", traced_blocks)
     monkeypatch.setattr(ensemble, "build_environment_random", traced_build)
     monkeypatch.setattr(ensemble, "decoherence_abs_sq", traced_kernel)
     window = ensemble.TimeGrid(5.0, 6.0, 0.01)
-    per_thread, per_slice = run(ensemble.scaling_sweep, (0, 3, 700), 2, window)
-    check_hand_out(per_thread, per_slice, [(n, seed) for n in (0, 3, 700) for seed in (1, 2)])
-    per_thread, per_slice = run(ensemble.ensemble_statistics, 700, (9, 2, 5), window)
-    check_hand_out(per_thread, per_slice, [(700, seed) for seed in (2, 5, 9)])
-    # one seed, fewer items than workers: the calling thread splits the grid
-    per_thread, per_slice = run(ensemble.ensemble_statistics, 700, (4,), window, handed_out=False)
+    per_thread, per_loop = run(ensemble.scaling_sweep, (0, 3, 700), 2, window)
+    check_hand_out(per_thread, per_loop, [(n, seed) for n in (0, 3, 700) for seed in (1, 2)])
+    per_thread, per_loop = run(ensemble.ensemble_statistics, 700, (9, 2, 5), window)
+    check_hand_out(per_thread, per_loop, [(700, seed) for seed in (2, 5, 9)])
+    # one seed, one worker: everything on the calling thread
+    per_thread, per_loop = run(ensemble.ensemble_statistics, 700, (4,), window, handed_out=False)
     assert per_thread == {threading.get_ident(): [("build", 700, 4), ("kernel", True)]}
-    assert len(per_slice) == workers and per_slice[threading.get_ident()] == 1
+    assert per_loop == {threading.get_ident(): 1}
 
 
 def test_verify_calls_the_oracle_through_module_attributes(monkeypatch, tmp_path):

@@ -114,6 +114,31 @@ def test_whole_grid_equals_any_split(n, m, cuts, seed):
     assert_same_bits(np.concatenate(pieces), decoherence_abs_sq(env, times))
 
 
+def one_call_abs_sq(env, times, workers):
+    """decoherence_abs_sq at ``workers`` CPUs, checked to run as one call.
+
+    Whatever the worker count, the kernel must make one ``_abs_sq_blocks``
+    call over the whole grid, on the calling thread, and hand out nothing."""
+    calls = []
+    blocks = analytic._abs_sq_blocks
+
+    def recorded(flat, *args):
+        calls.append((flat.size, threading.current_thread()))
+        return blocks(flat, *args)
+
+    def no_hand_out(*args):
+        raise AssertionError("decoherence_abs_sq handed out work")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytic, "_WORKERS", workers)
+        patch.setattr(analytic, "_abs_sq_blocks", recorded)
+        patch.setattr(analytic, "_hand_out", no_hand_out)
+        result = decoherence_abs_sq(env, times)
+    assert calls == [(np.size(times), threading.current_thread())]
+    return result
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
 @pytest.mark.parametrize(
     "n, m",
     [
@@ -124,31 +149,36 @@ def test_whole_grid_equals_any_split(n, m, cuts, seed):
         if n * m <= 2_000_000
     ],
 )
-def test_kernel_equals_per_spin_loop_at_table_sizes(n, m):
+def test_kernel_equals_per_spin_loop_at_table_sizes(n, m, workers):
+    # sizes on both sides of the block edges, at worker counts where the
+    # kernel used to cut its grid into one slice per CPU
     env = build_environment_random(n, 7, None, 1.0)
     times = 3.0 + np.arange(m) * 0.0173
-    assert_same_bits(decoherence_abs_sq(env, times), per_spin_abs_sq(env, times))
+    assert_same_bits(one_call_abs_sq(env, times, workers), per_spin_abs_sq(env, times))
 
 
-def test_a_long_grid_runs_once_on_the_calling_thread(monkeypatch):
+@pytest.mark.parametrize("workers", (2, 3))
+def test_two_d_times_run_as_one_call(workers):
+    env = build_environment_random(2000, 3, None, 1.0)
+    times = 50.0 + np.arange(319).reshape(11, 29) * 0.157
+    result = one_call_abs_sq(env, times, workers)
+    assert result.shape == (11, 29)
+    assert_same_bits(result, per_spin_abs_sq(env, times))
+
+
+@given(st.integers(1, 6), st.integers(100, 400), st.integers(300, 3000), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_kernel_equals_per_spin_loop_at_any_worker_count(workers, n, m, seed):
+    env = build_environment_random(n, seed, None, 1.0)
+    times = 40.0 + np.arange(m) * 0.0731
+    assert_same_bits(one_call_abs_sq(env, times, workers), per_spin_abs_sq(env, times))
+
+
+def test_a_long_grid_runs_once_on_the_calling_thread():
     # at three CPUs this grid has far more than BLOCK spin-points per CPU,
     # yet the kernel neither cuts it nor hands out work
-    blocks = analytic._abs_sq_blocks
-    calls = []
-
-    def recorded(flat, *args):
-        calls.append((flat.size, threading.current_thread()))
-        return blocks(flat, *args)
-
-    def no_hand_out(*args):
-        raise AssertionError("decoherence_abs_sq handed out work")
-
-    monkeypatch.setattr(analytic, "_WORKERS", 3)
-    monkeypatch.setattr(analytic, "_abs_sq_blocks", recorded)
-    monkeypatch.setattr(analytic, "_hand_out", no_hand_out)
     env = build_environment_random(7, 7, None, 1.0)
-    decoherence_abs_sq(env, 3.0 + np.arange(2**18 + 1) * 0.0173)
-    assert calls == [(2**18 + 1, threading.current_thread())]
+    one_call_abs_sq(env, 3.0 + np.arange(2**18 + 1) * 0.0173, 3)
 
 
 @pytest.mark.parametrize("inf_at", (0, 3999))

@@ -22,13 +22,18 @@ brute-force check lives in :mod:`einlab.oracle`.
 
 There is one level of parallelism.  A call of the |z|^2 kernel
 :func:`decoherence_abs_sq` runs on the calling thread, one CPU; whole items
-(a sweep's ``(n, seed)`` pairs, an ensemble's seeds, the CLI's verify cases)
-are handed out to the CPUs in the process's affinity mask by one hand-out
+(a sweep's seeds, an ensemble's seeds, the CLI's verify cases) are handed
+out to the CPUs in the process's affinity mask by one hand-out
 (:func:`_hand_out`), so more seeds use more CPUs, and ``taskset -c 0`` keeps
 every mode on one thread.  Nothing run in a hand-out hands out again.  No
 result's bits depend on the number of CPUs.  The thread pool is built at
 import and starts its threads on the first hand-out; a forked child builds
 its own.  Work handed to the pool runs under the caller's ``np.errstate``.
+
+A sweep item is one seed with all its spin counts: its baths share their
+first couplings, so one kernel call (:func:`_abs_sq_blocks` with several
+tables) computes each ``cos(4 g_j t)`` row once for every n holding spin j,
+with the same bits as one call per n.
 """
 
 from __future__ import annotations
@@ -163,32 +168,53 @@ def decoherence_abs_sq(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
     return _abs_sq_blocks(times.reshape(-1), *_abs_sq_factors(env)).reshape(times.shape)
 
 
-def _abs_sq_blocks(flat, g4, mean, swing) -> np.ndarray:
-    """prod_j (mean_j + swing_j * cos(g4_j * t)) at each point of the 1-D ``flat``.
+def _abs_sq_blocks(flat, g4, mean, swing, shorter=()) -> np.ndarray:
+    """prod_j (mean_j + swing_j * cos(g4_j * t)) at each point of the 1-D
+    ``flat``, for the table ``(mean, swing)`` and for each shorter table of
+    ``shorter``: a ``(len(shorter) + 1, flat.size)`` array whose last row is
+    the full table's product and whose row i is that of ``shorter[i]``.
+
+    A shorter table is a ``(mean, swing)`` pair for the first spins of
+    ``g4`` only, so a sweep evaluates each seed's ``cos(g4_j * t)`` rows
+    once for all its spin counts.
 
     Spins are taken in blocks of k = max(1, _ABS_SQ_BLOCK // m) for m grid points.
     A block is a (k + 1, m) buffer: row 0 holds the product over the spins
-    before the block, rows 1..k the block's factors, and one
-    ``np.multiply.reduce`` along axis 0 folds them in.  That reduction
+    before the block, rows 1..k the block's cosines, and one
+    ``np.multiply.reduce`` along axis 0 folds them in.  Each shorter table
+    still holding spins in the block forms its factors from those cosines in
+    a side buffer, of at most that shape, and folds them there; the full table
+    then forms its factors in place and folds last.  The reduction
     multiplies the rows one after another in index order, and each factor
     is formed by the same IEEE operations as ``mean + swing * cos(4 g t)``
     for one spin, so every value equals the spin-by-spin product
-    ``((1 * f_0) * f_1) * ...`` to the bit, whatever the block size.
+    ``((1 * f_0) * f_1) * ...`` to the bit, whatever the block size and
+    whichever tables share the call.
     """
     n = g4.size
     k = max(1, min(n, _ABS_SQ_BLOCK // max(flat.size, 1)))
     buf = np.empty((k + 1, flat.size))
-    out = np.ones(flat.size)
+    if shorter:
+        side = np.empty((min(k, max(m.size for m, _ in shorter)) + 1, flat.size))
+    out = np.ones((len(shorter) + 1, flat.size))
     for start in range(0, n, k):
         stop = min(start + k, n)
         block = buf[: stop - start + 1]
-        block[0] = out
         rows = block[1:]
         np.multiply(g4[start:stop, None], flat, out=rows)
         np.cos(rows, out=rows)
+        for product, (part_mean, part_swing) in zip(out, shorter):
+            count = min(stop, part_mean.size) - start
+            if count > 0:
+                part = side[: count + 1]
+                part[0] = product
+                np.multiply(rows[:count], part_swing[start : start + count, None], out=part[1:])
+                part[1:] += part_mean[start : start + count, None]
+                np.multiply.reduce(part, axis=0, out=product)
+        block[0] = out[-1]
         rows *= swing[start:stop, None]
         rows += mean[start:stop, None]
-        out = np.multiply.reduce(block, axis=0)
+        np.multiply.reduce(block, axis=0, out=out[-1])
     return out
 
 

@@ -34,7 +34,10 @@ Verify mode runs its cases on up to two CPUs of the process's affinity mask
 place, so the oracle holds at most three 2^(n+1)-amplitude arrays; rows are
 written in case order and the bytes do not depend on the CPU count.
 Ensemble and sweep modes hand out their seeds the same way, one whole seed
-per thread, to every CPU of the mask (:func:`einlab.analytic._hand_out`).
+per thread, to every CPU of the mask (:func:`einlab.analytic._hand_out`); a
+sweep seed evaluates all its spin counts in one kernel call that shares the
+``cos(4 g t)`` rows of their common couplings.  A seed count may name at
+most :data:`~einlab.ensemble.MAX_SEEDS` seeds.
 
 Modes write CSV only: `.` decimal separator, fixed column order, LF line
 endings, 17 significant digits, and a leading provenance comment carrying
@@ -71,7 +74,7 @@ from .analytic import trace_columns
 
 # Unused here, but the benchmark's traced run patches them as einlab.cli.<name>.
 from .analytic import decoherence_factor, reduced_density_matrix, state_metrics  # noqa: F401
-from .ensemble import TimeGrid, ensemble_statistics, recurrence_search, scaling_sweep
+from .ensemble import MAX_SEEDS, TimeGrid, ensemble_statistics, recurrence_search, scaling_sweep
 from .errors import EinlabError, InvalidRangeError, MissingKeyError, ParseError
 from .model import (
     DEFAULT_G_MIN_FRACTION,
@@ -165,6 +168,8 @@ def _parse_seeds(key: str, raw: str, line_no: int, mode: str) -> dict[str, objec
             raise InvalidRangeError("sweep mode takes 'seeds' as a count, not a list")
         if numbers[0] < 1:
             raise InvalidRangeError(f"key 'seeds' must be a positive count, got {raw}")
+    if (len(numbers) if explicit else numbers[0]) > MAX_SEEDS:
+        raise InvalidRangeError(f"key 'seeds' names more than {MAX_SEEDS} seeds")
     seeds = tuple(numbers) if explicit else tuple(range(1, numbers[0] + 1))
     if not seeds:
         raise InvalidRangeError(f"key 'seeds' names no seeds: '{raw}'")

@@ -50,6 +50,10 @@ QUANTILE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # median sup-|z| is taken over the trailing quarter of the grid
 LATE_WINDOW_FRACTION = 0.25
 
+# Most seeds one sweep or config may name: a count K stands for seeds 1..K,
+# and past this a count would only fail for want of memory or time.
+MAX_SEEDS = 10**6
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -480,10 +484,16 @@ def scaling_sweep(
     """Median over seeds of the largest |z| on a late-time window, per n.
 
     Seeds are 1..seeds_per_n for every n, so rerunning the sweep with the
-    same arguments reproduces the same table.  The ``(n, seed)`` pairs are
-    handed out to the CPUs in the process's affinity mask, one whole pair per
-    thread at a time (build, then |z|^2 on one thread); the table's bits do
-    not depend on how many CPUs there are.
+    same arguments reproduces the same table.  The seeds are handed out to
+    the CPUs in the process's affinity mask, one whole seed per thread at a
+    time: its ``len(ns)`` baths are built, and one |z|^2 kernel call
+    evaluates all of them, computing each ``cos(4 g_j t)`` row once for
+    every n that holds spin j.  That is sound because the couplings of
+    ``(n, seed)`` are the first n couplings of ``(N, seed)`` for N > n
+    (:func:`~einlab.model.build_environment_random`); the item checks it
+    and raises ``RuntimeError`` if they are not.  The table's bits do not
+    depend on how many CPUs there are, and equal those of the per-pair
+    ``max(decoherence_abs_sq(env, times))``.
     """
     ns = tuple(int(n) for n in ns)
     if not ns:
@@ -492,17 +502,19 @@ def scaling_sweep(
         raise InvalidRangeError(f"spin counts must be strictly ascending, got {ns}")
     if ns[0] < 0:
         raise InvalidRangeError(f"spin counts must be non-negative, got {ns}")
-    if seeds_per_n < 1:
-        raise InvalidRangeError(f"need at least one seed per n, got {seeds_per_n}")
+    if not 1 <= seeds_per_n <= MAX_SEEDS:
+        raise InvalidRangeError(f"need 1 to {MAX_SEEDS} seeds per n, got {seeds_per_n}")
     times = late_window.times()
-    pairs = [(n, seed) for n in ns for seed in range(1, seeds_per_n + 1)]
 
-    def late_sup(_worker: int, i: int) -> float:
-        env = build_environment_random(*pairs[i], g_min, g_max)
-        return float(np.max(decoherence_abs_sq(env, times)))
+    def late_sups(_worker: int, i: int) -> list[float]:
+        envs = [build_environment_random(n, i + 1, g_min, g_max) for n in ns]
+        couplings = envs[-1].couplings()
+        for env in envs[:-1]:
+            if not np.array_equal(env.couplings(), couplings[: env.n]):
+                raise RuntimeError(f"seed {i + 1}: the couplings of n={env.n} are not a prefix")
+        shorter = [_abs_sq_factors(env)[1:] for env in envs[:-1]]
+        products = analytic._abs_sq_blocks(times, *_abs_sq_factors(envs[-1]), shorter)
+        return [float(np.max(product)) for product in products]
 
-    sups = _hand_out(late_sup, len(pairs), analytic._WORKERS)
-    return [
-        (n, float(np.median(np.sqrt(sups[k * seeds_per_n : (k + 1) * seeds_per_n]))))
-        for k, n in enumerate(ns)
-    ]
+    per_seed = _hand_out(late_sups, seeds_per_n, analytic._WORKERS)
+    return [(n, float(np.median(np.sqrt([sups[k] for sups in per_seed])))) for k, n in enumerate(ns)]

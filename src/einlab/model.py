@@ -133,6 +133,13 @@ def build_environment_random(
     n couplings, then n cos-latitudes, then n azimuths, so identical inputs
     rebuild bit-identical environments.  ``g_min`` defaults to
     0.05 * g_max, which keeps every spin meaningfully coupled.
+
+    Contract: because the couplings come first, the couplings of
+    ``(n, seed)`` are bit for bit the first n couplings of ``(N, seed)``
+    for every N > n (the same g_min and g_max).  Scaling sweeps rely on it
+    to share one seed's ``cos(4 g t)`` rows across their spin counts, and
+    check it per seed (:func:`~einlab.ensemble.scaling_sweep`); the states
+    carry no such prefix property.
     """
     if n < 0:
         raise InvalidRangeError(f"spin count must be non-negative, got {n}")

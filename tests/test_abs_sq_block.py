@@ -114,6 +114,58 @@ def test_whole_grid_equals_any_split(n, m, cuts, seed):
     assert_same_bits(np.concatenate(pieces), decoherence_abs_sq(env, times))
 
 
+def shared_and_alone(sizes, m, seed):
+    """The products of one ``_abs_sq_blocks`` call over tables of the given
+    ascending sizes, sharing the couplings of the largest, and those of one
+    call per table."""
+    g4 = 4.0 * build_environment_random(sizes[-1], seed, None, 1.0).couplings()
+    # each table's own imbalances, from another seed
+    tables = [
+        analytic._abs_sq_factors(build_environment_random(n, seed + 1 + i, None, 1.0))[1:]
+        for i, n in enumerate(sizes)
+    ]
+    times = 50.0 + np.arange(m) * 0.157
+    shared = analytic._abs_sq_blocks(times, g4, *tables[-1], tables[:-1])
+    alone = [analytic._abs_sq_blocks(times, g4[: mean.size], mean, swing) for mean, swing in tables]
+    return shared, np.concatenate(alone)
+
+
+@pytest.mark.parametrize(
+    "sizes, m",
+    [
+        # k = 102 spins per block at 319 points: shorter tables end before,
+        # at and after block edges, and a block edge falls inside each
+        ((0, 101, 102, 103, 205, 300), 319),
+        ((100, 300, 1000, 2000), 319),
+        ((7, 7, 7), 319),  # equal lengths
+        ((0, 0, 40), 64),
+        ((0,), 64),
+        ((0, 0), 3),
+        ((3, 9), 0),  # an empty grid
+        # one point: k = BLOCK, so the edge lies inside the second table
+        ((1, BLOCK - 1, BLOCK + 5), 1),
+        ((0, 5, 5, 12), 1),
+    ],
+)
+def test_shared_cos_rows_equal_one_call_per_table(sizes, m):
+    shared, alone = shared_and_alone(sizes, m, 11)
+    assert shared.shape == (len(sizes), m)
+    assert_same_bits(shared, alone)
+
+
+@given(lengths, st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_shared_cos_rows_at_any_block_size(m, data, seed):
+    # table lengths anywhere in 0..300 or next to the block edges q * k
+    k = max(1, BLOCK // m)
+    edges = [q * k + r for q in (1, 2, 3) for r in (-1, 0, 1) if 0 <= q * k + r <= 300]
+    size = st.one_of(st.integers(0, 300), st.sampled_from(edges or [300]))
+    # at most 2M spin-points per table keeps the test quick
+    sizes = sorted(min(n, 2_000_000 // m) for n in data.draw(st.lists(size, min_size=1, max_size=5)))
+    shared, alone = shared_and_alone(sizes, m, seed)
+    assert_same_bits(shared, alone)
+
+
 def one_call_abs_sq(env, times, workers):
     """decoherence_abs_sq at ``workers`` CPUs, checked to run as one call.
 

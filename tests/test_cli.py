@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -17,6 +18,7 @@ from einlab import (
     TimeGrid,
 )
 from einlab.cli import main, parse_config, run
+from einlab.ensemble import MAX_SEEDS
 
 TRACE_TEXT = """\
 mode = trace
@@ -522,6 +524,33 @@ EXIT_TABLE = [
     ("mode = verify\nn = 25\nseed = 1\ng_max = 1.0\n", 2,
      "25 spins would need 2**26 amplitudes; cap is 24"),
 ]
+
+@pytest.mark.parametrize("mode", ("sweep", "ensemble"))
+@pytest.mark.parametrize("count", (10**12, 10**30))
+def test_a_huge_seed_count_is_a_range_error(tmp_path, capsys, mode, count):
+    # rejected before 1..count is expanded: a MemoryError or OverflowError before
+    text = f"mode = {mode}\nn = 2\nseeds = {count}\ng_max = 1.0\nt_start = 1\nt_max = 5\n"
+    out = tmp_path / "out.csv"
+    assert main([str(write_config(tmp_path, text)), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"einlab: key 'seeds' names more than {MAX_SEEDS} seeds\n"
+    assert not out.exists()
+
+
+def test_seed_cap_holds_at_parse_time_and_in_the_sweep(tmp_path, capsys):
+    text = "mode = ensemble\nn = 2\nseeds = {}\ng_max = 1.0\nt_max = 5\n"
+    assert len(parse_config(text.format(MAX_SEEDS)).seeds) == MAX_SEEDS
+    with pytest.raises(InvalidRangeError, match="more than"):
+        parse_config(text.format(MAX_SEEDS + 1))
+    with pytest.raises(InvalidRangeError, match="more than"):
+        parse_config(text.format(", ".join(["1"] * (MAX_SEEDS + 1))))
+    # a run handed more seeds than the parser allows stops in scaling_sweep
+    sweep = parse_config("mode = sweep\nn = 2\nseeds = 3\ng_max = 1.0\nt_start = 1\nt_max = 5\n")
+    out = tmp_path / "out.csv"
+    huge = dataclasses.replace(sweep, seeds=range(1, MAX_SEEDS + 2), output=str(out))
+    assert run(huge) == 2
+    assert capsys.readouterr().err == f"einlab: need 1 to {MAX_SEEDS} seeds per n, got {MAX_SEEDS + 1}\n"
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("text,code,message", EXIT_TABLE)
 def test_exit_code_and_message(tmp_path, capsys, text, code, message):

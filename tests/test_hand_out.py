@@ -1,11 +1,14 @@
 """Sweeps and ensembles hand whole seeds to the CPUs and keep their bits.
 
-``scaling_sweep`` and ``ensemble_statistics`` hand their ``(n, seed)`` items,
-one at a time, to the calling thread and the threads of ``einlab.analytic``'s
-pool (``analytic._hand_out``).  A report may depend neither on the worker
+``scaling_sweep`` and ``ensemble_statistics`` hand their seeds, one at a
+time, to the calling thread and the threads of ``einlab.analytic``'s pool
+(``analytic._hand_out``).  An ensemble item is one bath; a sweep item is one
+seed's bath for every n, evaluated by one kernel call that shares the
+``cos(4 g t)`` rows of the largest bath, and its table must equal one kernel
+call per ``(n, seed)`` pair.  A report may depend neither on the worker
 count nor on the order the seeds were given in; an item that fails stops the
-hand-out and reaches the caller as it would on one worker; and nothing run on
-the pool hands out again.
+hand-out and reaches the caller as it would on one worker; and nothing run
+on the pool hands out again.
 """
 
 import random
@@ -99,14 +102,59 @@ def test_an_error_is_the_same_at_one_and_two_workers(call, kind):
         assert repr(scaling_sweep((3, 300), 4, WINDOW)) == expected
 
 
+def per_pair_sweep(ns, seeds_per_n, window, g_min):
+    """The sweep table with one kernel call per (n, seed) pair."""
+    times = window.times()
+    return [
+        (n, float(np.median(np.sqrt([
+            float(np.max(analytic.decoherence_abs_sq(
+                ensemble.build_environment_random(n, seed, g_min, 1.0), times
+            )))
+            for seed in range(1, seeds_per_n + 1)
+        ]))))
+        for n in ns
+    ]
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("g_min", (None, 0.071015, 0.03))
+def test_sweep_equals_one_kernel_call_per_pair(monkeypatch, workers, g_min):
+    # WINDOW has 64 points, so k = 512 spins per block: the smaller baths
+    # end before, at and after a block edge, and one holds an edge
+    monkeypatch.setattr(analytic, "_WORKERS", workers)
+    ns = (0, 3, 511, 512, 513, 1100, 2000)
+    expected = per_pair_sweep(ns, 5, WINDOW, g_min)
+    # repr prints each float's shortest round trip, so equal text is equal bits
+    assert repr(scaling_sweep(ns, 5, WINDOW, g_min)) == repr(expected)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_underflow_sweep_still_raises(monkeypatch, workers):
+    # the n = 2000 products underflow while the smaller ones share their cos rows
+    monkeypatch.setattr(analytic, "_WORKERS", workers)
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        scaling_sweep((100, 1000, 2000), 4, WINDOW)
+    assert scaling_sweep((100, 1000, 2000), 4, WINDOW)[-1] == (2000, 0.0)
+
+
+def test_sweep_checks_the_coupling_prefix(monkeypatch):
+    # a builder whose couplings depended on n would make the shared rows wrong
+    build = ensemble.build_environment_random
+    monkeypatch.setattr(
+        ensemble, "build_environment_random", lambda n, seed, *args: build(n, seed + n, *args)
+    )
+    with pytest.raises(RuntimeError, match="not a prefix"):
+        scaling_sweep((3, 5), 2, WINDOW)
+
+
 class ItemFailed(Exception):
     pass
 
 
 @pytest.mark.parametrize("failing", ["caller", "pool"])
 def test_handing_out_stops_after_a_failure(monkeypatch, failing):
-    # each worker holds its first item until the other has one; then one
-    # worker fails while the other is still inside its item
+    # each worker holds its first seed until the other has one; then one
+    # worker fails while the other is still inside its seed
     monkeypatch.setattr(analytic, "_WORKERS", 2)
     build = ensemble.build_environment_random
     main = threading.get_ident()
@@ -115,20 +163,23 @@ def test_handing_out_stops_after_a_failure(monkeypatch, failing):
     started = []
 
     def fail_on_one_side(n, seed, *args):
-        started.append(seed)
-        barrier.wait()
-        if (threading.get_ident() == main) == (failing == "caller"):
-            failed.set()
-            raise ItemFailed(failing)
-        failed.wait(30)
-        time.sleep(0.05)
+        started.append((n, seed))
+        if n == 5:  # the first bath of a seed
+            barrier.wait()
+            if (threading.get_ident() == main) == (failing == "caller"):
+                failed.set()
+                raise ItemFailed(failing)
+            failed.wait(30)
+            time.sleep(0.05)
         return build(n, seed, *args)
 
     monkeypatch.setattr(ensemble, "build_environment_random", fail_on_one_side)
     with pytest.raises(ItemFailed, match=failing):
         scaling_sweep((5, 6), 5, WINDOW)
-    # the other worker finished its item and took no further one
-    assert len(started) == 2
+    # the caller took seed 1 and the pool seed 2; the other worker built
+    # both baths of its seed and took no further seed
+    lost, kept = (1, 2) if failing == "caller" else (2, 1)
+    assert sorted(started) == sorted([(5, lost), (5, kept), (6, kept)])
     monkeypatch.setattr(ensemble, "build_environment_random", build)
     expected = repr(scaling_sweep((5, 6), 5, WINDOW))
     monkeypatch.setattr(analytic, "_WORKERS", 1)

@@ -19,9 +19,16 @@ from einlab import (
     validate,
 )
 
-from conftest import spin_environment
+from conftest import assert_same_bits, spin_environment
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+positive = st.floats(min_value=1e-300, max_value=1e300)
+# (g_min, g_max) with 0 < g_min <= g_max, or the default g_min
+coupling_bounds = st.one_of(
+    positive.map(lambda g_max: (None, g_max)),
+    st.tuples(positive, positive).map(lambda pair: tuple(sorted(pair))),
+)
 
 
 class TestRandomBuilder:
@@ -74,6 +81,16 @@ class TestRandomBuilder:
             np.max(cdf - np.arange(n) / n),
         )
         assert ks < 0.02
+
+    @given(st.integers(0, 3000), st.integers(0, 3000), st.integers(0, 2**64 - 1), coupling_bounds)
+    @settings(max_examples=60, deadline=None)
+    def test_couplings_of_fewer_spins_are_a_prefix(self, a, b, seed, bounds):
+        # the contract scaling sweeps rely on to share one seed's cos rows
+        n, more = sorted((a, b))
+        g_min, g_max = bounds
+        fewer = build_environment_random(n, seed, g_min, g_max).couplings()
+        full = build_environment_random(more, seed, g_min, g_max).couplings()
+        assert_same_bits(fewer, full[:n])
 
     @pytest.mark.parametrize(
         "kwargs",

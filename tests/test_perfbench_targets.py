@@ -20,11 +20,12 @@ def test_every_tracer_target_resolves(perfbench_metrics):
 
 def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
     # the tracer's model.* and analytic.abs_sq_* spans wrap these two names
-    # in einlab.ensemble.  Sweeps and ensembles hand their (n, seed) items to
-    # up to _WORKERS threads: each item is built once and evaluated once,
+    # in einlab.ensemble.  Sweeps and ensembles hand their seeds to up to
+    # _WORKERS threads.  An ensemble seed is built once and evaluated once,
     # build then kernel on one thread, and a kernel call runs the blocked
-    # loop once on its own thread.  A one-seed ensemble runs on the calling
-    # thread, one loop on one CPU.
+    # loop once on its own thread.  A sweep seed builds one bath per n, in
+    # order, and runs one blocked loop for all of them on the same thread.
+    # A one-seed ensemble runs on the calling thread, one loop on one CPU.
     import einlab.analytic as analytic
     import einlab.ensemble as ensemble
 
@@ -78,8 +79,16 @@ def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
     monkeypatch.setattr(ensemble, "build_environment_random", traced_build)
     monkeypatch.setattr(ensemble, "decoherence_abs_sq", traced_kernel)
     window = ensemble.TimeGrid(5.0, 6.0, 0.01)
-    per_thread, per_loop = run(ensemble.scaling_sweep, (0, 3, 700), 2, window)
-    check_hand_out(per_thread, per_loop, [(n, seed) for n in (0, 3, 700) for seed in (1, 2)])
+    ns = (0, 3, 700)
+    per_thread, per_loop = run(ensemble.scaling_sweep, ns, 2, window)
+    assert Counter(c for seq in per_thread.values() for c in seq) == Counter(
+        ("build", n, seed) for n in ns for seed in (1, 2)
+    )
+    for sequence in per_thread.values():
+        seeds = [seed for _, _, seed in sequence[:: len(ns)]]
+        assert sequence == [("build", n, seed) for seed in seeds for n in ns]
+    assert len(per_thread) == workers
+    assert per_loop == {t: len(seq) // len(ns) for t, seq in per_thread.items()}
     per_thread, per_loop = run(ensemble.ensemble_statistics, 700, (9, 2, 5), window)
     check_hand_out(per_thread, per_loop, [(700, seed) for seed in (2, 5, 9)])
     # one seed, one worker: everything on the calling thread

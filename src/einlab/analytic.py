@@ -50,17 +50,51 @@ from .errors import InvalidRangeError
 from .model import EnvironmentSpec, SystemAmplitudes
 
 
+# Element budget of one decoherence_series block: k spins of m points with
+# k = max(1, _SERIES_BLOCK // m).  Grids of more than 1 024 points, so every
+# trace chunk of 2001 points or more, take one spin per block; a budget of
+# _ABS_SQ_BLOCK made a 2001-point call slower and its peak memory ten times
+# larger.
+_SERIES_BLOCK = 1 << 11
+
+
 def decoherence_series(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
-    """z evaluated on an array of times; complex array of the same shape."""
+    """z evaluated on an array of times; complex array of the same shape.
+
+    Spins are taken in blocks of k = max(1, _SERIES_BLOCK // m) for m grid
+    points: one call each forms the block's angles ``2 g t``, sines, cosines
+    and factors ``cos + i d sin`` as (k, m) rows, and the rows are folded
+    into z one spin at a time, in spin order.  Each factor is formed by the
+    same IEEE operations as for one spin alone, so z has the same bits, signed
+    zeros included, whatever the block size; a one-point call (verify's
+    :func:`decoherence_factor`) takes up to 2 048 spins in one block.
+    """
     times = np.asarray(times, dtype=float)
-    z = np.ones(times.shape, dtype=complex)
-    for g, d in zip(env.couplings(), env.imbalances()):
-        angle = (2.0 * g) * times
-        # np.multiply keeps z the left operand: ``z * (...)`` lets numpy elide
-        # the temporary as ``factor *= z`` from 256 KiB on, which rounds
-        # differently with FMA, and the bits of z would depend on len(times)
-        z = np.multiply(z, np.cos(angle) + (1j * d) * np.sin(angle))
-    return z
+    flat = times.reshape(-1)
+    m = flat.size
+    z = np.ones(m, dtype=complex)
+    g2 = (2.0 * env.couplings())[:, None]
+    jd = (1j * env.imbalances())[:, None]
+    n = g2.shape[0]
+    k = max(1, min(n, _SERIES_BLOCK // max(m, 1)))
+    angle, sin = np.empty((2, k, m))
+    rows = np.empty((k, m), dtype=complex)
+    for start in range(0, n, k):
+        stop = min(start + k, n)
+        if stop - start < k:
+            angle, sin, rows = angle[: stop - start], sin[: stop - start], rows[: stop - start]
+        np.multiply(g2[start:stop], flat, out=angle)
+        np.sin(angle, out=sin)
+        np.multiply(jd[start:stop], sin, out=rows)
+        np.cos(angle, out=angle)
+        np.add(angle, rows, out=rows)
+        for row in rows:
+            # z stays the left operand (with FMA, complex multiply is not
+            # commutative in the last place) and the product goes to a fresh
+            # array: numpy's in-place multiply of one element rounds
+            # differently, and the bits of z would depend on len(times)
+            z = np.multiply(z, row)
+    return z.reshape(times.shape)
 
 
 # Element budget of one decoherence_abs_sq block: (k + 1) rows of m points

@@ -160,6 +160,23 @@ class TestPartialTrace:
         rho_closed = reduced_density_matrix(sys_amp, env, t)
         assert rho_brute == pytest.approx(rho_closed, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(21))
+    def test_same_bits_as_matmul_with_and_without_scratch(self, n):
+        # the product runs as np.dot, off the GIL, yet must keep the bits of
+        # ``psi @ psi.conj().T``; at n = 0 only ``@`` itself has them
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(3 if n <= 12 else 1):
+            sys_amp = random_system(rng)
+            env = random_environment(rng, n)
+            t = float(rng.uniform(-40.0, 40.0))
+            state = evolve_full(assemble_full_state(sys_amp, env), env, t)
+            psi = state.amplitudes.reshape(2, -1)
+            expected = psi @ psi.conj().T
+            scratch = np.empty_like(state.amplitudes)
+            for rho in (partial_trace_to_system(state), partial_trace_to_system(state, scratch)):
+                assert rho.shape == (2, 2) and rho.dtype == np.complex128
+                assert np.array_equal(rho.view(np.int64), expected.view(np.int64))
+
 
 class TestCrosscheck:
     def test_empty_environment_is_exact(self):

@@ -52,7 +52,11 @@ class EnvironmentSpec:
 
     Spin j has coupling ``g[j]`` and initial state ``alpha[j]|+> + beta[j]|->``.
     The inputs are copied; the couplings, the (n, 2) amplitudes and the
-    imbalances d_j = |alpha_j|^2 - |beta_j|^2 are computed once.
+    imbalances d_j = |alpha_j|^2 - |beta_j|^2 are computed once.  The
+    imbalances take a few array calls, which release the GIL, and have the
+    bits of Python's ``abs(alpha) ** 2 - abs(beta) ** 2``: ``np.float_power``
+    squares with libm ``pow`` as ``float ** 2`` does, where ``x * x`` and
+    ``np.power`` differ in the last place for some moduli.
     """
 
     __slots__ = ("_g", "_amps", "_d")
@@ -62,15 +66,15 @@ class EnvironmentSpec:
         amps = np.stack((np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)), axis=-1)
         if amps.shape != (g.size, 2):
             raise ValueError(f"need one (alpha, beta) pair per coupling, got {amps.shape} for {g.size}")
-        # |alpha| and |beta| by libm hypot, as Python's complex abs computes
-        # them, with its OverflowError for a finite amplitude whose modulus
-        # overflows; then Python's float ** 2 (libm pow, which differs from
-        # x * x and from np.power in the last place for some values)
+        # the moduli by libm hypot, as complex abs computes them; the squares
+        # by libm pow, as float ** 2 computes them (np.power uses SIMD code,
+        # or x * x for a scalar 2); and Python's OverflowError for a finite
+        # amplitude whose modulus or square overflows
         with np.errstate(all="ignore"):
-            moduli = np.hypot(amps.real, amps.imag)
-        if np.isinf(moduli[np.isfinite(amps)]).any():
+            squares = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+            d = squares[:, 0] - squares[:, 1]
+        if np.isinf(squares[np.isfinite(amps)]).any():
             raise OverflowError("absolute value too large")
-        d = np.array([a**2 - b**2 for a, b in moduli.tolist()], dtype=float)
         for array in (g, amps, d):
             array.flags.writeable = False
         self._g, self._amps, self._d = g, amps, d

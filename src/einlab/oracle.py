@@ -15,10 +15,13 @@ Evolution is diagonal in this basis: amplitude k picks up the phase
 dynamics is exactly unitary, hence exactly reversible: running with -t
 undoes running with t.
 
-The phase table costs one complex ``exp`` over half of its 2^n entries:
-the other half and the ``|->`` branch follow by conjugation, with the same
-bits as evaluating every entry.  :func:`evolve_full` builds it block by
-block and never stores it whole, so it can evolve a state in place.
+The phase table costs one real ``cos`` and one ``sin`` over half of its
+2^n entries, the bits of a complex ``exp`` there: the other half and the
+``|->`` branch follow by conjugation and reversal, with the same bits as
+evaluating every entry.  :func:`evolve_full` builds it block by block and
+never stores it whole, so it can evolve a state in place.  Each block is a
+few long array calls, which release the GIL, so two workers' evolutions
+overlap.
 
 Memory rule: a crosscheck holds two 2^(n+1) arrays, the state (assembled,
 then evolved in place) and the conjugate that the partial trace multiplies
@@ -159,7 +162,8 @@ def evolve_full(
     is then evolved in place; any other overlap with the input is refused.
 
     The values are those of ``amps[s] * np.exp((+-1j * t) * sums)`` to the
-    bit, with one complex ``exp`` over half the table: ``sums`` is
+    bit, with one ``cos`` and one ``sin`` over half the table: for finite,
+    nonzero ``y`` they are the bits of ``exp(1j * y)``, ``sums`` is
     antisymmetric under reversal (complementing every bit flips every sign,
     and rounding is sign-symmetric), ``exp(-i x)`` equals ``conj(exp(i x))``,
     and the ``|->`` phases are the conjugates of the ``|+>`` ones.  Where
@@ -204,10 +208,14 @@ def _evolve_blocks(rows: np.ndarray, env: EnvironmentSpec, t: float) -> None:
     together with its mirror block in the upper half.  A block's coupling
     sums are the low-bit table (spins below log2(size), built once) plus the
     block's high-bit couplings, added in spin order: the same additions as
-    :func:`_coupling_sums`.  One ``exp`` per lower block gives all four of
-    its phase blocks: ``|+>`` lower as is, ``|->`` lower conjugated, ``|+>``
-    upper reversed and conjugated, ``|->`` upper reversed.  Every multiply
-    into the amplitudes spans a whole block of at least two entries.
+    :func:`_coupling_sums`.  ``cos`` and ``sin`` of ``t * sums``, written
+    into the real and imaginary parts of one phase block, are the bits of
+    ``exp((1j * t) * sums)``, and give all four of its phase blocks: ``|+>``
+    lower as is, ``|->`` upper reversed, and after one in-place conjugate
+    ``|->`` lower as is and ``|+>`` upper reversed.  The reversed blocks are
+    views, so nothing is copied; the direct entries are written into the
+    phase block before each multiply.  Every multiply into the amplitudes
+    spans a whole block of at least two entries.
     """
     plus, minus = rows
     m = plus.size
@@ -217,10 +225,9 @@ def _evolve_blocks(rows: np.ndarray, env: EnvironmentSpec, t: float) -> None:
     low = _coupling_sums(env, low_bits)
     high = env.couplings()[low_bits:].tolist()
     phase_first = plus.nbytes >= _ELIDE_BYTES
-    phase, work = np.empty((2, size), dtype=complex)
-    # a block's coupling sums and |t * sums| borrow the bytes of ``work``,
-    # which they are used before
-    sums, ts = work.view(np.float64).reshape(2, size)
+    phase = np.empty(size, dtype=complex)
+    reversed_phase = phase[::-1]
+    sums, ts = np.empty((2, size))
     no_entries = np.empty(0, dtype=np.intp)
 
     def block_sums(block: int) -> np.ndarray:
@@ -230,44 +237,39 @@ def _evolve_blocks(rows: np.ndarray, env: EnvironmentSpec, t: float) -> None:
             src = sums
         return sums
 
-    def apply(amps: np.ndarray, phases: np.ndarray) -> None:
+    def apply(
+        amps: np.ndarray, phases: np.ndarray, direct: np.ndarray, i_t: complex, direct_sums: np.ndarray
+    ) -> None:
+        if direct.size:
+            phases[direct] = np.exp(i_t * direct_sums)
         if phase_first:
             np.multiply(phases, amps, out=amps)
         else:
             np.multiply(amps, phases, out=amps)
 
-    def patch(phases: np.ndarray, direct: np.ndarray, i_t: complex, direct_sums: np.ndarray) -> None:
-        if direct.size:
-            phases[direct] = np.exp(i_t * direct_sums)
-
     for block in range(blocks // 2):
         lower = slice(block * size, (block + 1) * size)
         upper = slice(m - (block + 1) * size, m - block * size)
         block_sums(block)
-        np.abs(np.multiply(t, sums, out=ts), out=ts)
+        np.multiply(t, sums, out=ts)
+        np.cos(ts, out=phase.real)
+        np.sin(ts, out=phase.imag)
+        np.abs(ts, out=ts)
         # min and max are NaN if any entry is, which fails both tests
         direct = mirror = no_entries
         if not (ts.min() > 0.0 and ts.max() < np.inf):
             direct = np.flatnonzero(~((ts > 0.0) & (ts < np.inf)))
-        np.multiply(1j * t, sums, out=phase)
-        np.exp(phase, out=phase)
         direct_sums = mirror_sums = sums[direct]
         if direct.size:
             # |t * sums| is symmetric under reversal, so the mirror block's
             # direct entries sit at the mirrored positions
             mirror = size - 1 - direct[::-1]
             mirror_sums = block_sums(blocks - 1 - block)[mirror]
-        # the lower block's direct entries are exp((1j * t) * sums) already
-        apply(plus[lower], phase)
-        np.conjugate(phase, out=work)
-        patch(work, direct, -1j * t, direct_sums)
-        apply(minus[lower], work)
-        np.conjugate(phase[::-1], out=work)
-        patch(work, mirror, 1j * t, mirror_sums)
-        apply(plus[upper], work)
-        np.copyto(work, phase[::-1])
-        patch(work, mirror, -1j * t, mirror_sums)
-        apply(minus[upper], work)
+        apply(plus[lower], phase, direct, 1j * t, direct_sums)
+        apply(minus[upper], reversed_phase, mirror, -1j * t, mirror_sums)
+        np.conjugate(phase, out=phase)
+        apply(minus[lower], phase, direct, -1j * t, direct_sums)
+        apply(plus[upper], reversed_phase, mirror, 1j * t, mirror_sums)
 
 
 def partial_trace_to_system(state: FullState, scratch: np.ndarray | None = None) -> np.ndarray:

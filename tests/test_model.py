@@ -304,6 +304,47 @@ class TestTypes:
         assert repr(EnvironmentSpec([], [], [])) == "EnvironmentSpec(g=[], alpha=[], beta=[])"
 
 
+def python_imbalances(alpha, beta):
+    """Reference: Python's complex abs and float ** 2, one spin at a time."""
+    return np.array([abs(a) ** 2 - abs(b) ** 2 for a, b in zip(alpha.tolist(), beta.tolist())])
+
+
+@pytest.fixture(scope="module")
+def sampled_amplitudes():
+    """10^6 (alpha, beta) pairs with moduli log-uniform on [1e-320, 1e150],
+    uniform phases, and one pair in 50 holding a zero, an infinity or a NaN."""
+    rng = np.random.default_rng(2026)
+    size = 10**6
+    moduli = np.exp(rng.uniform(math.log(1e-320), math.log(1e150), (2, size)))
+    amps = moduli * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (2, size)))
+    specials = np.array(
+        [0j, complex(-0.0, -0.0), complex(math.inf, 0.0), complex(-math.inf, 1.0),
+         complex(0.5, -math.inf), complex(math.nan, 0.0), complex(1.0, math.nan),
+         complex(math.inf, math.nan)]
+    )
+    picked = rng.random((2, size)) < 0.01
+    amps[picked] = rng.choice(specials, np.count_nonzero(picked))
+    return amps, python_imbalances(*amps)
+
+
+class TestImbalanceBits:
+    @pytest.mark.parametrize("errors", [{}, {"all": "raise"}], ids=["default", "raise"])
+    def test_sampled_moduli_match_python(self, sampled_amplitudes, errors):
+        amps, expected = sampled_amplitudes
+        with np.errstate(**errors):
+            env = EnvironmentSpec(np.zeros(amps.shape[1]), *amps)
+        assert_same_bits(env.imbalances(), expected)
+
+    @pytest.mark.parametrize("errors", [{}, {"all": "raise"}], ids=["default", "raise"])
+    @pytest.mark.parametrize("n", [1, 2, 100, 2000, 10**4])
+    def test_random_baths_match_python(self, n, errors):
+        for seed in (1, 2, 3):
+            with np.errstate(**errors):
+                env = build_environment_random(n, seed)
+            amps = env.amplitudes()
+            assert_same_bits(env.imbalances(), python_imbalances(amps[:, 0], amps[:, 1]))
+
+
 class TestInteractionConvention:
     @given(
         st.floats(min_value=0.01, max_value=3.0),

@@ -304,3 +304,41 @@ def test_cli_verify_reports_a_bad_coupling_range_before_the_cap(tmp_path, capsys
     )
     assert cli.main([str(config), "--quiet"]) == 2
     assert "need 0 < g_min <= g_max" in capsys.readouterr().err
+
+
+def sparse_zero_environment(seed):
+    """n = 16 bath whose coupling sums are zero for just two patterns: the
+    powers 2^0..2^-13 never cancel among themselves, and the two couplings
+    1 - 2^-14 cancel them only when every power has the sign opposite to theirs."""
+    g = np.array([2.0**-k for k in range(14)] + [1.0 - 2.0**-14] * 2)
+    rng = np.random.default_rng(seed)
+    g = g[rng.permutation(16)]
+    cos_sq = rng.uniform(0.0, 1.0, 16)
+    beta = np.sqrt(1.0 - cos_sq) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 16))
+    return EnvironmentSpec(g, np.sqrt(cos_sq) + 0j, beta)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        make_environment("balanced", 16, 0),
+        make_environment("repeated", 16, 0),
+        sparse_zero_environment(1),
+        sparse_zero_environment(2),
+    ],
+    ids=["balanced", "repeated", "sparse-1", "sparse-2"],
+)
+def test_n16_default_blocks_match_reference(env):
+    # verify's size at the default block size: the direct entries of each
+    # mirror block are patched into reversed views of the phase block, and
+    # every bath here has some at t = 2.75, its zero coupling sums
+    assert (_coupling_sums(env) == 0.0).any()
+    amps = entangled_amplitudes(16, 16)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in SPECIAL_TIMES:
+            expected = two_exp_evolve(amps, env, t).tobytes()
+            assert evolve_full(FullState(16, amps), env, t).amplitudes.tobytes() == expected, t
+            in_place = amps.copy()
+            evolve_full(FullState(16, in_place), env, t, out=in_place)
+            assert in_place.tobytes() == expected, t
+

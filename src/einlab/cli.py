@@ -49,8 +49,9 @@ an error raised while reading the config (a value out of range raises the
 one range error, :class:`~einlab.errors.InvalidRangeError`; the config's
 :class:`~einlab.ensemble.TimeGrid` is built there too, so a grid with no
 finite step count or with repeated points exits 1), a missing output path
-or a file that cannot be read or written; 2 for an error raised while
-running (the library's range checks included) or a failed verify.
+or a file that cannot be read (a config that is not UTF-8 included) or
+written; 2 for an error raised while running (the library's range checks
+included) or a failed verify.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import os
 import sys as _sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -93,9 +94,9 @@ VERIFY_TOLERANCE = 1e-10
 TRACE_COLUMNS = ("t", "re_z", "im_z", "abs_z", "rho_pp", "rho_mm", "abs_rho_pm", "purity", "entropy")
 
 # Grid points per trace_columns call.  Any size gives the same bytes; the
-# chunk bounds the memory that one call's arrays and rows take, however long
+# chunk bounds the memory that one call's arrays and text take, however long
 # the grid is.  Its rows are printed _FORMAT_CELLS cells at a time, about
-# 1.4 ms per 1 000 rows of nine columns (see _chunk_lines).
+# 1.4 ms per 1 000 rows of nine columns (see _chunk_text).
 TRACE_CHUNK = 8192
 
 
@@ -443,8 +444,9 @@ def _format_tables() -> _FormatTables:
 _FORMAT_CELLS = 2048
 
 
-def _format_rows(block: np.ndarray) -> list[str]:
-    """The CSV rows of a C-contiguous ``(rows, columns)`` float64 block."""
+def _format_rows(block: np.ndarray) -> str:
+    """The CSV rows of a C-contiguous ``(rows, columns)`` float64 block, as
+    one text with no newline after the last row."""
     rows, cols = block.shape
     values = block.ravel()
     n = values.size
@@ -489,44 +491,65 @@ def _format_rows(block: np.ndarray) -> list[str]:
     for j in range(4):
         cells[:, j + 1] += np.take(tables.group_word, groups[j])
     cells[:, 5] += np.take(tables.exponent_chars, exponent)
-    cells.reshape(rows, cols, 6)[:, -1, 5] += (ord("\n") - ord(",")) << 40
-    lines = cells.tobytes().translate(None, b"\0").decode("ascii")[:-1].split("\n")
-    for row in set((np.flatnonzero(~finite | (tie & computed)) // cols).tolist()):
+    ends = cells.reshape(rows, cols, 6)[:, -1, 5]
+    ends += (ord("\n") - ord(",")) << 40
+    ends[-1] -= ord("\n") << 40  # the last row ends the text
+    text = cells.tobytes().translate(None, b"\0").decode("ascii")
+    python_rows = np.flatnonzero(~finite | (tie & computed)) // cols
+    if not python_rows.size:
+        return text
+    lines = text.split("\n")
+    for row in set(python_rows.tolist()):
         lines[row] = ",".join(map(_format, block[row].tolist()))
-    return lines
+    return "\n".join(lines)
 
 
-def _chunk_lines(columns: tuple[np.ndarray, ...]) -> list[str]:
-    """CSV rows of equal-length, non-empty float columns, each cell as
-    :func:`_format` prints it (``-0`` and ``nan`` included)."""
+def _chunk_text(columns: tuple[np.ndarray, ...]) -> list[str]:
+    """The CSV rows of equal-length, non-empty float columns, each cell as
+    :func:`_format` prints it (``-0`` and ``nan`` included): the text of each
+    block of _FORMAT_CELLS cells, to be joined by newlines."""
     block = np.column_stack(columns)
     step = max(1, _FORMAT_CELLS // block.shape[1])
-    lines = []
-    for start in range(0, block.shape[0], step):
-        lines += _format_rows(block[start : start + step])
-    return lines
+    return [_format_rows(block[start : start + step]) for start in range(0, block.shape[0], step)]
 
 
 def _provenance(config: RunConfig) -> str:
     return f"# einlab {__version__} mode={config.mode} config_sha256={config.digest}"
 
 
+# Suffixes for _write_atomic's temp files: unique within the process, and
+# with the pid across processes.
+_TEMP_SUFFIXES = itertools.count()
+_TEMP_TRIES = 100
+
+
 def _write_atomic(path: str, text: str) -> None:
     """All-or-nothing file write; a failed run never leaves a partial file.
 
-    The temp file next to the target has a unique name, so two runs writing
-    the same output never share one.
+    The text goes to a temp file next to the target, named
+    ``<path>.<pid>.<count>.tmp`` with a per-process counter and created
+    with ``O_EXCL``, so two runs writing the same output never share one
+    (a name that exists is skipped, up to _TEMP_TRIES times); it then
+    replaces the target.  The file is created with mode 0o666, which the
+    kernel masks with the umask, as ``open()`` would.
     """
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+    for _ in range(_TEMP_TRIES):
+        tmp = f"{path}.{os.getpid()}.{next(_TEMP_SUFFIXES)}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no free temp file name next to '{path}'")
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give the output the mode open() would
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, target)
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
@@ -544,8 +567,9 @@ def _system_amplitudes(config: RunConfig) -> SystemAmplitudes:
     return SystemAmplitudes(complex(a), complex(b))
 
 
-# A mode runner returns the CSV lines after the provenance comment, the
-# summary line and whether the run passed.
+# A mode runner returns the CSV text after the provenance comment, as items
+# of one or more lines each with no final newline, then the summary line and
+# whether the run passed.
 _Result = tuple[list[str], str, bool]
 
 
@@ -557,7 +581,7 @@ def _run_trace(config: RunConfig) -> _Result:
         raise EinlabError("; ".join(report.failures))
     lines = [",".join(TRACE_COLUMNS)]
     for times in config.grid.chunks(TRACE_CHUNK):
-        lines.extend(_chunk_lines(trace_columns(sys_amp, env, times)))
+        lines.extend(_chunk_text(trace_columns(sys_amp, env, times)))
     return lines, f"trace: n={env.n} rows={config.grid.steps() + 1}", True
 
 
@@ -692,7 +716,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         _sys.stderr.write(f"einlab: {exc}\n")
         return 2
     try:
-        _write_atomic(config.output, "\n".join([_provenance(config), *lines]) + "\n")
+        _write_atomic(config.output, "\n".join([_provenance(config), *lines, ""]))
     except OSError as exc:
         _sys.stderr.write(f"einlab: cannot write output: {exc}\n")
         return 1
@@ -701,7 +725,10 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     return 0 if ok else 2
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _argument_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use: a parse keeps no state
+    in it, so every call to :func:`main` shares one."""
     parser = argparse.ArgumentParser(
         prog="einlab",
         description="Dephasing laboratory: run a batch configuration and write CSV.",
@@ -710,11 +737,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", help="override the config's output path")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     parser.add_argument("--version", action="version", version=f"einlab {__version__}")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _argument_parser().parse_args(argv)
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _sys.stderr.write(f"einlab: cannot read config: {exc}\n")
         return 1
     try:

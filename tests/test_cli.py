@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import itertools
 import math
 import os
 import re
@@ -379,6 +381,83 @@ class TestMainEntry:
         os.umask(umask)
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
+    @pytest.mark.parametrize("mask", [0o077, 0o002], ids=["umask077", "umask002"])
+    def test_output_mode_follows_the_umask_without_setting_it(self, tmp_path, monkeypatch, mask):
+        # os.umask sets the mask of the whole process, so it may not be used
+        # even to read the mask: a file another thread creates meanwhile
+        # would get the wrong mode
+        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\n")
+        out = tmp_path / "out.csv"
+        set_umask = os.umask
+
+        def forbidden(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", forbidden)
+        old = set_umask(mask)
+        try:
+            assert main([str(config), "--output", str(out), "--quiet"]) == 0
+            # a second run replaces the first run's file
+            assert main([str(config), "--output", str(out), "--quiet"]) == 0
+        finally:
+            set_umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~mask
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_temp_names_in_use_are_skipped(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\n")
+        out = tmp_path / "out.csv"
+        monkeypatch.setattr(cli, "_TEMP_SUFFIXES", itertools.count())
+        taken = [Path(f"{out}.{os.getpid()}.{k}.tmp") for k in range(2)]
+        for path in taken:
+            path.write_text("another run's partial output")
+        assert main([str(config), "--output", str(out), "--quiet"]) == 0
+        assert out.read_text().startswith("# einlab ")
+        assert all(path.read_text() == "another run's partial output" for path in taken)
+        assert sorted(tmp_path.glob("*.tmp")) == taken
+
+    def test_no_free_temp_name_exits_one(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\n")
+        out = tmp_path / "out.csv"
+        monkeypatch.setattr(cli, "_TEMP_SUFFIXES", itertools.count())
+        monkeypatch.setattr(cli, "_TEMP_TRIES", 3)
+        for k in range(3):
+            Path(f"{out}.{os.getpid()}.{k}.tmp").write_text("taken")
+        assert main([str(config), "--output", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("einlab: cannot write output: ")
+        assert not out.exists()
+        assert len(list(tmp_path.glob("*.tmp"))) == 3
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\n")
+        out = tmp_path / "out.csv"
+        out.write_text("the last good output")
+        written = []
+
+        def short_then_full_disk(fd, data):
+            if written:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(fd)
+            return os_write(fd, data[:100])  # a short write is carried on
+
+        os_write = os.write
+        monkeypatch.setattr(os, "write", short_then_full_disk)
+        assert main([str(config), "--output", str(out), "--quiet"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_text() == "the last good output"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"# \xff\n" + TRACE_TEXT.encode() + b"dt = 0.5\n")
+        out = tmp_path / "out.csv"
+        assert main([str(config), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("einlab: cannot read config: ")
+        assert "0xff" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unknown_key_exits_one_under_optimize(self, tmp_path):
         # -O strips asserts; the key check must not be one
         config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\nextra = 1\n")
@@ -447,6 +526,45 @@ class TestMainEntry:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "einlab" in capsys.readouterr().out
+
+    def test_consecutive_calls_parse_afresh(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\noutput = from_key.csv\n")
+        override = tmp_path / "override.csv"
+        assert main([str(config), "--output", str(override), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        # neither --output nor --quiet carries over to the next call
+        assert main([str(config)]) == 0
+        assert capsys.readouterr().out.endswith(" -> from_key.csv\n")
+        assert main([str(config), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "from_key.csv").read_bytes() == override.read_bytes()
+        assert cli._argument_parser() is cli._argument_parser()
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_version_and_help_are_the_same_after_a_run(self, tmp_path, capsys, flag):
+        def flag_text():
+            with pytest.raises(SystemExit) as excinfo:
+                main([flag])
+            assert excinfo.value.code == 0
+            return capsys.readouterr().out
+
+        cli._argument_parser.cache_clear()
+        fresh = flag_text()
+        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\n")
+        assert main([str(config), "--output", str(tmp_path / "out.csv"), "--quiet"]) == 0
+        assert flag_text() == fresh
+        assert fresh.startswith("einlab" if flag == "--version" else "usage: einlab")
+
+    def test_unknown_flag_exits_two(self, tmp_path, capsys):
+        config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\n")
+        out = tmp_path / "out.csv"
+        assert main([str(config), "--output", str(out), "--quiet"]) == 0
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main([str(config), "--output", str(out), "--bogus"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
     def test_run_requires_output(self):
         config = parse_config(TRACE_TEXT + "dt = 0.5\n")

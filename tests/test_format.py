@@ -1,6 +1,6 @@
 """Trace rows formatted as arrays against ``"%.17g" % x`` cell by cell.
 
-``einlab.cli._chunk_lines`` prints a block of floats without Python's
+``einlab.cli._chunk_text`` prints a block of floats without Python's
 float formatting; these cases pin it at the places where the digits or the
 layout change: exact ties, powers of ten, the switches between fixed and
 exponent form, three-digit exponents and the ends of the double range.
@@ -15,19 +15,19 @@ import einlab.cli as cli
 
 
 def expected(columns):
-    return [",".join("%.17g" % v for v in row) for row in zip(*(c.tolist() for c in columns))]
+    rows = zip(*(c.tolist() for c in columns))
+    return "\n".join(",".join("%.17g" % v for v in row) for row in rows)
 
 
 def assert_cells(values):
     column = np.asarray(values, dtype=np.float64)
     for columns in ((column,), (column, -column)):
-        assert cli._chunk_lines(columns) == expected(columns)
+        assert "\n".join(cli._chunk_text(columns)) == expected(columns)
 
 
 def test_exact_ties_round_half_to_even():
-    assert cli._chunk_lines((np.array([1000000000000000.25, 1000000000000000.75]),)) == [
-        "1000000000000000.2",
-        "1000000000000000.8",
+    assert cli._chunk_text((np.array([1000000000000000.25, 1000000000000000.75]),)) == [
+        "1000000000000000.2\n1000000000000000.8"
     ]
     # N + 1/4 and N + 3/4 with 16 integer digits need an 18th digit 5
     quarters = 1e15 + np.arange(1, 2000) * 12345.0 + np.array([0.25, 0.75])[:, None]
@@ -75,9 +75,8 @@ def test_three_digit_exponents_and_the_ends_of_the_range():
             0.0,
         ]
     )
-    assert cli._chunk_lines((np.array([1.7976931348623157e308, 5e-324]),)) == [
-        "1.7976931348623157e+308",
-        "4.9406564584124654e-324",
+    assert cli._chunk_text((np.array([1.7976931348623157e308, 5e-324]),)) == [
+        "1.7976931348623157e+308\n4.9406564584124654e-324"
     ]
 
 
@@ -87,7 +86,7 @@ def test_rows_with_cells_python_prints_keep_their_other_cells():
         np.array([1000000000000000.25, -0.0, np.inf, 2.5]),
         np.array([3.0, -np.nan, 1e-300, 7e22]),
     )
-    assert cli._chunk_lines(columns) == expected(columns)
+    assert "\n".join(cli._chunk_text(columns)) == expected(columns)
 
 
 def test_a_block_of_many_rows():
@@ -102,7 +101,40 @@ def test_a_block_of_many_rows():
         np.arange(rows) * (np.pi / 20),
     )
     assert rows > cli._FORMAT_CELLS
-    assert cli._chunk_lines(columns) == expected(columns)
+    assert "\n".join(cli._chunk_text(columns)) == expected(columns)
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, 1000000000000000.25])
+def test_cells_python_prints_at_the_ends_of_a_block(cell):
+    # a block is split into rows only when it holds such a cell; the first
+    # and the last row border on the neighbouring blocks' text
+    rng = np.random.default_rng(7)
+    rows = cli._FORMAT_CELLS // 9
+    block = rng.standard_normal((rows, 9)) * 10.0 ** rng.integers(-30, 30, (rows, 9))
+    for where in ([0], [rows - 1], [0, rows - 1]):
+        marked = block.copy()
+        marked[where, 4] = cell
+        assert cli._format_rows(marked) == expected(tuple(marked.T))
+    one_row = np.array([[cell, 1.5, -0.0]])
+    assert cli._format_rows(one_row) == expected(tuple(one_row.T))
+
+
+@pytest.mark.parametrize("cols", [1, 9])
+def test_cells_python_prints_in_two_blocks_of_one_chunk(cols):
+    step = cli._FORMAT_CELLS // cols
+    rows = 3 * step + 5
+    column = np.arange(rows * cols) * (np.pi / 20)
+    block = column.reshape(rows, cols)
+    assert block.size > cli._FORMAT_CELLS
+    # first and last rows of the first block, first row of the second, the
+    # last row of the chunk (the last row of a short last block)
+    marks = {0: np.nan, step - 1: np.inf, step: -np.inf, rows - 1: 1000000000000000.75}
+    for row, cell in marks.items():
+        block[row, cols - 1] = cell
+    columns = tuple(np.ascontiguousarray(block[:, j]) for j in range(cols))
+    texts = cli._chunk_text(columns)
+    assert [t.count("\n") + 1 for t in texts] == [step, step, step, 5]
+    assert "\n".join(texts) == expected(columns)
 
 
 def test_power_table_is_exact_to_2_to_the_minus_105():

@@ -44,14 +44,19 @@ def scalar_row(sys_amp, env, t):
     )
 
 
-def scalar_trace_lines(config):
-    """The CSV lines after the provenance comment, as the per-row loop gave them."""
+def scalar_trace_text(config):
+    """The CSV text after the provenance comment, as the per-row loop gave it."""
     sys_amp = cli._system_amplitudes(config)
     env = cli._build_environment(config)
     lines = [",".join(cli.TRACE_COLUMNS)]
     for t in config.grid.times():
         lines.append(",".join(cli._format(v) for v in scalar_row(sys_amp, env, float(t))))
-    return lines
+    return "\n".join(lines)
+
+
+def trace_text(config):
+    """The CSV text after the provenance comment, as trace mode writes it."""
+    return "\n".join(cli._run_trace(config)[0])
 
 
 def trace_config(n, scenario, a_sq, t_start, dt, steps, seed=1):
@@ -80,13 +85,13 @@ def trace_config(n, scenario, a_sq, t_start, dt, steps, seed=1):
 @example(n=0, scenario="eigenstate", a_sq=0.3, t_start=0.0, dt=0.5, steps=4, seed=1)
 def test_batched_trace_matches_scalar_rows(n, scenario, a_sq, t_start, dt, steps, seed):
     config = trace_config(n, scenario, a_sq, t_start, dt, steps, seed)
-    assert cli._run_trace(config)[0] == scalar_trace_lines(config)
+    assert trace_text(config) == scalar_trace_text(config)
 
 
 def test_grid_longer_than_a_chunk_matches_scalar_rows():
     config = trace_config(3, "random", 0.37, 1.25, 0.01, cli.TRACE_CHUNK + 100, seed=7)
     assert config.grid.steps() + 1 > cli.TRACE_CHUNK
-    assert cli._run_trace(config)[0] == scalar_trace_lines(config)
+    assert trace_text(config) == scalar_trace_text(config)
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,18 +229,18 @@ def chunk_columns(draw):
 @example(columns=(np.full(4, 2.5), np.full(4, -0.0), np.full(4, math.inf), np.full(4, 1e-310)))
 @example(columns=(np.array([0.0, -0.0, 0.0]), np.array([-0.0, -0.0, -0.0]), np.zeros(3)))
 def test_chunk_lines_equal_cell_by_cell_formatting(columns):
-    assert cli._chunk_lines(columns) == joined_lines(columns)
+    assert "\n".join(cli._chunk_text(columns)) == "\n".join(joined_lines(columns))
 
 
 def test_balanced_im_z_keeps_its_negative_zeros():
     # Im z is zero on every row of the balanced scenario, but about half of
     # the zeros are -0.0; an == test for a constant column would print them 0
     config = trace_config(12, "balanced", 0.3, 0.0, 0.01, 2000)
-    lines = cli._run_trace(config)[0]
-    im_z = [line.split(",")[2] for line in lines[1:]]
+    text = trace_text(config)
+    im_z = [line.split(",")[2] for line in text.split("\n")[1:]]
     assert set(im_z) == {"0", "-0"}
     assert 100 < im_z.count("-0") < len(im_z) - 100
-    assert lines == scalar_trace_lines(config)
+    assert text == scalar_trace_text(config)
 
 
 def test_one_row_last_chunk_golden_has_a_one_row_last_chunk():

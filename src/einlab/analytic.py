@@ -293,20 +293,15 @@ def reduced_density_matrix(sys: SystemAmplitudes, env: EnvironmentSpec, t: float
     Populations stay (|a|^2, |b|^2) for all t; the upper off-diagonal entry
     is z(t) * a * conj(b) and the lower one its conjugate.
     """
-    return _reduced_states(sys, decoherence_factor(env, t))
+    p, q, upper = _state_entries(sys, decoherence_factor(env, t))
+    return np.array([[p, upper], [np.conj(upper), q]], dtype=complex)
 
 
-def _reduced_states(sys: SystemAmplitudes, z) -> np.ndarray:
-    """Reduced states for a ``complex`` z (Python's product ``z * a`` first)
-    or a complex array of them: shape ``np.shape(z) + (2, 2)``."""
+def _state_entries(sys: SystemAmplitudes, z):
+    """The populations ``p = |a|^2`` and ``q = |b|^2`` (floats) and the upper
+    off-diagonal entry ``z * a * conj(b)`` of the reduced state for ``z``."""
     a, b = complex(sys.a), complex(sys.b)
-    upper = z * a * np.conj(b)
-    rho = np.empty(np.shape(z) + (2, 2), dtype=complex)
-    rho[..., 0, 0] = abs(a) ** 2
-    rho[..., 0, 1] = upper
-    rho[..., 1, 0] = np.conj(upper)
-    rho[..., 1, 1] = abs(b) ** 2
-    return rho
+    return abs(a) ** 2, abs(b) ** 2, z * a * np.conj(b)
 
 
 def trace_columns(
@@ -315,30 +310,99 @@ def trace_columns(
     """Trace-mode columns on an array of times, as float arrays:
     t, Re z, Im z, |z|, rho[+,+], rho[-,-], |rho[+,-]|, purity, entropy.
 
-    Row by row these are the numbers :func:`decoherence_factor`,
-    :func:`reduced_density_matrix` and :func:`state_metrics` give, through
-    the same :func:`_reduced_states` and :func:`_purity_entropy`: to the bit
-    when the system amplitudes are real (with complex ones, numpy's complex
-    product may round differently from Python's in the last place).
-    Magnitudes use ``hypot``, as Python's ``abs`` on a complex does
-    (``np.abs`` on a complex array can differ from it in the last place).
+    Row by row the first seven are the numbers :func:`decoherence_factor`
+    and :func:`reduced_density_matrix` give, through the same
+    :func:`_state_entries`: to the bit when the system amplitudes are real
+    (with complex ones, numpy's complex product may round differently from
+    Python's in the last place).  Magnitudes use ``hypot``, as Python's
+    ``abs`` on a complex does (``np.abs`` on a complex array can differ from
+    it in the last place).
+
+    Purity and entropy come in closed form from the deficit ``D = 1 - |z|^2``
+    (see :func:`_trace_purity_entropy`), not from a 2x2 matrix product and
+    eigensolver as in :func:`state_metrics`.  ``D`` is ``1 - |z|^2`` where
+    ``|z|^2 < 1/2``, and :func:`_deficit`'s sum of logarithms, which does not
+    cancel near ``|z| = 1``, elsewhere.  Against a 45-digit ``decimal``
+    evaluation at the same inputs (the float angles ``(2 g) * t`` included)
+    the entropy's relative error stays within 1e-14 and the purity's absolute
+    error within 4.5e-16, also near ``|z| = 1``, where the matrix route loses
+    every digit of the entropy.
     """
     times = np.asarray(times, dtype=float)
     z = decoherence_series(env, times)
-    rho = _reduced_states(sys, z)
-    purity, entropy = _purity_entropy(rho)
-    upper = rho[..., 0, 1]
+    p, q, upper = _state_entries(sys, z)
+    abs_z = np.hypot(z.real, z.imag)
+    purity, entropy = _trace_purity_entropy(p, q, abs_z, env, times)
     return (
         times,
         z.real,
         z.imag,
-        np.hypot(z.real, z.imag),
-        rho[..., 0, 0].real,
-        rho[..., 1, 1].real,
+        abs_z,
+        np.full(times.shape, p),
+        np.full(times.shape, q),
         np.hypot(upper.real, upper.imag),
         purity,
         entropy,
     )
+
+
+def _trace_purity_entropy(p: float, q: float, abs_z, env: EnvironmentSpec, times):
+    """Purity and entropy of the reduced states with populations ``p``, ``q``
+    and coherence ``|z| = abs_z``; entropy <= 0 or nan reads 0.
+
+    With ``s = p + q`` (not taken to be 1) and the deficit ``D = 1 - |z|^2``:
+    purity ``s^2 - 2 p q D``, eigenvalues ``lambda_- = 2 p q D / (s + r)``
+    and ``lambda_+ = s - lambda_-``, entropy ``-(lambda_+ log1p((s - 1) -
+    lambda_-) + lambda_- log lambda_-)`` with ``0 log 0 = 0``.  The root
+    ``r = sqrt((p - q)^2 + 4 p q |z|^2)`` equals ``sqrt(s^2 - 4 p q D)`` but
+    cannot go negative.  ``s - 1`` is formed as ``(max(p, q) - 1) + min(p, q)``,
+    exactly (Sterbenz's lemma) when ``p + q`` is near 1, and the purity as
+    ``(1 - 2 p q D) + (s - 1)(s + 1)``.  Each value depends only on its own
+    point.
+    """
+    abs_sq = abs_z * abs_z
+    deficit = np.asarray(1.0 - abs_sq)  # writable, also for 0-d times
+    near = abs_sq >= 0.5  # nan stays out, and D stays nan
+    if near.any():
+        deficit[near] = _deficit(env, times[near])
+    low, high = sorted((p, q))
+    excess = (high - 1.0) + low  # s - 1
+    s = 1.0 + excess
+    pq2 = 2.0 * p * q
+    mixed = pq2 * deficit  # 1 - purity when s = 1
+    purity = (1.0 - mixed) + excess * (2.0 + excess)
+    small = mixed / (s + np.sqrt((p - q) ** 2 + (2.0 * pq2) * abs_sq))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small_term = np.where(small > 0.0, small * np.log(small), 0.0)
+    entropy = -((s - small) * np.log1p(excess - small) + small_term)
+    return purity, np.where(entropy > 0.0, entropy, 0.0)
+
+
+def _deficit(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
+    """``1 - |z|^2`` at the 1-D ``times`` without cancellation near ``|z| = 1``:
+    ``-expm1(sum_j log1p(-(1 - d_j^2) sin^2(2 g_j t)))``, each factor of
+    ``|z|^2`` being ``|cos x + i d sin x|^2 = 1 - (1 - d^2) sin^2 x``.
+
+    Spins with ``d_j = +-1`` (factor 1) are skipped.  The others are taken in
+    blocks of at most _SERIES_BLOCK elements, and each point's sum runs in
+    spin order, so a value does not depend on the other points.
+    """
+    d = env.imbalances()
+    weight = (1.0 - d) * (1.0 + d)  # 1 - d^2
+    spins = np.flatnonzero(weight)
+    g2 = (2.0 * env.couplings()[spins])[:, None]
+    minus_weight = (-weight[spins])[:, None]
+    total = np.zeros(times.size)
+    k = max(1, _SERIES_BLOCK // max(times.size, 1))
+    for start in range(0, spins.size, k):
+        terms = np.multiply(g2[start : start + k], times)
+        np.sin(terms, out=terms)
+        np.multiply(terms, terms, out=terms)
+        np.multiply(minus_weight[start : start + k], terms, out=terms)
+        np.log1p(terms, out=terms)
+        for row in terms:
+            total += row
+    return -np.expm1(total)
 
 
 def coherence_in_basis(rho: np.ndarray, theta: float, phi: float) -> float:
@@ -364,23 +428,17 @@ def state_metrics(rho: np.ndarray) -> tuple[float, float]:
     """(purity, entropy) of the 2x2 density matrix ``rho``.
 
     purity = tr(rho^2); entropy = -sum lambda ln lambda in nats, with
-    0 ln 0 = 0.  Pure states give (1, 0); the maximally mixed qubit gives
-    (1/2, ln 2).
+    0 ln 0 = 0, from the eigenvalues ``np.linalg.eigvalsh`` gives; entropy
+    <= 0 or nan reads 0.  Pure states give (1, 0); the maximally mixed qubit
+    gives (1/2, ln 2).
     """
-    purity, entropy = _purity_entropy(rho)
-    return float(purity), float(entropy)
-
-
-def _purity_entropy(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Purity and entropy arrays of a ``(..., 2, 2)`` stack of density matrices,
-    with one matrix's BLAS and LAPACK calls each; entropy <= 0 or nan reads 0."""
     square = rho @ rho
-    purity = (square[..., 0, 0] + square[..., 1, 1]).real
+    purity = (square[0, 0] + square[1, 1]).real
     lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(lam > 0.0, lam * np.log(lam), 0.0)
-    entropy = -(terms[..., 0] + terms[..., 1])
-    return purity, np.where(entropy > 0.0, entropy, 0.0)
+    entropy = -(terms[0] + terms[1])
+    return float(purity), (float(entropy) if entropy > 0.0 else 0.0)
 
 
 def ergodic_prediction(env: EnvironmentSpec) -> float:

@@ -47,15 +47,20 @@ def assert_same_bits(a, b):
 
 
 def assert_golden_digests(tmp_path, table):
-    """Run each config text of ``table`` through the CLI and check the SHA-256
-    of its CSV against the digest it maps to; return the CSV paths in order."""
+    """Run each config text of ``table`` through the CLI, check that its CSV
+    opens with the config's provenance line, and check the SHA-256 of the
+    rest of the CSV (its body) against the digest the text maps to; return
+    the CSV paths in order.  The version lives in the provenance line only,
+    so a version bump moves just the digests whose bodies changed."""
     outputs = []
     for i, (text, digest) in enumerate(table.items()):
         config = tmp_path / f"golden{i}.cfg"
         config.write_text(text)
         out = tmp_path / f"golden{i}.csv"
         assert cli.main([str(config), "--output", str(out), "--quiet"]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, text
+        provenance, newline, body = out.read_bytes().partition(b"\n")
+        assert provenance.decode("utf-8") == cli._provenance(cli.parse_config(text)), text
+        assert newline and hashlib.sha256(body).hexdigest() == digest, text
         outputs.append(out)
     return outputs
 

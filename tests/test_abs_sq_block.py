@@ -337,23 +337,24 @@ def test_imbalances_equal_per_spin_property(n, seed):
     assert env.couplings().shape == env.imbalances().shape == (n,)
 
 
-# SHA-256 of sweep and ensemble CSVs written before the kernel was blocked.
+# SHA-256 of the bodies (the bytes after the provenance line) of sweep and
+# ensemble CSVs written before the kernel was blocked.
 # The first sweep's n = 2000 row prints 0: |z|^2 underflows there, a known
 # defect that this change leaves as it was.  The one-point sweep changes if
 # the imbalances are squared as x * x instead of Python's x ** 2.
 GOLDEN = {
     "mode = sweep\nn = 1000, 2000\nseeds = 5\ng_max = 1.0\nt_start = 50\nt_max = 100\n":
-        "f32d5dd2ef2d58130acf92a3241a40cde2ffebcbc3a29425bab12931d3f30e5a",
+        "f3b3ee977014868808e42e9344241ec6a54829ee8187214939d5b83e3df012ec",
     "mode = sweep\nn = 0, 1, 2, 8, 50\nseeds = 7\ng_max = 1.0\nt_start = 20\nt_max = 40\n":
-        "d4874ade6f23ea70ca1f386b35ae3ec2c16a8334c601cbb7dfba1e37eab7d793",
+        "7f4e0b2047a1f038b74824e0bdcaac30849658a2724ae5907dc2a76351e1b095",
     "mode = sweep\nn = 5, 400\nseeds = 3\ng_max = 1.0\nt_start = 7\nt_max = 7.1\ndt = 0.2\n":
-        "119f242b507124d39c6245bf1990f304498c3fab83e724748e1ad6b6f1336b16",
+        "e8fcd2c6ec9a8afe7d62b8605c3dcfe9fcb33ec06864276df079b78238af42d5",
     "mode = ensemble\nn = 6\nseeds = 5\ng_max = 1.0\nt_max = 300\n":
-        "e91e0c024369f3db79060db91146c208c26894d78cbe6d9345ca5b37563b8f5d",
+        "14df5e1111c4233fe0835d747511c6578fb809a2535b71ef654980963dbe9565",
     "mode = ensemble\nn = 300\nseeds = 4, 9\ng_max = 0.7\nt_max = 50\ndt = 0.05\n":
-        "ed23910b286029e4497487fa6a4127ef50db5b3c7df202a3350d3b18ccbd168d",
+        "4f5d589ca853a6670e12a60d95c43a504df14e336920722d3160e5723aeb19e4",
     "mode = ensemble\nn = 12\nseeds = 2\ng_max = 1.0\nt_max = 2000\ndt = 0.05\n":
-        "feb6fa58a859d30e0c5fbc7fc27e090e54fcd3c1fc5afabc2793b43b7b9dedd9",
+        "158e5375ee3779802a558b093ff86a79c42a92dc05d244444328e3341821df61",
 }
 
 

@@ -137,6 +137,17 @@ class TestParseConfig:
         # t_start defaults to 0 and dt to pi / (20 * g_max), or pi / (20 * g)
         assert parse_config(text).grid == grid
 
+    @pytest.mark.parametrize("mode,scenario,extra,coupling", [
+        ("trace", "balanced", "g = 4\ng_max = 1\n", 4.0),
+        ("recurrence", "eigenstate", "g = 4\ng_max = 1\nt_start = 1\n", 4.0),
+        ("trace", "random", "seed = 1\ng_max = 1\ng = 4\n", 1.0),
+        ("recurrence", "random", "seed = 1\ng_max = 2\ng = 0.5\nt_start = 1\n", 2.0),
+    ])
+    def test_default_dt_follows_the_scenario_coupling(self, mode, scenario, extra, coupling):
+        # the fixed scenarios use g, so an unused g_max does not set their dt
+        text = f"mode = {mode}\nn = 2\nscenario = {scenario}\n{extra}t_max = 5\n"
+        assert parse_config(text).grid.dt == math.pi / (20.0 * coupling)
+
     def test_verify_has_no_grid(self, tmp_path):
         plain = "mode = verify\nn = 3\nseed = 4\ng_max = 1.0\n"
         timed = plain + "t_start = 1\nt_max = 5\ndt = 0.5\n"
@@ -521,11 +532,28 @@ class TestMainEntry:
         assert float(match.group(1)) == pytest.approx(max(deviations), rel=1e-3)
         assert loud.read_bytes() == quiet.read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verify_summary_names_a_nan_case(self, tmp_path, capsys):
+        # g_max = 1e307 overflows the phases of some cases to nan; nan is the
+        # worst deviation, though every comparison with it is false
+        config = write_config(tmp_path, "mode = verify\nn = 3\nseed = 1\ng_max = 1e307\n")
+        out = tmp_path / "verify.csv"
+        assert main([str(config), "--output", str(out)]) == 2
+        line = capsys.readouterr().out
+        text = out.read_text()
+        assert text.splitlines()[-1] == "# max_deviation=nan tolerance=1e-10"
+        _, rows = read_rows(out)
+        nan_rows = [r for r in rows if r["max_deviation"] == "nan"]
+        assert 0 < len(nan_rows) < len(rows)
+        first = nan_rows[0]
+        assert f"max_deviation=nan at case={first['case']} env_seed={first['env_seed']} " \
+            f"t={first['t']} FAIL" in line
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert "einlab" in capsys.readouterr().out
+        assert capsys.readouterr().out == "einlab 0.2.0\n"
 
     def test_consecutive_calls_parse_afresh(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -274,22 +274,23 @@ def test_hit_on_chunk_edge(env, threshold, where):
     assert (report.found, report.scanned_points) == (found, scanned)
 
 
-# SHA-256 of recurrence CSVs written before scans were pruned: the two
-# configs of tests/test_cli.py, an n = 20 random scan of (1, 1e4] with no
-# hit, and a balanced scan whose hit lies past the first scan chunk.
+# SHA-256 of the bodies (the bytes after the provenance line) of recurrence
+# CSVs written before scans were pruned: the two configs of tests/test_cli.py,
+# an n = 20 random scan of (1, 1e4] with no hit, and a balanced scan whose hit
+# lies past the first scan chunk.
 GOLDEN = {
     "mode = recurrence\nn = 50\nscenario = balanced\ng = 0.5\n"
     "t_start = 0.1\nt_max = 4\ndt = 0.001\nthreshold = 0.999\noutput = rec.csv\n":
-        "2a2ae965198aa9cc14d6d158f2eed684e1eaa224241e863edc700eede27ba96f",
+        "5291dbd03e61a10cf45e865df9545d6e2a0ce8933a39e64ea8746b83732825af",
     "mode = recurrence\nn = 20\nscenario = random\nseed = 42\ng_max = 1.0\n"
     "t_start = 1\nt_max = 200\ndt = 0.01\n":
-        "36602550fac679184a70270a56604b3cd5562f26a87c2a73b29cad804c0716e6",
+        "c5ce465c86323955baa4b01801f32c50c70e813cad304689d9aa4322982eb60b",
     "mode = recurrence\nn = 20\nscenario = random\nseed = 7\ng_min = 0.05\ng_max = 1.0\n"
     "t_start = 1\nt_max = 10000\ndt = 0.01\nthreshold = 0.9\n":
-        "6b863d997ed0525c9882167dd610add752a184a3b3850747c0b38a21da0daf4f",
+        "1b077ff822c8852f79e2d9ca5305d59f3547eb369b7658af3518a2e333a3364a",
     "mode = recurrence\nn = 20\nscenario = balanced\ng = 0.3\n"
     "t_start = 0.5\nt_max = 20\ndt = 0.0001\nthreshold = 0.9\n":
-        "bc9eb9c936dc4979d249b25794a0f34855a81b7e487df8f2dba616e3efc530ad",
+        "5f4d0060b61e25dab22f77c615855b77955f383852270dda7d952f09065225a2",
 }
 
 

@@ -1,13 +1,16 @@
 """Trace mode's batched path against the point-by-point scalar functions.
 
-The trace CSV must not change by a byte when rows are computed in chunks of
-arrays, so the reference here is the per-row loop over
-``decoherence_factor`` / ``reduced_density_matrix`` / ``state_metrics``
-that trace mode ran before, formatted the same way.
+The first seven trace columns must not change by a byte when rows are
+computed in chunks of arrays, so their reference is the per-row loop over
+``decoherence_factor`` / ``reduced_density_matrix`` that trace mode ran
+before, formatted the same way.  Purity and entropy come from a closed form
+in the deficit ``1 - |z|^2``; their reference is a 45-digit ``decimal``
+evaluation at the same float inputs (``decimal_reference``).
 """
 
 import math
 import struct
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 import einlab.cli as cli
 from einlab import (
+    SystemAmplitudes,
     build_environment_random,
     decoherence_factor,
     decoherence_series,
@@ -24,34 +28,56 @@ from einlab import (
     trace_columns,
 )
 
+import decimal_reference
 from conftest import assert_golden_digests, assert_same_bits, environments, system_amplitudes
+
+# Bounds against the decimal reference: the entropy's relative error and the
+# purity's absolute error.
+ENTROPY_RTOL = 1e-14
+PURITY_ATOL = 4.5e-16
 
 
 def scalar_row(sys_amp, env, t):
+    """The first seven trace columns of one row, from the scalar functions."""
     z = decoherence_factor(env, t)
     rho = reduced_density_matrix(sys_amp, env, t)
-    purity, entropy = state_metrics(rho)
-    return (
-        t,
-        z.real,
-        z.imag,
-        abs(z),
-        rho[0, 0].real,
-        rho[1, 1].real,
-        abs(rho[0, 1]),
-        purity,
-        entropy,
+    return (t, z.real, z.imag, abs(z), rho[0, 0].real, rho[1, 1].real, abs(rho[0, 1]))
+
+
+def assert_near_reference(sys_amp, env, t, purity, entropy):
+    """``purity`` and ``entropy`` (floats) within the bounds of the decimal
+    reference at time ``t``.  The reference entropy is clipped at 0, as trace
+    mode prints it; the relative bound is taken of it plus ``|p + q - 1|``,
+    the size of the terms that cancel when ``p + q != 1`` and the state is
+    nearly pure (with ``p + q = 1`` it is a plain relative bound)."""
+    p, q = abs(complex(sys_amp.a)) ** 2, abs(complex(sys_amp.b)) ** 2
+    ref_purity, ref_entropy = decimal_reference.purity_entropy(
+        p, q, env.couplings().tolist(), env.imbalances().tolist(), t
+    )
+    assert abs(Decimal(purity) - ref_purity) <= Decimal(PURITY_ATOL), (t, purity, ref_purity)
+    ref_entropy = max(ref_entropy, Decimal(0))
+    scale = ref_entropy + abs(Decimal(p) + Decimal(q) - 1)
+    assert abs(Decimal(entropy) - ref_entropy) <= Decimal(ENTROPY_RTOL) * scale, (
+        t, entropy, ref_entropy
     )
 
 
-def scalar_trace_text(config):
-    """The CSV text after the provenance comment, as the per-row loop gave it."""
+def assert_trace_rows(config):
+    """Trace mode's text for ``config``: the header, the first seven cells of
+    each row as the scalar functions print them, and purity and entropy
+    within the bounds of the decimal reference, entropy never ``-0``."""
     sys_amp = cli._system_amplitudes(config)
     env = cli._build_environment(config)
-    lines = [",".join(cli.TRACE_COLUMNS)]
-    for t in config.grid.times():
-        lines.append(",".join(cli._format(v) for v in scalar_row(sys_amp, env, float(t))))
-    return "\n".join(lines)
+    lines = trace_text(config).split("\n")
+    assert lines[0] == ",".join(cli.TRACE_COLUMNS)
+    times = config.grid.times().tolist()
+    assert len(lines) == len(times) + 1
+    for t, line in zip(times, lines[1:]):
+        cells = line.split(",")
+        assert cells[:7] == [cli._format(v) for v in scalar_row(sys_amp, env, t)]
+        assert cells[8] != "-0"
+        # 17 significant digits read back as the double that was printed
+        assert_near_reference(sys_amp, env, t, float(cells[7]), float(cells[8]))
 
 
 def trace_text(config):
@@ -84,14 +110,13 @@ def trace_config(n, scenario, a_sq, t_start, dt, steps, seed=1):
 @example(n=5, scenario="balanced", a_sq=1.0, t_start=2.5, dt=0.1, steps=20, seed=3)
 @example(n=0, scenario="eigenstate", a_sq=0.3, t_start=0.0, dt=0.5, steps=4, seed=1)
 def test_batched_trace_matches_scalar_rows(n, scenario, a_sq, t_start, dt, steps, seed):
-    config = trace_config(n, scenario, a_sq, t_start, dt, steps, seed)
-    assert trace_text(config) == scalar_trace_text(config)
+    assert_trace_rows(trace_config(n, scenario, a_sq, t_start, dt, steps, seed))
 
 
 def test_grid_longer_than_a_chunk_matches_scalar_rows():
     config = trace_config(3, "random", 0.37, 1.25, 0.01, cli.TRACE_CHUNK + 100, seed=7)
     assert config.grid.steps() + 1 > cli.TRACE_CHUNK
-    assert trace_text(config) == scalar_trace_text(config)
+    assert_trace_rows(config)
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,10 +126,54 @@ def test_grid_longer_than_a_chunk_matches_scalar_rows():
     ts=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=12),
 )
 def test_complex_amplitudes_agree_to_rounding(sys_amp, env, ts):
-    # a complex system amplitude may round its product differently in the last place
+    # a complex system amplitude may round its product differently in the last
+    # place; state_metrics' eigensolver agrees with the closed form to rounding
     batch = np.column_stack(trace_columns(sys_amp, env, np.array(ts)))
-    scalar = np.array([scalar_row(sys_amp, env, t) for t in ts])
+    scalar = np.array(
+        [scalar_row(sys_amp, env, t) + state_metrics(reduced_density_matrix(sys_amp, env, t))
+         for t in ts]
+    )
     np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=1e-13)
+    for t, (purity, entropy) in zip(ts, batch[:, 7:].tolist()):
+        assert_near_reference(sys_amp, env, t, purity, entropy)
+
+
+# 100 times log-uniform on [1e-9, 1], where |z| is near 1 and 1 - |z|^2
+# cancels, and 100 uniform on [0, 100]
+REFERENCE_TIMES = np.concatenate(
+    [10.0 ** np.random.default_rng(1).uniform(-9.0, 0.0, 100),
+     np.random.default_rng(2).uniform(0.0, 100.0, 100)]
+)
+
+
+@pytest.mark.parametrize("n,a_sq", [(20, 0.5), (20, 0.36), (20, 0.0), (20, 1.0), (0, 0.3)])
+def test_purity_and_entropy_match_a_decimal_reference(n, a_sq):
+    env = build_environment_random(n, 1, None, 1.0)
+    sys_amp = SystemAmplitudes(complex(math.sqrt(a_sq)), complex(math.sqrt(1.0 - a_sq)))
+    columns = trace_columns(sys_amp, env, REFERENCE_TIMES)
+    purity, entropy = columns[7], columns[8]
+    for t, pure, ent in zip(REFERENCE_TIMES.tolist(), purity.tolist(), entropy.tolist()):
+        assert_near_reference(sys_amp, env, t, pure, ent)
+    assert not np.signbit(entropy).any()  # never -0
+    if a_sq in (0.0, 1.0):  # a pure state at every time
+        assert (purity == 1.0).all() and (entropy == 0.0).all()
+    if a_sq == 0.36 and n:
+        # p + q = 1 exactly here, so every t > 0 has entropy > 0, down to
+        # about 1e-16 at t = 1e-9
+        assert (entropy > 0.0).all()
+
+
+def test_trace_columns_keep_the_shape_of_times():
+    env = build_environment_random(3, 1, None, 1.0)
+    sys_amp = SystemAmplitudes(complex(0.6), complex(0.8))
+    grid = np.linspace(0.0, 2.0, 6).reshape(2, 3)
+    # |z|^2 >= 1/2 at t = 0.01, < 1/2 at t = 5, and both on the grid
+    for times in (np.float64(0.01), np.float64(5.0), grid):
+        columns = trace_columns(sys_amp, env, times)
+        assert all(np.shape(c) == np.shape(times) for c in columns)
+    flat = trace_columns(sys_amp, env, grid.reshape(-1))
+    for column, flat_column in zip(trace_columns(sys_amp, env, grid), flat):
+        assert_same_bits(column.reshape(-1), flat_column)
 
 
 # 8193 points: the last chunk is one row, so every column in it is constant
@@ -113,38 +182,40 @@ ONE_ROW_LAST_CHUNK = (
     "dt = 0.125\n"
 )
 
-# SHA-256 of trace CSVs: the first three written before trace mode was
-# batched, the rest, with whole columns constant, before rows came from
-# per-chunk templates.
+# SHA-256 of the bodies (the bytes after the provenance line) of trace CSVs:
+# the first three written before trace mode was batched, the rest, with whole
+# columns constant, before rows came from per-chunk templates.  Version 0.2.0
+# moved the bodies whose purity and entropy the closed form changed: all but
+# a_sq = 0, a_sq = 1 and n = 0.
 GOLDEN = {
     "mode = trace\nn = 4\nseed = 1\nscenario = random\ng_max = 1.0\nt_max = 50\ndt = 0.01\n":
-        "36938f74f37b66a92054e0fcf9eb51edb05ecfcf28ef6becd58589a2108cccec",
+        "a9643ee260ac1d6a22a597056b7131dbd5175cd2dc9d370010c8c3f657903b30",
     "mode = trace\nn = 12\nscenario = balanced\ng = 0.7\na_sq = 0.3\nt_start = 0.5\n"
     "t_max = 30\ndt = 0.003\n":
-        "95f5af4ba92f15f0302a74f7faca57ff12fbcbe58f8191d40a913072a90eed6a",
+        "7cdc38a0d4c468200fa6dbbf74b448da76c87650c51785d5bd41230130d1de2d",
     "mode = trace\nn = 6\nscenario = eigenstate\ng = 1.0\na_sq = 0.25\nt_max = 10\ndt = 0.01\n":
-        "e1cb2335b49af014417dd586c141fc18bee261e20a57cbaa603a8975ca41fb42",
+        "fac7de8cbc5da838640b84af17a62949bae86ccd04169969c3f3d1d3a0812d91",
     # a_sq = 0 and 1: abs_rho_pm, purity and entropy are constant
     "mode = trace\nn = 8\nseed = 5\nscenario = random\ng_max = 1.0\na_sq = 0\nt_max = 20\n"
     "dt = 0.01\n":
-        "8d09f07377b06bc1ca80ac384603d176db69dd4adcbb6913abd19705d531f5e5",
+        "f3dd2c7aa795601c76d14c8f0ff0e4ac4d33841ab838f0920a328091894bba13",
     "mode = trace\nn = 10\nscenario = balanced\ng = 0.7\na_sq = 1\nt_start = 0.5\nt_max = 15\n"
     "dt = 0.005\n":
-        "b55157449f89e9f659df1a714013f6ac392f7ab6cfa70eafee85590b48b7945a",
+        "117654acad77262dbbe61194dceb0ebf8049c0e58568d5ad812dca7391a81151",
     # n = 0: every column but t is constant
     "mode = trace\nn = 0\nseed = 2\nscenario = random\ng_max = 1.0\na_sq = 0.3\nt_max = 10\n"
     "dt = 0.01\n":
-        "39d6adbdf735c9c3a3d2bb00d2cd86ca34e71625cccefc2f5e763ee5afd8ce49",
-    ONE_ROW_LAST_CHUNK: "0cc15870a16ed2019412e016fe3bb36b37491e4e565010e1fa1e01e5170c3b17",
+        "96c99a86fcbca653784b5a8d8ba9773df91473f661fd4a6c997015de694b4423",
+    ONE_ROW_LAST_CHUNK: "33b00ec6b0ff9a83a438226469e444a006ee90b3fe5b29cd5f0584a921016e33",
     # Written before rows were formatted as arrays.  The benchmark's balanced
     # n = 20 trace: 594 cells below 1e-160, down to 9e-316, and an im_z
     # column of mixed 0 and -0.
     "mode = trace\nn = 20\nscenario = balanced\ng = 1.0\na_sq = 0.331\nt_max = 314.2\n":
-        "020cca6eb26dae0243a651cf9607dd5fbd5ac08295af62c19eb6c1a8ba4fdd11",
+        "4f43998d9145e9fbffa29db9413900d29be3dfb0d45405ed5be841c92dc83def",
     # t from 1e17: the t column prints in exponent form
     "mode = trace\nn = 5\nseed = 3\nscenario = random\ng_max = 1.0\na_sq = 0.7\nt_start = 1e17\n"
     "t_max = 1.00000000001e17\ndt = 25000\n":
-        "2168a7d01ac4e40bc027e63e0640f860d7b56f0f791c72b164c15fe110fad348",
+        "b2bd6e7ebb29d722fa091d060652f9debe7310b7a2f5bf50b4e6cb5d78dcbeea",
 }
 
 
@@ -240,7 +311,7 @@ def test_balanced_im_z_keeps_its_negative_zeros():
     im_z = [line.split(",")[2] for line in text.split("\n")[1:]]
     assert set(im_z) == {"0", "-0"}
     assert 100 < im_z.count("-0") < len(im_z) - 100
-    assert text == scalar_trace_text(config)
+    assert_trace_rows(config)
 
 
 def test_one_row_last_chunk_golden_has_a_one_row_last_chunk():

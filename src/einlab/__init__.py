@@ -15,7 +15,7 @@ rapidly recover full coherence.  Decoherence here is a property of the
 assumed environment statistics, not of the dynamics alone.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .analytic import (
     branch_environment_state,

@@ -348,7 +348,7 @@ def trace_columns(
 
 def _trace_purity_entropy(p: float, q: float, abs_z, env: EnvironmentSpec, times):
     """Purity and entropy of the reduced states with populations ``p``, ``q``
-    and coherence ``|z| = abs_z``; entropy <= 0 or nan reads 0.
+    and coherence ``|z| = abs_z``; entropy <= 0 reads 0, and nan stays nan.
 
     With ``s = p + q`` (not taken to be 1) and the deficit ``D = 1 - |z|^2``:
     purity ``s^2 - 2 p q D``, eigenvalues ``lambda_- = 2 p q D / (s + r)``
@@ -375,7 +375,7 @@ def _trace_purity_entropy(p: float, q: float, abs_z, env: EnvironmentSpec, times
     with np.errstate(divide="ignore", invalid="ignore"):
         small_term = np.where(small > 0.0, small * np.log(small), 0.0)
     entropy = -((s - small) * np.log1p(excess - small) + small_term)
-    return purity, np.where(entropy > 0.0, entropy, 0.0)
+    return purity, np.where(entropy <= 0.0, 0.0, entropy)
 
 
 def _deficit(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
@@ -429,16 +429,16 @@ def state_metrics(rho: np.ndarray) -> tuple[float, float]:
 
     purity = tr(rho^2); entropy = -sum lambda ln lambda in nats, with
     0 ln 0 = 0, from the eigenvalues ``np.linalg.eigvalsh`` gives; entropy
-    <= 0 or nan reads 0.  Pure states give (1, 0); the maximally mixed qubit
-    gives (1/2, ln 2).
+    <= 0 reads 0, and a nan eigenvalue gives entropy nan.  Pure states give
+    (1, 0); the maximally mixed qubit gives (1/2, ln 2).
     """
     square = rho @ rho
     purity = (square[0, 0] + square[1, 1]).real
     lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, lam * np.log(lam), 0.0)
+        terms = np.where(lam == 0.0, 0.0, lam * np.log(lam))
     entropy = -(terms[0] + terms[1])
-    return float(purity), (float(entropy) if entropy > 0.0 else 0.0)
+    return float(purity), (0.0 if entropy <= 0.0 else float(entropy))
 
 
 def ergodic_prediction(env: EnvironmentSpec) -> float:

@@ -35,9 +35,9 @@ cannot prove (nan, an infinity, or a value within 2^-20 units of the 17th
 digit of a rounding tie) is printed by Python's formatting.
 
 Verify mode runs its cases on up to two CPUs of the process's affinity mask
-(``taskset -c 0`` keeps it serial), each worker evolving its own state in
-place, so the oracle holds at most three 2^(n+1)-amplitude arrays; rows are
-written in case order and the bytes do not depend on the CPU count.
+(``taskset -c 0`` keeps it serial), each worker evolving and tracing its own
+state in place, so the oracle holds at most two 2^(n+1)-amplitude arrays;
+rows are written in case order and the bytes do not depend on the CPU count.
 Ensemble and sweep modes hand out their seeds the same way, one whole seed
 per thread, to every CPU of the mask (:func:`einlab.analytic._hand_out`); a
 sweep seed evaluates all its spin counts in one kernel call that shares the
@@ -658,8 +658,8 @@ def _run_verify(config: RunConfig) -> _Result:
     own state buffer in place.  Rows are written in case order, so the CSV
     bytes depend neither on the worker count nor on which worker ran which
     case; a worker on a busy CPU just takes fewer cases.  Two workers is the
-    cap that keeps the oracle at three 2^(n+1) arrays: one state per worker
-    and the shared conjugate scratch.
+    cap that keeps the oracle at two 2^(n+1) arrays, one state per worker;
+    the workers share nothing else.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     cases = []
@@ -682,7 +682,7 @@ def _run_verify(config: RunConfig) -> _Result:
         env = first_env if case == 0 else build_environment_random(
             config.n, env_seed, config.g_min, config.g_max
         )
-        return crosscheck(sys_amp, env, t, VERIFY_TOLERANCE, buffers[worker:])
+        return crosscheck(sys_amp, env, t, VERIFY_TOLERANCE, buffers[worker])
 
     reports = analytic._hand_out(check, VERIFY_CASES, workers)
     lines = ["case,env_seed,t,max_deviation,passed"]

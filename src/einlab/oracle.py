@@ -23,27 +23,24 @@ never stores it whole, so it can evolve a state in place.  Each block is a
 few long array calls, which release the GIL, so two workers' evolutions
 overlap.
 
-Memory rule: a crosscheck holds two 2^(n+1) arrays, the state (assembled,
-then evolved in place) and the conjugate that the partial trace multiplies
-by.  :func:`assemble_full_state` and :func:`evolve_full` write into an
-``out=`` array when given one, and :func:`crosscheck` takes its arrays
-from :func:`crosscheck_buffers`: one state per worker thread plus one
-conjugate scratch that the workers share under a lock, so two workers hold
-three arrays.  A batch of crosschecks reuses that one allocation; the
+Memory rule: a crosscheck holds one 2^(n+1) array, the state (assembled,
+then evolved in place); the partial trace reads it where it lies.
+:func:`assemble_full_state` and :func:`evolve_full` write into an ``out=``
+array when given one, and :func:`crosscheck` takes its state row from
+:func:`crosscheck_buffers`, one row per worker thread, so two workers hold
+two arrays.  A batch of crosschecks reuses that one allocation; the
 results are the same bytes as with fresh arrays.
 :func:`partial_trace_to_system` returns a 2x2 complex array, as
 :func:`einlab.analytic.reduced_density_matrix` does.
 
-The partial trace's product is ``np.dot``, not ``@``: for n >= 1 the two
-give the same bits, but only ``np.dot`` releases the GIL while it runs, so
-two workers overlap it with the other's assembly and evolution.
-At n = 0 ``np.dot`` leaves imaginary parts of about 1e-17 on the diagonal
-where ``@`` gives exact zeros, so n = 0 keeps ``@``.
+The partial trace is three inner products of the two branch rows, each a
+sum of ``np.vdot`` calls over blocks of the rows; ``np.vdot`` conjugates
+inside the BLAS kernel, so there is no conjugate copy, and the same code
+runs at every n, n = 0 included.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +50,6 @@ from .errors import DimensionMismatchError, TooLargeError
 from .model import EnvironmentSpec, SystemAmplitudes
 
 MAX_SPINS = 24
-
-# One lock for every conjugate array of partial_trace_to_system, whichever
-# buffers it belongs to: partial traces run one at a time in a process.
-_scratch_lock = threading.Lock()
-
 
 @dataclass(frozen=True, eq=False)
 class FullState:
@@ -272,30 +264,37 @@ def _evolve_blocks(rows: np.ndarray, env: EnvironmentSpec, t: float) -> None:
         apply(plus[upper], reversed_phase, mirror, 1j * t, mirror_sums)
 
 
-def partial_trace_to_system(state: FullState, scratch: np.ndarray | None = None) -> np.ndarray:
+# Longest stretch of a row that one np.vdot call sums.  OpenBLAS splits a
+# zdotc of more than 10 000 entries over its threads, and the partial sums
+# round differently, so longer calls would give bits that depend on the
+# BLAS thread count (n >= 14 did, under taskset -c 0 against two CPUs).
+_TRACE_BLOCK = 1 << 13
+
+
+def partial_trace_to_system(state: FullState) -> np.ndarray:
     """Reduced system matrix rho[s, s'] = sum_e psi[s, e] conj(psi[s', e]), a 2x2 complex array.
 
-    ``conj(psi)`` is written into ``scratch``, a contiguous complex128 array
-    of the state's size, or into a fresh array without one; the matrix
-    product is the same.  Threads may share one scratch array: every call
-    takes one module-wide lock, so partial traces run one at a time in a
-    process, even into different arrays.
-
-    The product is ``np.dot(psi, conj.T)``, which releases the GIL while it
-    runs; ``psi @ conj.T`` holds it throughout (two threads ran n = 16
-    products no faster than one thread, against twice as fast with
-    ``np.dot``).  So another thread can assemble or evolve its state
-    meanwhile.  Both give the same bits for n >= 1.  At n = 0 (one environment entry per row) ``np.dot`` gives the
-    diagonal entries ``|a|^2`` and ``|b|^2`` imaginary parts of up to about
-    1e-17 where ``@`` gives exact zeros, so that one size keeps ``@``.
+    With the branch rows ``plus, minus = psi.reshape(2, -1)``: ``rho[0, 0]``
+    and ``rho[1, 1]`` are the real parts of ``vdot(plus, plus)`` and
+    ``vdot(minus, minus)``, ``rho[0, 1]`` is ``vdot(minus, plus)`` and
+    ``rho[1, 0]`` its conjugate.  So the diagonal is real and the matrix
+    Hermitian, exactly, at every n.  Each ``vdot`` runs over blocks of at
+    most ``_TRACE_BLOCK`` entries, added in order, so the bits do not depend
+    on the BLAS thread count.  The entries are the sums of
+    ``psi @ psi.conj().T`` rounded in another order: they differ from its
+    bits by rounding that grows about as sqrt(2^n) (at most 22.5 eps seen
+    at n = 20).  ``np.vdot`` releases the GIL while it runs, so another
+    thread can assemble or evolve its state meanwhile.
     """
-    psi = state.amplitudes.reshape(2, -1)
-    conj = _out_array(scratch, psi.size).reshape(2, -1)
-    with _scratch_lock:
-        np.conjugate(psi, out=conj)
-        if psi.shape[1] == 1:
-            return psi @ conj.T
-        return np.dot(psi, conj.T)
+    amps = state.amplitudes
+    rows = amps.reshape(2, -1, min(_TRACE_BLOCK, amps.size // 2))
+    pp = mm = 0.0
+    pm = 0j
+    for plus, minus in zip(*rows):
+        pp += np.vdot(plus, plus).real
+        mm += np.vdot(minus, minus).real
+        pm += np.vdot(minus, plus)
+    return np.array([[pp, pm], [np.conj(pm), mm]])
 
 
 @dataclass(frozen=True)
@@ -309,17 +308,15 @@ class CrosscheckReport:
 
 def crosscheck_buffers(n: int, workers: int = 1) -> np.ndarray:
     """Storage for a batch of crosschecks with up to ``n`` spins, run by up to
-    ``workers`` threads at once: a ``(workers + 1, 2^(n+1))`` complex array.
+    ``workers`` threads at once: a ``(workers, 2^(n+1))`` complex array.
 
     Row ``w`` holds the full state of worker ``w``, assembled and then evolved
-    in place; the last row is the conjugate scratch of the partial trace,
-    which the workers share.  Worker ``w`` passes ``buffers[w:]`` to every
-    :func:`crosscheck` it runs, so the cases reuse the array instead of
-    allocating.  Raises :class:`TooLargeError` past ``MAX_SPINS``, before
-    allocating anything.
+    in place.  Worker ``w`` passes ``buffers[w]`` to every :func:`crosscheck`
+    it runs, so the cases reuse the array instead of allocating.  Raises
+    :class:`TooLargeError` past ``MAX_SPINS``, before allocating anything.
     """
     _check_size(n)
-    return np.empty((workers + 1, 2 ** (n + 1)), dtype=complex)
+    return np.empty((workers, 2 ** (n + 1)), dtype=complex)
 
 
 def crosscheck(
@@ -327,25 +324,23 @@ def crosscheck(
     env: EnvironmentSpec,
     t: float,
     tolerance: float,
-    buffers: np.ndarray | None = None,
+    buffer: np.ndarray | None = None,
 ) -> CrosscheckReport:
     """Assemble, evolve and trace the full state, then compare against the
     closed-form reduced density matrix.
 
-    ``buffers`` (from :func:`crosscheck_buffers`, for at least ``env.n``
-    spins) holds the state in its first row and the conjugate scratch in its
-    last; without it the crosscheck allocates ``crosscheck_buffers(env.n)``,
-    and the report is the same either way.  A thread of a batch passes the
-    rows from its own onward, so every thread's first row is its own and the
-    last row is the shared scratch.  The state is evolved in place, so a
-    crosscheck holds at most two 2^(n+1) arrays of its own.
+    ``buffer`` (a row of :func:`crosscheck_buffers` for at least ``env.n``
+    spins, or any contiguous complex128 array of at least 2^(n+1)
+    amplitudes) receives the state in its first 2^(n+1) entries; without it
+    the crosscheck allocates ``crosscheck_buffers(env.n)``, and the report
+    is the same either way.  The state is evolved in place and traced where
+    it lies, so a crosscheck holds one 2^(n+1) array of its own.
     """
-    if buffers is None:
-        buffers = crosscheck_buffers(env.n)
-    size = 2 ** (env.n + 1)
-    full = assemble_full_state(sys, env, out=buffers[0, :size])
+    if buffer is None:
+        buffer = crosscheck_buffers(env.n)
+    full = assemble_full_state(sys, env, out=buffer.reshape(-1)[: 2 ** (env.n + 1)])
     evolved = evolve_full(full, env, t, out=full.amplitudes)
-    rho_brute = partial_trace_to_system(evolved, buffers[-1, :size])
+    rho_brute = partial_trace_to_system(evolved)
     rho_closed = reduced_density_matrix(sys, env, t)
     dev = float(np.max(np.abs(rho_brute - rho_closed)))
     return CrosscheckReport(max_deviation=dev, tolerance=float(tolerance), passed=dev <= tolerance)

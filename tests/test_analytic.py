@@ -245,6 +245,13 @@ class TestStateMetrics:
         # closed form: -0.8 ln 0.8 - 0.2 ln 0.2
         assert entropy == pytest.approx(0.5004024235381879, abs=1e-12)
 
+    @pytest.mark.parametrize("coherence", [np.nan, complex(np.nan, np.nan)])
+    def test_nan_state_has_nan_entropy(self, coherence):
+        # entropy <= 0 reads 0, but nan is not a pure state's 0
+        rho = np.array([[0.5, coherence], [np.conj(coherence), 0.5]], dtype=complex)
+        purity, entropy = state_metrics(rho)
+        assert math.isnan(purity) and math.isnan(entropy)
+
 
 def time_averaged_coherence_sq(env, t_max, samples):
     """Mean of |z|^2 over ``samples`` evenly spaced times in [0, t_max], and

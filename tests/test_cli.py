@@ -549,11 +549,27 @@ class TestMainEntry:
         assert f"max_deviation=nan at case={first['case']} env_seed={first['env_seed']} " \
             f"t={first['t']} FAIL" in line
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_trace_nan_rows_print_entropy_nan(self, tmp_path):
+        # from t = 10 the phases 2 g t overflow to nan; a nan state has no
+        # entropy, so the row must not read 0, a pure state's entropy
+        config = write_config(
+            tmp_path,
+            "mode = trace\nn = 3\nseed = 1\nscenario = random\ng_max = 1e307\nt_max = 20\ndt = 1\n",
+        )
+        out = tmp_path / "trace.csv"
+        assert main([str(config), "--output", str(out), "--quiet"]) == 0
+        _, rows = read_rows(out)
+        nan_rows = [r for r in rows if r["purity"] == "nan"]
+        assert [r["t"] for r in nan_rows] == [str(t) for t in range(10, 21)]
+        for row in rows:
+            assert (row["entropy"] == "nan") == (row in nan_rows)
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out == "einlab 0.2.0\n"
+        assert capsys.readouterr().out == "einlab 0.2.1\n"
 
     def test_consecutive_calls_parse_afresh(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -150,5 +150,5 @@ def test_verify_calls_the_oracle_through_module_attributes(monkeypatch, tmp_path
     rows = (tmp_path / "v.csv").read_text().splitlines()[2:-1]
     assert sorted("%.17g" % t for t in times) == sorted(row.split(",")[2] for row in rows)
     assert len(rows) == cli.VERIFY_CASES
-    # one state buffer per worker, evolved in place, and one conjugate scratch
-    assert len(addresses) == workers + 1
+    # one state buffer per worker, evolved and traced in place
+    assert len(addresses) == workers

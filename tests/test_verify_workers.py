@@ -151,9 +151,9 @@ def test_pool_worker_keeps_the_callers_errstate(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_oracle_holds_at_most_three_states(monkeypatch, workers):
-    # one state per worker and one shared conjugate scratch: three arrays of
-    # 2^(n+1) amplitudes at two workers, two at one, plus block scratch and
-    # the rows of the report
+    # one state per worker and nothing shared: two arrays of 2^(n+1)
+    # amplitudes at two workers, one at one, plus block scratch and the rows
+    # of the report
     n = 13
     state = 2 ** (n + 1) * 16
     monkeypatch.setattr(analytic, "_WORKERS", workers)
@@ -165,18 +165,18 @@ def test_the_oracle_holds_at_most_three_states(monkeypatch, workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (workers + 2) * state
+    assert peak < (workers + 1) * state
 
 
-def test_crosscheck_buffers_hold_one_state_per_worker_and_one_scratch():
-    assert crosscheck_buffers(3, 2).shape == (3, 16)
+def test_crosscheck_buffers_hold_one_state_per_worker():
+    assert crosscheck_buffers(3, 2).shape == (2, 16)
     env = build_environment_random(3, 1, 0.05, 1.0)
     sys_amp = random_system(np.random.default_rng(3))
     buffers = crosscheck_buffers(3, 2)
     fresh = crosscheck(sys_amp, env, 2.5, 1e-10)
     for worker in (0, 1):
-        # worker w's state is the first row it is handed, the scratch the last
-        assert repr(crosscheck(sys_amp, env, 2.5, 1e-10, buffers[worker:])) == repr(fresh)
+        # worker w's state is its own row
+        assert repr(crosscheck(sys_amp, env, 2.5, 1e-10, buffers[worker])) == repr(fresh)
 
 
 ONE_CPU_VERIFY = """

@@ -16,13 +16,13 @@ directory of its own under a temporary directory:
   tests are not run).
 
 Both trees get the same config texts and relative output paths, so their
-provenance lines differ only where the version does.  Two more configs
-show the declared fixes of version 0.2.0 (``FIX_CONFIGS``).  The script
-prints a Markdown table with one row per file and column that changed (and
-per provenance line that differs in more than the version): how many
-cells differ and the largest difference in ulps (steps between the two
-doubles in float order; a cell that is not a number on one side counts as
-``inf``) and relative to the larger magnitude.  Comment lines are compared
+provenance lines differ only where the version does.  Three more configs
+show the declared fixes of versions 0.2.0 and 0.2.1 (``FIX_CONFIGS``).
+The script prints a Markdown table with one row per file and column that
+changed (and per provenance line that differs in more than the version):
+how many cells differ and the largest difference in ulps (steps between
+the two doubles in float order; a cell that is not a number on one side
+counts as ``inf``) and relative to the larger magnitude.  Comment lines are compared
 by their ``key=value`` tokens.  Then it prints each golden config's body
 digest (the SHA-256 of the CSV after its provenance line, which the tests
 pin) at both trees, and a count of the files whose bodies are the same.
@@ -46,12 +46,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 
-# Configs whose bytes a declared fix of version 0.2.0 changes: a fixed
+# Configs whose bytes a declared fix changes.  Version 0.2.0: a fixed
 # scenario's default dt comes from g, not from an unused g_max, and verify's
-# summary line names a nan deviation (this run exits 2).
+# summary line names a nan deviation (this run exits 2).  Version 0.2.1: a
+# trace row whose state is nan prints entropy nan, not 0.
 FIX_CONFIGS = {
     "fix-default-dt": "mode = trace\nn = 4\nscenario = balanced\ng = 4\ng_max = 1\nt_max = 2\n",
     "fix-verify-nan": "mode = verify\nn = 3\nseed = 1\ng_max = 1e307\n",
+    "fix-trace-nan": (
+        "mode = trace\nn = 3\nseed = 1\nscenario = random\ng_max = 1e307\nt_max = 20\ndt = 1\n"
+    ),
 }
 
 

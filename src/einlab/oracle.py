@@ -264,10 +264,11 @@ def _evolve_blocks(rows: np.ndarray, env: EnvironmentSpec, t: float) -> None:
         apply(plus[upper], reversed_phase, mirror, 1j * t, mirror_sums)
 
 
-# Longest stretch of a row that one np.vdot call sums.  OpenBLAS splits a
-# zdotc of more than 10 000 entries over its threads, and the partial sums
-# round differently, so longer calls would give bits that depend on the
-# BLAS thread count (n >= 14 did, under taskset -c 0 against two CPUs).
+# Longest stretch of a row that one np.vdot call sums.  OpenBLAS's x86_64
+# zdot kernel splits a call of more than 10 000 entries over its threads,
+# and the partial sums round differently, so longer calls would give bits
+# that depend on the BLAS thread count (n >= 14 did, under taskset -c 0
+# against two CPUs).  Other BLAS builds may split at other lengths.
 _TRACE_BLOCK = 1 << 13
 
 
@@ -280,11 +281,12 @@ def partial_trace_to_system(state: FullState) -> np.ndarray:
     ``rho[1, 0]`` its conjugate.  So the diagonal is real and the matrix
     Hermitian, exactly, at every n.  Each ``vdot`` runs over blocks of at
     most ``_TRACE_BLOCK`` entries, added in order, so the bits do not depend
-    on the BLAS thread count.  The entries are the sums of
-    ``psi @ psi.conj().T`` rounded in another order: they differ from its
-    bits by rounding that grows about as sqrt(2^n) (at most 22.5 eps seen
-    at n = 20).  ``np.vdot`` releases the GIL while it runs, so another
-    thread can assemble or evolve its state meanwhile.
+    on the OpenBLAS thread count.  The entries are the sums of
+    ``psi @ psi.conj().T`` rounded in another order: up to n = 20 they
+    stayed within 3 eps of a ``math.fsum`` of the products, where the
+    matrix product strayed up to 10 eps from it.  ``np.vdot`` releases the
+    GIL while it runs, so another thread can assemble or evolve its state
+    meanwhile.
     """
     amps = state.amplitudes
     rows = amps.reshape(2, -1, min(_TRACE_BLOCK, amps.size // 2))
@@ -329,16 +331,16 @@ def crosscheck(
     """Assemble, evolve and trace the full state, then compare against the
     closed-form reduced density matrix.
 
-    ``buffer`` (a row of :func:`crosscheck_buffers` for at least ``env.n``
-    spins, or any contiguous complex128 array of at least 2^(n+1)
-    amplitudes) receives the state in its first 2^(n+1) entries; without it
-    the crosscheck allocates ``crosscheck_buffers(env.n)``, and the report
-    is the same either way.  The state is evolved in place and traced where
-    it lies, so a crosscheck holds one 2^(n+1) array of its own.
+    ``buffer``, one row of :func:`crosscheck_buffers` for at least
+    ``env.n`` spins, receives the state in its first 2^(n+1) entries;
+    without it the crosscheck allocates ``crosscheck_buffers(env.n)[0]``,
+    and the report is the same either way.  The state is evolved in place
+    and traced where it lies, so a crosscheck holds one 2^(n+1) array of
+    its own.
     """
     if buffer is None:
-        buffer = crosscheck_buffers(env.n)
-    full = assemble_full_state(sys, env, out=buffer.reshape(-1)[: 2 ** (env.n + 1)])
+        buffer = crosscheck_buffers(env.n)[0]
+    full = assemble_full_state(sys, env, out=buffer[: 2 ** (env.n + 1)])
     evolved = evolve_full(full, env, t, out=full.amplitudes)
     rho_brute = partial_trace_to_system(evolved)
     rho_closed = reduced_density_matrix(sys, env, t)

@@ -37,7 +37,8 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BALANCED_SYS = SystemAmplitudes(complex(INV_SQRT2), complex(INV_SQRT2))
 
 # Prints the bytes of partial traces whose rows are longer than the 10 000
-# entries past which OpenBLAS splits a zdotc over its threads.
+# entries past which OpenBLAS's x86_64 zdot kernel splits a call over its
+# threads.
 TRACE_BYTES = """
 import sys
 from einlab import SystemAmplitudes, assemble_full_state, build_environment_random, evolve_full
@@ -47,6 +48,23 @@ for n in (14, 16):
     state = evolve_full(assemble_full_state(SystemAmplitudes(0.6 + 0j, 0.8j), env), env, 3.3)
     sys.stdout.write(partial_trace_to_system(state).tobytes().hex() + " ")
 """
+
+# OpenBLAS runs no more threads than the CPUs the process may use, and
+# OPENBLAS_NUM_THREADS means nothing to another BLAS.
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+BLAS_NAME = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+def fsum_trace(psi):
+    """psi @ psi.conj().T with each entry a math.fsum of the entrywise products."""
+
+    def dot(a, b):
+        return complex(
+            math.fsum(np.concatenate([a.real * b.real, a.imag * b.imag])),
+            math.fsum(np.concatenate([a.real * b.imag, -a.imag * b.real])),
+        )
+
+    return np.array([[dot(a, b) for a in psi] for b in psi])
 
 
 class TestAssemble:
@@ -181,9 +199,10 @@ class TestPartialTrace:
     def test_exactly_hermitian_and_near_matmul(self, n):
         # blocked vdots of the branch rows: a diagonal with imaginary parts of
         # exactly +0.0, rho[1, 0] the bits of conj(rho[0, 1]), and every entry
-        # near ``psi @ psi.conj().T``, n = 0 included.  Both sum 2^n products
-        # in different orders, so they may differ by rounding that grows as
-        # sqrt(2^n): up to 22.5 eps was seen at n = 20, 1 eps at n = 1
+        # within 8 eps of ``psi @ psi.conj().T`` and of a math.fsum of the
+        # products, n = 0 included (on these seeds at most 7.5 eps from the
+        # matrix product and 2.5 eps from the fsum)
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(1000 + n)
         for _ in range(3 if n <= 12 else 1):
             sys_amp = random_system(rng)
@@ -195,9 +214,11 @@ class TestPartialTrace:
             assert rho.shape == (2, 2) and rho.dtype == np.complex128
             assert np.diagonal(rho).imag.view(np.int64).tolist() == [0, 0]
             assert np.array_equal(rho[1, 0:1].view(np.int64), np.conj(rho[0, 1:2]).view(np.int64))
-            bound = 8 * np.finfo(float).eps * math.sqrt(psi.shape[1])
-            assert np.abs(rho - psi @ psi.conj().T).max() <= bound
+            assert np.abs(rho - psi @ psi.conj().T).max() <= 8 * eps
+            assert np.abs(rho - fsum_trace(psi)).max() <= 8 * eps
 
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="OpenBLAS runs one thread on one CPU")
+    @pytest.mark.skipif("openblas" not in BLAS_NAME, reason=f"numpy uses {BLAS_NAME}, not OpenBLAS")
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # the verify CSV's bytes must not depend on how many CPUs BLAS uses
         outputs = set()

@@ -217,13 +217,13 @@ class TestBuffers:
             sys_amp = random_system(rng)
             t = float(rng.uniform(-20.0, 20.0))
             fresh = crosscheck(sys_amp, env, t, 1e-10)
-            reused = crosscheck(sys_amp, env, t, 1e-10, buffers)
+            reused = crosscheck(sys_amp, env, t, 1e-10, buffers[0])
             assert repr(reused) == repr(fresh)
 
     def test_buffers_for_fewer_spins_are_rejected(self):
         env = build_environment_random(4, 1, 0.05, 1.0)
         with pytest.raises(DimensionMismatchError):
-            crosscheck(random_system(np.random.default_rng(1)), env, 1.0, 1e-10, crosscheck_buffers(3))
+            crosscheck(random_system(np.random.default_rng(1)), env, 1.0, 1e-10, crosscheck_buffers(3)[0])
 
     def test_buffer_guard_runs_before_allocating(self):
         with pytest.raises(TooLargeError, match="cap is 24"):

@@ -62,7 +62,6 @@ from .oracle import (
     FullState,
     assemble_full_state,
     crosscheck,
-    crosscheck_buffers,
     evolve_full,
     partial_trace_to_system,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "build_environment_scenario",
     "coherence_in_basis",
     "crosscheck",
-    "crosscheck_buffers",
     "decay_time",
     "decoherence_abs_sq",
     "decoherence_factor",

@@ -35,9 +35,9 @@ cannot prove (nan, an infinity, or a value within 2^-20 units of the 17th
 digit of a rounding tie) is printed by Python's formatting.
 
 Verify mode runs its cases on up to two CPUs of the process's affinity mask
-(``taskset -c 0`` keeps it serial), each worker evolving and tracing its own
-state in place, so the oracle holds at most two 2^(n+1)-amplitude arrays;
-rows are written in case order and the bytes do not depend on the CPU count.
+(``taskset -c 0`` keeps it serial).  A crosscheck allocates its own state and
+keeps nothing, so the oracle holds at most two 2^(n+1)-amplitude arrays.
+Rows are written in case order and the bytes do not depend on the CPU count.
 Ensemble and sweep modes hand out their seeds the same way, one whole seed
 per thread, to every CPU of the mask (:func:`einlab.analytic._hand_out`); a
 sweep seed evaluates all its spin counts in one kernel call that shares the
@@ -53,7 +53,8 @@ Exit codes follow where an error is raised, not its class: 0 success; 1 for
 an error raised while reading the config (a value out of range raises the
 one range error, :class:`~einlab.errors.InvalidRangeError`; the config's
 :class:`~einlab.ensemble.TimeGrid` is built there too, so a grid with no
-finite step count or with repeated points exits 1), a missing output path
+finite step count, with repeated points or with phases ``4 g t`` that can
+overflow exits 1), a missing output path
 or a file that cannot be read (a config that is not UTF-8 included) or
 written; 2 for an error raised while running (the library's range checks
 included) or a failed verify.
@@ -90,7 +91,7 @@ from .model import (
     build_environment_scenario,
     validate,
 )
-from .oracle import crosscheck, crosscheck_buffers
+from .oracle import crosscheck
 
 VERIFY_CASES = 100
 VERIFY_T_MAX = 20.0
@@ -288,6 +289,10 @@ def parse_config(text: str) -> RunConfig:
         if dt is None:  # every grid mode requires its coupling
             dt = math.pi / (20.0 * fields[coupling])
         fields["grid"] = TimeGrid(t_start, t_max, dt)
+        # the largest phase 4 g t, doubled for a drawn coupling one rounding
+        # above g_max and a last grid point a few ulps past t_max
+        if not math.isfinite(8.0 * fields[coupling] * t_max):
+            raise InvalidRangeError(f"phases can overflow: 8 * {coupling} * t_max must be finite")
     return RunConfig(digest=hashlib.sha256(text.encode("utf-8")).hexdigest(), **fields)
 
 
@@ -654,12 +659,11 @@ def _run_verify(config: RunConfig) -> _Result:
     first.  Then up to two workers, the calling thread and one thread of
     :mod:`einlab.analytic`'s pool (two when the affinity mask holds two
     CPUs; ``taskset -c 0`` keeps verify serial), take the cases one at a
-    time through :func:`einlab.analytic._hand_out`, each worker evolving its
-    own state buffer in place.  Rows are written in case order, so the CSV
-    bytes depend neither on the worker count nor on which worker ran which
-    case; a worker on a busy CPU just takes fewer cases.  Two workers is the
-    cap that keeps the oracle at two 2^(n+1) arrays, one state per worker;
-    the workers share nothing else.
+    time through :func:`einlab.analytic._hand_out`.  A case builds its bath
+    before its crosscheck allocates a state, so a bad coupling range is
+    reported before the 24-spin cap.  Rows are written in case order, so the
+    CSV bytes depend on neither the worker count nor the scheduling.  Two
+    workers is the cap that keeps the oracle at two 2^(n+1) arrays.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     cases = []
@@ -672,19 +676,13 @@ def _run_verify(config: RunConfig) -> _Result:
             complex(np.exp(2j * math.pi * u[1]) * math.sin(half_theta)),
         )
         cases.append((env_seed, sys_amp, VERIFY_T_MAX * u[2]))
-    # built before the buffers, so a bad coupling range is reported before the cap
-    first_env = build_environment_random(config.n, cases[0][0], config.g_min, config.g_max)
-    workers = min(2, analytic._WORKERS)
-    buffers = crosscheck_buffers(config.n, workers)
 
-    def check(worker: int, case: int):
+    def check(_worker: int, case: int):
         env_seed, sys_amp, t = cases[case]
-        env = first_env if case == 0 else build_environment_random(
-            config.n, env_seed, config.g_min, config.g_max
-        )
-        return crosscheck(sys_amp, env, t, VERIFY_TOLERANCE, buffers[worker])
+        env = build_environment_random(config.n, env_seed, config.g_min, config.g_max)
+        return crosscheck(sys_amp, env, t, VERIFY_TOLERANCE)
 
-    reports = analytic._hand_out(check, VERIFY_CASES, workers)
+    reports = analytic._hand_out(check, VERIFY_CASES, min(2, analytic._WORKERS))
     lines = ["case,env_seed,t,max_deviation,passed"]
     for case, ((env_seed, _, t), report) in enumerate(zip(cases, reports)):
         lines.append(

@@ -23,13 +23,11 @@ never stores it whole, so it can evolve a state in place.  Each block is a
 few long array calls, which release the GIL, so two workers' evolutions
 overlap.
 
-Memory rule: a crosscheck holds one 2^(n+1) array, the state (assembled,
-then evolved in place); the partial trace reads it where it lies.
-:func:`assemble_full_state` and :func:`evolve_full` write into an ``out=``
-array when given one, and :func:`crosscheck` takes its state row from
-:func:`crosscheck_buffers`, one row per worker thread, so two workers hold
-two arrays.  A batch of crosschecks reuses that one allocation; the
-results are the same bytes as with fresh arrays.
+Memory rule: a crosscheck holds one 2^(n+1) array, the state, which it
+allocates itself: :func:`assemble_full_state` returns a fresh array,
+:func:`evolve_full` evolves it in place (``out=`` the state's own array),
+and the partial trace reads it where it lies.  Two workers running
+crosschecks hold two arrays and share none.
 :func:`partial_trace_to_system` returns a 2x2 complex array, as
 :func:`einlab.analytic.reduced_density_matrix` does.
 
@@ -79,17 +77,11 @@ def _out_array(out: np.ndarray | None, size: int) -> np.ndarray:
     return out
 
 
-def assemble_full_state(
-    sys: SystemAmplitudes, env: EnvironmentSpec, out: np.ndarray | None = None
-) -> FullState:
-    """Product state (a|+> + b|->) (x) prod_j (alpha_j|+>_j + beta_j|->_j).
-
-    ``out``, a contiguous complex128 array of 2^(n+1) amplitudes, receives
-    the state instead of a fresh array.
-    """
+def assemble_full_state(sys: SystemAmplitudes, env: EnvironmentSpec) -> FullState:
+    """Product state (a|+> + b|->) (x) prod_j (alpha_j|+>_j + beta_j|->_j)."""
     n = env.n
     _check_size(n)
-    full = _out_array(out, 2 ** (n + 1))
+    full = np.empty(2 ** (n + 1), dtype=complex)
     rows = full.reshape(2, -1)
     amps = env.amplitudes()
     # The same multiplies as reduce(np.kron, amps[::-1], ones(1)): kron puts
@@ -308,39 +300,17 @@ class CrosscheckReport:
     passed: bool
 
 
-def crosscheck_buffers(n: int, workers: int = 1) -> np.ndarray:
-    """Storage for a batch of crosschecks with up to ``n`` spins, run by up to
-    ``workers`` threads at once: a ``(workers, 2^(n+1))`` complex array.
-
-    Row ``w`` holds the full state of worker ``w``, assembled and then evolved
-    in place.  Worker ``w`` passes ``buffers[w]`` to every :func:`crosscheck`
-    it runs, so the cases reuse the array instead of allocating.  Raises
-    :class:`TooLargeError` past ``MAX_SPINS``, before allocating anything.
-    """
-    _check_size(n)
-    return np.empty((workers, 2 ** (n + 1)), dtype=complex)
-
-
 def crosscheck(
-    sys: SystemAmplitudes,
-    env: EnvironmentSpec,
-    t: float,
-    tolerance: float,
-    buffer: np.ndarray | None = None,
+    sys: SystemAmplitudes, env: EnvironmentSpec, t: float, tolerance: float
 ) -> CrosscheckReport:
     """Assemble, evolve and trace the full state, then compare against the
     closed-form reduced density matrix.
 
-    ``buffer``, one row of :func:`crosscheck_buffers` for at least
-    ``env.n`` spins, receives the state in its first 2^(n+1) entries;
-    without it the crosscheck allocates ``crosscheck_buffers(env.n)[0]``,
-    and the report is the same either way.  The state is evolved in place
-    and traced where it lies, so a crosscheck holds one 2^(n+1) array of
-    its own.
+    The crosscheck allocates its state when it assembles it, evolves it in
+    place and traces it where it lies, so it holds one 2^(n+1) array, its
+    own, and keeps nothing between calls.
     """
-    if buffer is None:
-        buffer = crosscheck_buffers(env.n)[0]
-    full = assemble_full_state(sys, env, out=buffer[: 2 ** (env.n + 1)])
+    full = assemble_full_state(sys, env)
     evolved = evolve_full(full, env, t, out=full.amplitudes)
     rho_brute = partial_trace_to_system(evolved)
     rho_closed = reduced_density_matrix(sys, env, t)

@@ -549,22 +549,6 @@ class TestMainEntry:
         assert f"max_deviation=nan at case={first['case']} env_seed={first['env_seed']} " \
             f"t={first['t']} FAIL" in line
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_trace_nan_rows_print_entropy_nan(self, tmp_path):
-        # from t = 10 the phases 2 g t overflow to nan; a nan state has no
-        # entropy, so the row must not read 0, a pure state's entropy
-        config = write_config(
-            tmp_path,
-            "mode = trace\nn = 3\nseed = 1\nscenario = random\ng_max = 1e307\nt_max = 20\ndt = 1\n",
-        )
-        out = tmp_path / "trace.csv"
-        assert main([str(config), "--output", str(out), "--quiet"]) == 0
-        _, rows = read_rows(out)
-        nan_rows = [r for r in rows if r["purity"] == "nan"]
-        assert [r["t"] for r in nan_rows] == [str(t) for t in range(10, 21)]
-        for row in rows:
-            assert (row["entropy"] == "nan") == (row in nan_rows)
-
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
@@ -677,6 +661,15 @@ EXIT_TABLE = [
     ("mode = trace\nn = 2\nscenario = balanced\ng = 1.0\nt_start = 1e16\n"
      "t_max = 1.000000000000001e16\ndt = 1\n", 1,
      "grid [1e+16, 1.000000000000001e+16] with dt = 1.0 repeats points; dt must be at least 8.0"),
+    # phases 4 g t that overflow to nan: nan rows and a recurrence answer read
+    # from nan values (exit 0 before); the grid's own errors still come first
+    ("mode = trace\nn = 3\nseed = 1\nscenario = random\ng_max = 1e307\nt_max = 20\ndt = 1\n", 1,
+     "phases can overflow: 8 * g_max * t_max must be finite"),
+    ("mode = recurrence\nn = 3\nseed = 1\nscenario = random\ng_max = 1e307\nt_start = 1\n"
+     "t_max = 20\ndt = 1\n", 1,
+     "phases can overflow: 8 * g_max * t_max must be finite"),
+    ("mode = trace\nn = 2\nscenario = balanced\ng = 1e300\ng_max = 1\nt_max = 1e9\ndt = 1e6\n", 1,
+     "phases can overflow: 8 * g * t_max must be finite"),
     # an empty spin-count list in sweep mode (exit 2 from scaling_sweep before)
     ("mode = sweep\nn = ,\nseeds = 2\ng_max = 1.0\nt_start = 1\nt_max = 5\n", 1,
      "key 'n' names no spin counts: ','"),
@@ -712,6 +705,26 @@ def test_seed_cap_holds_at_parse_time_and_in_the_sweep(tmp_path, capsys):
     assert run(huge) == 2
     assert capsys.readouterr().err == f"einlab: need 1 to {MAX_SEEDS} seeds per n, got {MAX_SEEDS + 1}\n"
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode = trace\nn = 3\nseed = 1\nscenario = random\ng_max = 1e306\nt_max = 20\ndt = 1\n",
+        "mode = recurrence\nn = 3\nseed = 1\nscenario = random\ng_max = 1e306\nt_start = 1\n"
+        "t_max = 20\ndt = 1\n",
+        "mode = ensemble\nn = 3\nseeds = 3\ng_max = 1e306\nt_max = 20\ndt = 1\n",
+        "mode = sweep\nn = 2, 3\nseeds = 3\ng_max = 1e306\nt_start = 1\nt_max = 20\ndt = 1\n",
+    ],
+    ids=["trace", "recurrence", "ensemble", "sweep"],
+)
+def test_phases_just_inside_the_overflow_limit_run(tmp_path, text):
+    # 8 * g_max * t_max = 1.6e308: every phase 4 g t is finite, so no cell is
+    # nan and no overflow warning is raised
+    out = tmp_path / "out.csv"
+    assert main([str(write_config(tmp_path, text)), "--output", str(out), "--quiet"]) == 0
+    assert "nan" not in out.read_text()
 
 
 @pytest.mark.parametrize("text,code,message", EXIT_TABLE)

@@ -1,9 +1,10 @@
 """The oracle gives the same bytes as its plain reference expressions.
 
 ``evolve_full`` computes one complex ``exp`` over half the phase table and
-conjugates the rest; ``assemble_full_state`` folds the spins into one
-buffer.  Both are compared here, bit for bit, with the expressions they
-replace, and with and without reused ``out=`` buffers.
+conjugates the rest; ``assemble_full_state`` folds the spins into one fresh
+array.  Both are compared here, bit for bit, with the expressions they
+replace; ``evolve_full`` also into an ``out=`` array and in place, as each
+crosscheck evolves the state it assembled.
 """
 
 import math
@@ -20,13 +21,10 @@ from einlab import (
     EnvironmentSpec,
     FullState,
     ScenarioKind,
-    TooLargeError,
     assemble_full_state,
     build_environment_random,
     build_environment_scenario,
     cli,
-    crosscheck,
-    crosscheck_buffers,
     evolve_full,
 )
 import einlab.oracle as oracle
@@ -94,16 +92,13 @@ evolve_times = st.one_of(
 def test_assemble_and_evolve_match_references(kind, n, seed, t):
     env = make_environment(kind, n, seed)
     sys_amp = random_system(np.random.default_rng(seed))
-    state_out, evolved_out = np.empty((2, 2 ** (n + 1)), dtype=complex)
+    evolved_out = np.empty(2 ** (n + 1), dtype=complex)
     full = assemble_full_state(sys_amp, env)
     expected = kron_assemble(sys_amp, env)
     assert full.amplitudes.tobytes() == expected.tobytes()
-    reused = assemble_full_state(sys_amp, env, out=state_out)
-    assert reused.amplitudes is state_out
-    assert reused.amplitudes.tobytes() == expected.tobytes()
     expected = two_exp_evolve(full.amplitudes, env, t)
     assert evolve_full(full, env, t).amplitudes.tobytes() == expected.tobytes()
-    evolved = evolve_full(reused, env, t, out=evolved_out)
+    evolved = evolve_full(full, env, t, out=evolved_out)
     assert evolved.amplitudes is evolved_out
     assert evolved.amplitudes.tobytes() == expected.tobytes()
 
@@ -209,26 +204,6 @@ def test_golden_verify_digests(tmp_path, text):
 
 
 class TestBuffers:
-    def test_reused_buffers_give_fresh_reports_as_n_changes(self):
-        rng = np.random.default_rng(12)
-        buffers = crosscheck_buffers(10)
-        for case, n in enumerate([10, 0, 3, 10, 7, 1, 9, 2, 10, 5]):
-            env = make_environment(("random", "balanced", "repeated")[case % 3], n, case)
-            sys_amp = random_system(rng)
-            t = float(rng.uniform(-20.0, 20.0))
-            fresh = crosscheck(sys_amp, env, t, 1e-10)
-            reused = crosscheck(sys_amp, env, t, 1e-10, buffers[0])
-            assert repr(reused) == repr(fresh)
-
-    def test_buffers_for_fewer_spins_are_rejected(self):
-        env = build_environment_random(4, 1, 0.05, 1.0)
-        with pytest.raises(DimensionMismatchError):
-            crosscheck(random_system(np.random.default_rng(1)), env, 1.0, 1e-10, crosscheck_buffers(3)[0])
-
-    def test_buffer_guard_runs_before_allocating(self):
-        with pytest.raises(TooLargeError, match="cap is 24"):
-            crosscheck_buffers(25)
-
     @pytest.mark.parametrize(
         "out",
         [
@@ -244,8 +219,6 @@ class TestBuffers:
     def test_wrong_out_is_rejected(self, out):
         env = build_environment_random(3, 2, 0.05, 1.0)
         sys_amp = random_system(np.random.default_rng(2))
-        with pytest.raises(DimensionMismatchError):
-            assemble_full_state(sys_amp, env, out=out)
         with pytest.raises(DimensionMismatchError):
             evolve_full(assemble_full_state(sys_amp, env), env, 1.0, out=out)
 
@@ -281,7 +254,7 @@ class TestBuffers:
         assert not np.shares_memory(a.amplitudes, first.amplitudes)
 
 
-def test_cli_verify_guard_runs_before_buffers(tmp_path, capsys):
+def test_cli_verify_allocates_no_state_before_the_cap(tmp_path, capsys):
     config = tmp_path / "big.cfg"
     config.write_text(f"mode = verify\nn = 25\nseed = 1\ng_max = 1.0\noutput = {tmp_path / 'o.csv'}\n")
     tracemalloc.start()
@@ -298,8 +271,8 @@ def test_cli_verify_guard_runs_before_buffers(tmp_path, capsys):
 
 
 def test_cli_verify_reports_a_bad_coupling_range_before_the_cap(tmp_path, capsys):
-    # the buffers are allocated after the first environment build, as the
-    # cap was checked before, so this config still names its coupling range
+    # each case builds its bath before its crosscheck assembles a state, so
+    # this config names its coupling range, not the 24-spin cap
     config = tmp_path / "bad.cfg"
     config.write_text(
         f"mode = verify\nn = 25\nseed = 1\ng_min = 2.0\ng_max = 1.0\noutput = {tmp_path / 'o.csv'}\n"

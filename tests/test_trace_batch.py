@@ -163,6 +163,21 @@ def test_purity_and_entropy_match_a_decimal_reference(n, a_sq):
         assert (entropy > 0.0).all()
 
 
+def test_nan_rows_have_entropy_nan():
+    # from t = 10 the phases 2 g t of this bath overflow to nan; a nan state
+    # has no entropy, so the row must not read 0, a pure state's entropy.
+    # Trace mode refuses a config this close to overflow, so the columns are
+    # taken directly.
+    env = build_environment_random(3, 1, None, 1e307)
+    sys_amp = SystemAmplitudes(complex(math.sqrt(0.5)), complex(math.sqrt(0.5)))
+    times = np.arange(21.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, purity, entropy = trace_columns(sys_amp, env, times)
+    nan_rows = np.isnan(purity)
+    assert times[nan_rows].tolist() == list(range(10, 21))
+    assert (np.isnan(entropy) == nan_rows).all()
+
+
 def test_trace_columns_keep_the_shape_of_times():
     env = build_environment_random(3, 1, None, 1.0)
     sys_amp = SystemAmplitudes(complex(0.6), complex(0.8))

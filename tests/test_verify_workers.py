@@ -21,9 +21,6 @@ import pytest
 
 import einlab.analytic as analytic
 import einlab.cli as cli
-from einlab import build_environment_random, crosscheck, crosscheck_buffers
-
-from conftest import random_system
 
 
 def verify_csv(tmp_path, n, seed, workers, name="v.csv"):
@@ -166,17 +163,6 @@ def test_the_oracle_holds_at_most_three_states(monkeypatch, workers):
     finally:
         tracemalloc.stop()
     assert peak < (workers + 1) * state
-
-
-def test_crosscheck_buffers_hold_one_state_per_worker():
-    assert crosscheck_buffers(3, 2).shape == (2, 16)
-    env = build_environment_random(3, 1, 0.05, 1.0)
-    sys_amp = random_system(np.random.default_rng(3))
-    buffers = crosscheck_buffers(3, 2)
-    fresh = crosscheck(sys_amp, env, 2.5, 1e-10)
-    for worker in (0, 1):
-        # worker w's state is its own row
-        assert repr(crosscheck(sys_amp, env, 2.5, 1e-10, buffers[worker])) == repr(fresh)
 
 
 ONE_CPU_VERIFY = """

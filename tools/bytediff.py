@@ -16,16 +16,22 @@ directory of its own under a temporary directory:
   tests are not run).
 
 Both trees get the same config texts and relative output paths, so their
-provenance lines differ only where the version does.  Three more configs
-show the declared fixes of versions 0.2.0 and 0.2.1 (``FIX_CONFIGS``).
+provenance lines differ only where the version does.  Four more configs
+show declared fixes (``FIX_CONFIGS``).
 The script prints a Markdown table with one row per file and column that
 changed (and per provenance line that differs in more than the version):
 how many cells differ and the largest difference in ulps (steps between
 the two doubles in float order; a cell that is not a number on one side
 counts as ``inf``) and relative to the larger magnitude.  Comment lines are compared
-by their ``key=value`` tokens.  Then it prints each golden config's body
-digest (the SHA-256 of the CSV after its provenance line, which the tests
-pin) at both trees, and a count of the files whose bodies are the same.
+by their ``key=value`` tokens.  A file whose exit codes differ gets an
+``(exit code)`` row; if one side wrote no CSV, that row is its only one.
+Then it prints each golden config's body digest (the SHA-256 of the CSV
+after its provenance line, which the tests pin) at both trees, and a count
+of the files whose bodies are the same.
+
+Like ``diff``, it exits 1 if any file's body or exit code differs between
+the trees, else 0.  Given one tree twice (``python tools/bytediff.py . .``)
+it checks that two fresh processes write the same bytes.
 """
 
 from __future__ import annotations
@@ -46,15 +52,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 
-# Configs whose bytes a declared fix changes.  Version 0.2.0: a fixed
-# scenario's default dt comes from g, not from an unused g_max, and verify's
-# summary line names a nan deviation (this run exits 2).  Version 0.2.1: a
-# trace row whose state is nan prints entropy nan, not 0.
+# Configs whose bytes or exit codes a declared fix changes.  Version 0.2.0: a
+# fixed scenario's default dt comes from g, not from an unused g_max, and
+# verify's summary line names a nan deviation (this run exits 2).  Version
+# 0.2.1: a trace row whose state is nan printed entropy nan, not 0.  Since
+# then a grid whose phases 4 g t can overflow is refused while the config is
+# read: fix-trace-nan and fix-recurrence-nan exit 1 and write nothing.
 FIX_CONFIGS = {
     "fix-default-dt": "mode = trace\nn = 4\nscenario = balanced\ng = 4\ng_max = 1\nt_max = 2\n",
     "fix-verify-nan": "mode = verify\nn = 3\nseed = 1\ng_max = 1e307\n",
     "fix-trace-nan": (
         "mode = trace\nn = 3\nseed = 1\nscenario = random\ng_max = 1e307\nt_max = 20\ndt = 1\n"
+    ),
+    "fix-recurrence-nan": (
+        "mode = recurrence\nn = 3\nseed = 1\nscenario = random\ng_max = 1e307\nt_start = 1\n"
+        "t_max = 20\ndt = 1\n"
     ),
 }
 
@@ -239,18 +251,20 @@ def main(argv=None) -> int:
         codes = [write_outputs(tree, d, configs) for tree, d in zip(trees, dirs)]
         print("| file | column | cells changed | max ulps | max relative |")
         print("|---|---|---|---|---|")
-        same = 0
+        same = codes_same = 0
         versions = set()
         digests = []
         for name in configs:
             label = golden_names.get(name, name)
             paths = [d / f"{name}.csv" for d in dirs]
-            # a run that fails before writing leaves no CSV: compared as empty
+            # a run that fails before writing leaves no CSV: its body reads as
+            # empty, and its cells are compared only if both sides wrote one
             texts = [p.read_text(encoding="utf-8") if p.exists() else "" for p in paths]
+            codes_same += codes[0][name] == codes[1][name]
             if codes[0][name] != codes[1][name]:
                 print(f"| {label} | (exit code) | {codes[0][name]} -> {codes[1][name]} | | |")
             versions.add(tuple((text.split(" ", 3) + ["-"] * 3)[2] for text in texts))
-            rows = compare(*texts)
+            rows = compare(*texts) if all(p.exists() for p in paths) else []
             for column, changed, count, ulps, relative in rows:
                 print(
                     f"| {label} | {column} | {changed} of {count} | {_number(ulps)} "
@@ -270,7 +284,7 @@ def main(argv=None) -> int:
         print()
         print(f"{same} of {len(configs)} files have the same body at both trees")
         print("versions in the provenance lines: " + ", ".join(f"{a} -> {b}" for a, b in versions))
-    return 0
+    return 0 if same == codes_same == len(configs) else 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ starting a comment.  Unknown keys are rejected.  Keys:
     n           spin count; comma-separated ascending list in sweep mode
     seed        environment seed (random scenario, verify)
     seeds       either a count K (meaning seeds 1..K) or an explicit
-                comma-separated list; sweep mode takes the count form only
+                comma-separated list of distinct seeds; sweep mode takes
+                the count form only
     scenario    random | eigenstate | balanced
     g           coupling for the fixed-form scenarios
     g_min       lower coupling bound (default 0.05 * g_max)
@@ -57,7 +58,7 @@ finite step count, with repeated points or with phases ``4 g t`` that can
 overflow exits 1), a missing output path
 or a file that cannot be read (a config that is not UTF-8 included) or
 written; 2 for an error raised while running (the library's range checks
-included) or a failed verify.
+included, and an allocation the machine cannot make) or a failed verify.
 """
 
 from __future__ import annotations
@@ -182,6 +183,10 @@ def _parse_seeds(key: str, raw: str, line_no: int, mode: str) -> dict[str, objec
         raise InvalidRangeError(f"key 'seeds' names no seeds: '{raw}'")
     if any(not 0 <= s < 2**64 for s in seeds):
         raise InvalidRangeError("every seed must be an unsigned 64-bit integer")
+    ordered = sorted(seeds)
+    repeats = [s for s, after in zip(ordered, ordered[1:]) if s == after]
+    if repeats:
+        raise InvalidRangeError(f"key 'seeds' names seed {repeats[0]} more than once")
     return {"seeds": seeds}
 
 
@@ -721,7 +726,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         return 1
     try:
         lines, summary, ok = _MODE_TABLE[config.mode][0](config)
-    except EinlabError as exc:
+    except (EinlabError, MemoryError) as exc:
         _sys.stderr.write(f"einlab: {exc}\n")
         return 2
     try:

@@ -431,7 +431,9 @@ def ensemble_statistics(
     Per seed: the empirical grid average of |z|^2 next to its ergodic
     prediction prod_j (1 + d_j^2)/2, and the largest |z| on the trailing
     quarter of the grid.  Aggregates (pooled |z| quantiles, median late
-    sup-|z|) run in sorted-seed order.
+    sup-|z|) run in sorted-seed order.  The seeds must be distinct: a
+    repeat would weight one environment twice, and raises
+    :class:`InvalidRangeError`.
 
     Seeds are handed out to the CPUs in the process's affinity mask, one
     whole seed per thread at a time (build, then |z|^2 on one thread), so a
@@ -440,10 +442,12 @@ def ensemble_statistics(
     on the calling thread.  The report has the same bits however many CPUs
     there are.
     """
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(sorted(int(s) for s in seeds))
     if not seeds:
         raise InvalidRangeError("need at least one seed")
-    seeds = tuple(sorted(seeds))
+    repeats = [s for s, after in zip(seeds, seeds[1:]) if s == after]
+    if repeats:
+        raise InvalidRangeError(f"seeds must be distinct, got seed {repeats[0]} more than once")
     times = grid.times()
     late_from = grid.t_end - LATE_WINDOW_FRACTION * (grid.t_end - grid.t_start)
     # the last grid point can lie before late_from; the window always holds it

@@ -25,9 +25,9 @@ overlap.
 
 Memory rule: a crosscheck holds one 2^(n+1) array, the state, which it
 allocates itself: :func:`assemble_full_state` returns a fresh array,
-:func:`evolve_full` evolves it in place (``out=`` the state's own array),
-and the partial trace reads it where it lies.  Two workers running
-crosschecks hold two arrays and share none.
+:func:`evolve_full` evolves that array in place and returns None, as
+numpy's in-place operations do, and the partial trace reads it where it
+lies.  Two workers running crosschecks hold two arrays and share none.
 :func:`partial_trace_to_system` returns a 2x2 complex array, as
 :func:`einlab.analytic.reduced_density_matrix` does.
 
@@ -51,7 +51,11 @@ MAX_SPINS = 24
 
 @dataclass(frozen=True, eq=False)
 class FullState:
-    """Dense amplitudes of the system plus n environment spins."""
+    """Dense amplitudes of the system plus n environment spins.
+
+    The dataclass is frozen, but its array is not: :func:`evolve_full`
+    evolves ``amplitudes`` in place.
+    """
 
     n: int
     amplitudes: np.ndarray
@@ -63,18 +67,6 @@ class FullState:
 def _check_size(n: int) -> None:
     if n > MAX_SPINS:
         raise TooLargeError(f"{n} spins would need 2**{n + 1} amplitudes; cap is {MAX_SPINS}")
-
-
-def _out_array(out: np.ndarray | None, size: int) -> np.ndarray:
-    """``out`` checked to hold ``size`` contiguous complex128 amplitudes, or a fresh array."""
-    if out is None:
-        return np.empty(size, dtype=complex)
-    if out.shape != (size,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
-        raise DimensionMismatchError(
-            f"out must be a contiguous complex128 array of shape ({size},), "
-            f"got {out.dtype} of shape {out.shape}"
-        )
-    return out
 
 
 def assemble_full_state(sys: SystemAmplitudes, env: EnvironmentSpec) -> FullState:
@@ -135,15 +127,15 @@ _ELIDE_BYTES = 256 * 1024
 _EVOLVE_BLOCK = 1 << 13
 
 
-def evolve_full(
-    state: FullState, env: EnvironmentSpec, t: float, out: np.ndarray | None = None
-) -> FullState:
-    """Apply the diagonal interaction phases for time ``t``.
+def evolve_full(state: FullState, env: EnvironmentSpec, t: float) -> None:
+    """Apply the diagonal interaction phases for time ``t`` to
+    ``state.amplitudes`` in place; returns None.
 
-    Accepts arbitrary (including entangled) input states.  ``out``, a
-    contiguous complex128 array of 2^(n+1) amplitudes, receives the evolved
-    state instead of a fresh array.  It may be the input's own array, which
-    is then evolved in place; any other overlap with the input is refused.
+    Accepts arbitrary (including entangled) input states.  The amplitudes
+    must be one contiguous complex128 array of 2^(n+1) entries; anything
+    else raises :class:`DimensionMismatchError` before an amplitude is
+    written.  Evolving by ``t`` and then by ``-t`` restores the state to
+    within rounding.
 
     The values are those of ``amps[s] * np.exp((+-1j * t) * sums)`` to the
     bit, with one ``cos`` and one ``sin`` over half the table: for finite,
@@ -158,21 +150,18 @@ def evolve_full(
     """
     size = 2 ** (state.n + 1)
     amps = state.amplitudes
-    if state.n != env.n or amps.shape != (size,):
+    if (
+        state.n != env.n
+        or amps.shape != (size,)
+        or amps.dtype != np.complex128
+        or not amps.flags.c_contiguous
+    ):
         raise DimensionMismatchError(
-            f"state holds {amps.shape[0]} amplitudes for n={state.n}, "
-            f"environment has n={env.n}"
+            f"state for n={state.n} (environment n={env.n}) must hold a contiguous "
+            f"complex128 array of shape ({size},), got {amps.dtype} of shape {amps.shape}"
         )
-    full = _out_array(out, size)
-    in_place = (
-        amps.dtype == full.dtype and amps.flags.c_contiguous and amps.ctypes.data == full.ctypes.data
-    )
-    if not in_place:
-        if np.may_share_memory(full, amps):
-            raise ValueError("out must be the input array itself or share no memory with it")
-        full[...] = amps
     t = float(t)
-    rows = full.reshape(2, -1)
+    rows = amps.reshape(2, -1)
     if state.n <= 1:
         # Blocks would be one entry long at n = 1, and numpy's in-place complex
         # multiply of one element rounds differently from the out-of-place
@@ -182,7 +171,6 @@ def evolve_full(
         rows[1] = rows[1] * np.exp((-1j * t) * sums)
     else:
         _evolve_blocks(rows, env, t)
-    return FullState(state.n, full)
 
 
 def _evolve_blocks(rows: np.ndarray, env: EnvironmentSpec, t: float) -> None:
@@ -306,13 +294,14 @@ def crosscheck(
     """Assemble, evolve and trace the full state, then compare against the
     closed-form reduced density matrix.
 
-    The crosscheck allocates its state when it assembles it, evolves it in
-    place and traces it where it lies, so it holds one 2^(n+1) array, its
-    own, and keeps nothing between calls.
+    The crosscheck allocates its state when it assembles it,
+    :func:`evolve_full` overwrites that state's amplitudes with the evolved
+    ones, and the partial trace reads them where they lie.  So it holds one
+    2^(n+1) array, its own, and keeps nothing between calls.
     """
     full = assemble_full_state(sys, env)
-    evolved = evolve_full(full, env, t, out=full.amplitudes)
-    rho_brute = partial_trace_to_system(evolved)
+    evolve_full(full, env, t)
+    rho_brute = partial_trace_to_system(full)
     rho_closed = reduced_density_matrix(sys, env, t)
     dev = float(np.max(np.abs(rho_brute - rho_closed)))
     return CrosscheckReport(max_deviation=dev, tolerance=float(tolerance), passed=dev <= tolerance)

@@ -482,6 +482,24 @@ class TestMainEntry:
         assert "extra" in proc.stderr
         assert not out.exists()
 
+    def test_an_allocation_the_machine_cannot_make_exits_two(self, tmp_path):
+        # 10^15 grid points: numpy refuses the 7 PiB array at once, as no
+        # address space holds it, so nothing is allocated
+        config = write_config(
+            tmp_path, "mode = sweep\nn = 3\nseeds = 2\ng_max = 1\nt_start = 1\nt_max = 1e15\ndt = 1\n"
+        )
+        out = tmp_path / "out.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "einlab.cli", str(config), "--output", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("einlab: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_output_key_in_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config = write_config(tmp_path, TRACE_TEXT + "dt = 0.5\noutput = from_key.csv\n")
@@ -622,6 +640,9 @@ EXIT_TABLE = [
     ("mode = sweep\nseeds = 0\n", 1, "key 'seeds' must be a positive count, got 0"),
     ("mode = ensemble\nseeds = 0\n", 1, "key 'seeds' names no seeds: '0'"),
     ("mode = ensemble\nseeds = 1, -1\n", 1, "every seed must be an unsigned 64-bit integer"),
+    # a repeated seed counted twice in the pooled quantiles (exit 0 before)
+    ("mode = ensemble\nn = 3\nseeds = 1,1,2\ng_max = 1\nt_max = 1\n", 1,
+     "key 'seeds' names seed 1 more than once"),
     ("mode = trace\nscenario = chaotic\n", 1, "line 2: unknown scenario 'chaotic'"),
     ("mode = trace\ng = abc\n", 1, "line 2: key 'g' needs a number, got 'abc'"),
     ("mode = trace\ng_max = inf\n", 1, "key 'g_max' must be finite, got inf"),
@@ -694,9 +715,9 @@ def test_a_huge_seed_count_is_a_range_error(tmp_path, capsys, mode, count):
 def test_seed_cap_holds_at_parse_time_and_in_the_sweep(tmp_path, capsys):
     text = "mode = ensemble\nn = 2\nseeds = {}\ng_max = 1.0\nt_max = 5\n"
     assert len(parse_config(text.format(MAX_SEEDS)).seeds) == MAX_SEEDS
-    with pytest.raises(InvalidRangeError, match="more than"):
+    with pytest.raises(InvalidRangeError, match=f"more than {MAX_SEEDS} seeds"):
         parse_config(text.format(MAX_SEEDS + 1))
-    with pytest.raises(InvalidRangeError, match="more than"):
+    with pytest.raises(InvalidRangeError, match=f"more than {MAX_SEEDS} seeds"):
         parse_config(text.format(", ".join(["1"] * (MAX_SEEDS + 1))))
     # a run handed more seeds than the parser allows stops in scaling_sweep
     sweep = parse_config("mode = sweep\nn = 2\nseeds = 3\ng_max = 1.0\nt_start = 1\nt_max = 5\n")

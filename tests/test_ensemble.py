@@ -273,6 +273,11 @@ class TestEnsembleStatistics:
         with pytest.raises(InvalidRangeError):
             ensemble_statistics(3, [], TimeGrid(0.0, 10.0, 0.1))
 
+    def test_repeated_seeds_rejected(self):
+        # a repeat would weight one environment twice in the pooled quantiles
+        with pytest.raises(InvalidRangeError, match="seed 1 more than once"):
+            ensemble_statistics(3, [2, 1, 1], TimeGrid(0.0, 10.0, 0.1))
+
     @pytest.mark.parametrize("t_start", [0.0, 7.5])
     @pytest.mark.parametrize("n", [5, 300, 2000])
     @pytest.mark.parametrize("seeds", [(1, 2, 3), (4,)], ids=["handed-out", "one-seed"])

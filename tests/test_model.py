@@ -361,7 +361,9 @@ class TestInteractionConvention:
         )
         for row, branch in ((0, +1), (1, -1)):
             sys_amp = SystemAmplitudes(complex(row == 0), complex(row == 1))
-            full = evolve_full(assemble_full_state(sys_amp, env), env, t).amplitudes
+            state = assemble_full_state(sys_amp, env)
+            evolve_full(state, env, t)
+            full = state.amplitudes
             spins = branch_environment_state(env, t, branch)
             expected = reduce(np.kron, spins[::-1], np.ones(1, dtype=complex))
             np.testing.assert_allclose(full.reshape(2, -1)[row], expected, rtol=0, atol=1e-12)
@@ -372,5 +374,6 @@ class TestInteractionConvention:
         env = spin_environment((1.0, 1.0 + 0j, 0j))
         amps = branch_environment_state(env, math.pi / 2, +1)
         assert amps[0, 0] == pytest.approx(1j, abs=1e-12)
-        full = evolve_full(assemble_full_state(SystemAmplitudes(1.0 + 0j, 0j), env), env, math.pi / 2)
+        full = assemble_full_state(SystemAmplitudes(1.0 + 0j, 0j), env)
+        evolve_full(full, env, math.pi / 2)
         assert full.amplitudes[0] == pytest.approx(1j, abs=1e-12)

@@ -45,7 +45,8 @@ from einlab import SystemAmplitudes, assemble_full_state, build_environment_rand
 from einlab.oracle import partial_trace_to_system
 for n in (14, 16):
     env = build_environment_random(n, n, 0.05, 1.0)
-    state = evolve_full(assemble_full_state(SystemAmplitudes(0.6 + 0j, 0.8j), env), env, 3.3)
+    state = assemble_full_state(SystemAmplitudes(0.6 + 0j, 0.8j), env)
+    evolve_full(state, env, 3.3)
     sys.stdout.write(partial_trace_to_system(state).tobytes().hex() + " ")
 """
 
@@ -110,36 +111,42 @@ class TestEvolve:
         rng = np.random.default_rng(5)
         env = random_environment(rng, 4)
         state = assemble_full_state(random_system(rng), env)
-        evolved = evolve_full(state, env, 0.0)
+        evolved = FullState(state.n, state.amplitudes.copy())
+        evolve_full(evolved, env, 0.0)
         assert evolved.amplitudes == pytest.approx(state.amplitudes, abs=0)
 
     def test_quarter_period_phases(self):
         env = spin_environment((1.0, 1.0 + 0j, 0j))
         state = FullState(1, np.ones(4, dtype=complex))
-        evolved = evolve_full(state, env, math.pi / 2)
+        evolve_full(state, env, math.pi / 2)
         expected = np.array([1j, -1j, -1j, 1j])
-        assert evolved.amplitudes == pytest.approx(expected, abs=1e-12)
+        assert state.amplitudes == pytest.approx(expected, abs=1e-12)
 
     @given(system_amplitudes, small_environments, times)
     @settings(max_examples=80, deadline=None)
     def test_reversibility(self, sys_amp, env, t):
         state = assemble_full_state(sys_amp, env)
-        back = evolve_full(evolve_full(state, env, t), env, -t)
+        back = FullState(state.n, state.amplitudes.copy())
+        evolve_full(back, env, t)
+        evolve_full(back, env, -t)
         assert back.amplitudes == pytest.approx(state.amplitudes, abs=1e-12)
 
     @given(system_amplitudes, small_environments, times)
     @settings(max_examples=80, deadline=None)
     def test_norm_preserved(self, sys_amp, env, t):
         state = assemble_full_state(sys_amp, env)
-        assert evolve_full(state, env, t).norm_sq() == pytest.approx(state.norm_sq(), abs=1e-12)
+        evolved = FullState(state.n, state.amplitudes.copy())
+        evolve_full(evolved, env, t)
+        assert evolved.norm_sq() == pytest.approx(state.norm_sq(), abs=1e-12)
 
     def test_accepts_entangled_input(self):
         env = spin_environment((0.7, complex(INV_SQRT2), complex(INV_SQRT2)))
         bell = FullState(1, np.array([INV_SQRT2, 0, 0, INV_SQRT2], dtype=complex))
-        evolved = evolve_full(bell, env, 1.3)
-        assert evolved.norm_sq() == pytest.approx(1.0, abs=1e-12)
-        back = evolve_full(evolved, env, -1.3)
-        assert back.amplitudes == pytest.approx(bell.amplitudes, abs=1e-12)
+        state = FullState(1, bell.amplitudes.copy())
+        evolve_full(state, env, 1.3)
+        assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        evolve_full(state, env, -1.3)
+        assert state.amplitudes == pytest.approx(bell.amplitudes, abs=1e-12)
 
     def test_dimension_mismatch(self):
         env = spin_environment(*[(1.0, 1.0 + 0j, 0j)] * 2)
@@ -190,7 +197,8 @@ class TestPartialTrace:
         sys_amp = random_system(rng)
         env = random_environment(rng, 8)
         t = 3.7
-        full = evolve_full(assemble_full_state(sys_amp, env), env, t)
+        full = assemble_full_state(sys_amp, env)
+        evolve_full(full, env, t)
         rho_brute = partial_trace_to_system(full)
         rho_closed = reduced_density_matrix(sys_amp, env, t)
         assert rho_brute == pytest.approx(rho_closed, abs=1e-12)
@@ -208,7 +216,8 @@ class TestPartialTrace:
             sys_amp = random_system(rng)
             env = random_environment(rng, n)
             t = float(rng.uniform(-40.0, 40.0))
-            state = evolve_full(assemble_full_state(sys_amp, env), env, t)
+            state = assemble_full_state(sys_amp, env)
+            evolve_full(state, env, t)
             psi = state.amplitudes.reshape(2, -1)
             rho = partial_trace_to_system(state)
             assert rho.shape == (2, 2) and rho.dtype == np.complex128
@@ -253,7 +262,8 @@ class TestCrosscheck:
         env = build_environment_random(8, seed=42, g_min=0.05, g_max=1.0)
         amps = env.amplitudes()
         doubled = EnvironmentSpec(env.couplings() * 2.0, amps[:, 0], amps[:, 1])
-        full = evolve_full(assemble_full_state(BALANCED_SYS, env), env, 1.3)
+        full = assemble_full_state(BALANCED_SYS, env)
+        evolve_full(full, env, 1.3)
         rho_brute = partial_trace_to_system(full)
         rho_mutated = reduced_density_matrix(BALANCED_SYS, doubled, 1.3)
         assert np.max(np.abs(rho_brute - rho_mutated)) > 1e-10
@@ -279,12 +289,10 @@ class TestPhaseInsensitivity:
         rephased = EnvironmentSpec(env.couplings(), amps[:, 0], amps[:, 1])
         t = 2.9
         for e1, e2 in ((env, rephased),):
-            rho1 = partial_trace_to_system(
-                evolve_full(assemble_full_state(sys_amp, e1), e1, t)
-            )
-            rho2 = partial_trace_to_system(
-                evolve_full(assemble_full_state(sys_amp, e2), e2, t)
-            )
+            full1, full2 = assemble_full_state(sys_amp, e1), assemble_full_state(sys_amp, e2)
+            evolve_full(full1, e1, t)
+            evolve_full(full2, e2, t)
+            rho1, rho2 = partial_trace_to_system(full1), partial_trace_to_system(full2)
             assert rho1 == pytest.approx(rho2, abs=1e-12)
         rho_closed1 = reduced_density_matrix(sys_amp, env, t)
         rho_closed2 = reduced_density_matrix(sys_amp, rephased, t)

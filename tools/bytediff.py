@@ -57,7 +57,8 @@ SEEDS = (1, 2, 3)
 # verify's summary line names a nan deviation (this run exits 2).  Version
 # 0.2.1: a trace row whose state is nan printed entropy nan, not 0.  Since
 # then a grid whose phases 4 g t can overflow is refused while the config is
-# read: fix-trace-nan and fix-recurrence-nan exit 1 and write nothing.
+# read: fix-trace-nan and fix-recurrence-nan exit 1 and write nothing.  A
+# seed list that names a seed twice is refused too: fix-repeated-seeds exits 1.
 FIX_CONFIGS = {
     "fix-default-dt": "mode = trace\nn = 4\nscenario = balanced\ng = 4\ng_max = 1\nt_max = 2\n",
     "fix-verify-nan": "mode = verify\nn = 3\nseed = 1\ng_max = 1e307\n",
@@ -68,6 +69,7 @@ FIX_CONFIGS = {
         "mode = recurrence\nn = 3\nseed = 1\nscenario = random\ng_max = 1e307\nt_start = 1\n"
         "t_max = 20\ndt = 1\n"
     ),
+    "fix-repeated-seeds": "mode = ensemble\nn = 3\nseeds = 1,1,2\ng_max = 1\nt_max = 1\n",
 }
 
 

@@ -22,13 +22,14 @@ brute-force check lives in :mod:`einlab.oracle`.
 
 There is one level of parallelism.  A call of the |z|^2 kernel
 :func:`decoherence_abs_sq` runs on the calling thread, one CPU; whole items
-(a sweep's seeds, an ensemble's seeds, the CLI's verify cases) are handed
-out to the CPUs in the process's affinity mask by one hand-out
-(:func:`_hand_out`), so more seeds use more CPUs, and ``taskset -c 0`` keeps
-every mode on one thread.  Nothing run in a hand-out hands out again.  No
-result's bits depend on the number of CPUs.  The thread pool is built at
-import and starts its threads on the first hand-out; a forked child builds
-its own.  Work handed to the pool runs under the caller's ``np.errstate``.
+(a sweep's seeds, an ensemble's seeds) are handed out to the CPUs in the
+process's affinity mask by one hand-out (:func:`_hand_out`), so more seeds
+use more CPUs, and ``taskset -c 0`` keeps every mode on one thread.  The
+CLI's verify cases run on the calling thread.  Nothing run in a hand-out
+hands out again.  No result's bits depend on the number of CPUs.  The thread
+pool is built at import and starts its threads on the first hand-out; a
+forked child builds its own.  Work handed to the pool runs under the
+caller's ``np.errstate``.
 
 A sweep item is one seed with all its spin counts: its baths share their
 first couplings, so one kernel call (:func:`_abs_sq_blocks` with several
@@ -102,8 +103,8 @@ def decoherence_series(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
 _ABS_SQ_BLOCK = 1 << 15
 
 # Threads a hand-out may use: the CPUs this process may run on (``taskset``
-# limits it).  Sweeps and ensembles hand their items to this many workers,
-# and verify to min(2, _WORKERS).
+# limits it).  Sweeps and ensembles hand their items to this many workers;
+# verify runs its cases on the calling thread.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity mask on this platform

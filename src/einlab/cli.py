@@ -35,12 +35,12 @@ those of ``"%.17g" % x`` cell by cell; a row holding a cell the arrays
 cannot prove (nan, an infinity, or a value within 2^-20 units of the 17th
 digit of a rounding tie) is printed by Python's formatting.
 
-Verify mode runs its cases on up to two CPUs of the process's affinity mask
-(``taskset -c 0`` keeps it serial).  A crosscheck allocates its own state and
-keeps nothing, so the oracle holds at most two 2^(n+1)-amplitude arrays.
-Rows are written in case order and the bytes do not depend on the CPU count.
-Ensemble and sweep modes hand out their seeds the same way, one whole seed
-per thread, to every CPU of the mask (:func:`einlab.analytic._hand_out`); a
+Verify mode runs its cases in order on the calling thread: a crosscheck
+allocates its own state and keeps nothing, so the oracle holds one
+2^(n+1)-amplitude array at a time.  Ensemble and sweep modes hand out their
+seeds, one whole seed per thread, to every CPU of the process's affinity
+mask (:func:`einlab.analytic._hand_out`; ``taskset -c 0`` keeps them
+serial), and their bytes do not depend on the CPU count; a
 sweep seed evaluates all its spin counts in one kernel call that shares the
 ``cos(4 g t)`` rows of their common couplings.  A seed count may name at
 most :data:`~einlab.ensemble.MAX_SEEDS` seeds.
@@ -77,7 +77,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, analytic
+from . import __version__
 from .analytic import trace_columns
 
 # Unused here, but the benchmark's traced run patches them as einlab.cli.<name>.
@@ -661,14 +661,13 @@ def _run_verify(config: RunConfig) -> _Result:
 
     Case stream: PCG64(seed) supplies, per case, an environment seed, a
     Bloch-uniform system state and a time in [0, 20).  The stream is drawn
-    first.  Then up to two workers, the calling thread and one thread of
-    :mod:`einlab.analytic`'s pool (two when the affinity mask holds two
-    CPUs; ``taskset -c 0`` keeps verify serial), take the cases one at a
-    time through :func:`einlab.analytic._hand_out`.  A case builds its bath
-    before its crosscheck allocates a state, so a bad coupling range is
-    reported before the 24-spin cap.  Rows are written in case order, so the
-    CSV bytes depend on neither the worker count nor the scheduling.  Two
-    workers is the cap that keeps the oracle at two 2^(n+1) arrays.
+    first; then the cases run in order on the calling thread.  A crosscheck
+    is a few short array calls that hold the GIL between them, so a second
+    thread would only take turns with the first: 40 n = 16 crosschecks
+    took longer split over two threads than on one.  One thread holds one
+    2^(n+1) state at a time and starts no pool thread.  A case builds its
+    bath before its crosscheck allocates a state, so a bad coupling range is
+    reported before the 24-spin cap.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     cases = []
@@ -682,12 +681,15 @@ def _run_verify(config: RunConfig) -> _Result:
         )
         cases.append((env_seed, sys_amp, VERIFY_T_MAX * u[2]))
 
-    def check(_worker: int, case: int):
-        env_seed, sys_amp, t = cases[case]
-        env = build_environment_random(config.n, env_seed, config.g_min, config.g_max)
-        return crosscheck(sys_amp, env, t, VERIFY_TOLERANCE)
-
-    reports = analytic._hand_out(check, VERIFY_CASES, min(2, analytic._WORKERS))
+    reports = [
+        crosscheck(
+            sys_amp,
+            build_environment_random(config.n, env_seed, config.g_min, config.g_max),
+            t,
+            VERIFY_TOLERANCE,
+        )
+        for env_seed, sys_amp, t in cases
+    ]
     lines = ["case,env_seed,t,max_deviation,passed"]
     for case, ((env_seed, _, t), report) in enumerate(zip(cases, reports)):
         lines.append(

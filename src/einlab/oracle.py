@@ -15,21 +15,21 @@ Evolution is diagonal in this basis: amplitude k picks up the phase
 dynamics is exactly unitary, hence exactly reversible: running with -t
 undoes running with t.
 
-The phase table costs one real ``cos`` and one ``sin`` over half of its
-2^n entries, the bits of a complex ``exp`` there: the other half and the
-``|->`` branch follow by conjugation and reversal, with the same bits as
-evaluating every entry.  :func:`evolve_full` builds it block by block and
-never stores it whole, so it can evolve a state in place.  Each block is a
-few long array calls, which release the GIL, so two workers' evolutions
-overlap.
+The unitary is a product of commuting two-spin gates
+``exp(i t g_j sz^S sz^j)``, one per environment spin, so that phase is the
+product of n per-spin phases ``exp(i t s g_j s_j)``.  :func:`evolve_full`
+takes them from one ``cos`` and one ``sin`` over the n angles ``t * g_j``
+and multiplies them into the amplitudes a block at a time, so the table of
+2^n phases is never stored whole and the state is evolved in place.
 
 Memory rule: a crosscheck holds one 2^(n+1) array, the state, which it
 allocates itself: :func:`assemble_full_state` returns a fresh array,
 :func:`evolve_full` evolves that array in place and returns None, as
-numpy's in-place operations do, and the partial trace reads it where it
-lies.  Two workers running crosschecks hold two arrays and share none.
-:func:`partial_trace_to_system` returns a 2x2 complex array, as
-:func:`einlab.analytic.reduced_density_matrix` does.
+numpy's in-place operations do, with two blocks of scratch that take at
+most an eighth of the state, and the partial trace reads it where it lies.
+Verify runs its crosschecks one after another on one thread, so it holds
+one state at a time.  :func:`partial_trace_to_system` returns a 2x2
+complex array, as :func:`einlab.analytic.reduced_density_matrix` does.
 
 The partial trace is three inner products of the two branch rows, each a
 sum of ``np.vdot`` calls over blocks of the rows; ``np.vdot`` conjugates
@@ -94,36 +94,29 @@ def assemble_full_state(sys: SystemAmplitudes, env: EnvironmentSpec) -> FullStat
     return FullState(n, full)
 
 
-def _coupling_sums(env: EnvironmentSpec, spins: int | None = None) -> np.ndarray:
-    """sum_j g_j * s_j over the first ``spins`` spins (all by default) for
-    every bit pattern of them, indexed by pattern.
+def _phase_table(phases: list[complex]) -> np.ndarray:
+    """prod_j phases[j] ** (+-1) for every bit pattern of the given spins,
+    indexed by pattern (bit 0 -> ``phases[j]``, bit 1 -> its conjugate).
 
     Built by doubling: spin j is the top bit of the first 2^(j+1) patterns,
-    so each entry adds the same +-g_j in the same order as a loop over bits.
+    so each entry multiplies its factors in spin order, the running product
+    first, as a loop over bits would.
     """
-    couplings = env.couplings()[:spins]
-    total = np.empty(2**couplings.size)
-    total[0] = 0.0
+    table = np.empty(2 ** len(phases), dtype=complex)
+    table[0] = 1.0
     size = 1
-    for g in couplings:
-        np.subtract(total[:size], g, out=total[size : 2 * size])
-        np.add(total[:size], g, out=total[:size])
+    for e in phases:
+        np.multiply(table[:size], e.conjugate(), out=table[size : 2 * size])
+        np.multiply(table[:size], e, out=table[:size])
         size *= 2
-    return total
+    return table
 
-
-# evolve_full's bytes are those of ``amps[s] * np.exp(...)``, which numpy
-# evaluates as ``exp_result *= amps[s]`` once the temporary holds at least
-# this many bytes (NPY_MIN_ELIDE_BYTES, temporary elision; n >= 14).  With
-# FMA, complex multiply is not commutative in the last place, so both operand
-# orders are written out.
-_ELIDE_BYTES = 256 * 1024
 
 # Largest phase block of evolve_full, in entries.  A block is also at most an
-# eighth of a row, so its scratch (40 bytes an entry, the low-bit table
-# included) takes at most 5/32 of the state's 2^(n+1) amplitudes.  Smaller
-# blocks cost more in per-block calls: 2^10 took 2.9 ms per n = 16 evolve
-# against 2.0 ms here.
+# eighth of a row, so its scratch (the low-bit table and one phase block, 16
+# bytes an entry each) takes at most 1/8 of the state's 2^(n+1) amplitudes.
+# tracemalloc measured 0.126-0.134 of the state for n = 13..16: the scratch
+# and about 2.4 KiB of Python objects.
 _EVOLVE_BLOCK = 1 << 13
 
 
@@ -137,16 +130,15 @@ def evolve_full(state: FullState, env: EnvironmentSpec, t: float) -> None:
     written.  Evolving by ``t`` and then by ``-t`` restores the state to
     within rounding.
 
-    The values are those of ``amps[s] * np.exp((+-1j * t) * sums)`` to the
-    bit, with one ``cos`` and one ``sin`` over half the table: for finite,
-    nonzero ``y`` they are the bits of ``exp(1j * y)``, ``sums`` is
-    antisymmetric under reversal (complementing every bit flips every sign,
-    and rounding is sign-symmetric), ``exp(-i x)`` equals ``conj(exp(i x))``,
-    and the ``|->`` phases are the conjugates of the ``|+>`` ones.  Where
-    ``t * sums`` is zero or not finite, a mirrored or conjugated phase can
-    differ from the direct one in the sign of a zero or a NaN, so those
-    entries (all of them at t = 0) are computed directly.  See
-    :func:`_evolve_blocks` for how the table is walked without storing it.
+    The unitary is a product of commuting two-spin gates, so each phase is a
+    product of n per-spin phases ``e_j = exp(i t g_j)``, taken from one
+    ``cos`` and one ``sin`` over the n angles ``t * g_j``.  Each row is
+    walked in blocks: the spins below a block's size vary within it and
+    give one low-bit table (:func:`_phase_table`), the spins above it are
+    fixed and give the block one scalar from a high-bit table.  A block's
+    ``|+>`` phases are ``low * high``, its ``|->`` phases their conjugates,
+    and each is one contiguous multiply into the amplitudes.  Where
+    ``t * g_j`` is not finite the phases, and so the amplitudes, are NaN.
     """
     size = 2 ** (state.n + 1)
     amps = state.amplitudes
@@ -160,88 +152,21 @@ def evolve_full(state: FullState, env: EnvironmentSpec, t: float) -> None:
             f"state for n={state.n} (environment n={env.n}) must hold a contiguous "
             f"complex128 array of shape ({size},), got {amps.dtype} of shape {amps.shape}"
         )
-    t = float(t)
-    rows = amps.reshape(2, -1)
-    if state.n <= 1:
-        # Blocks would be one entry long at n = 1, and numpy's in-place complex
-        # multiply of one element rounds differently from the out-of-place
-        # product; rows this short take the two-exp expression itself.
-        sums = _coupling_sums(env)
-        rows[0] = rows[0] * np.exp((1j * t) * sums)
-        rows[1] = rows[1] * np.exp((-1j * t) * sums)
-    else:
-        _evolve_blocks(rows, env, t)
-
-
-def _evolve_blocks(rows: np.ndarray, env: EnvironmentSpec, t: float) -> None:
-    """Multiply the (2, 2^n) amplitude rows, n >= 2, by their phases in place.
-
-    The lower half of the table is walked in blocks of ``size`` entries, each
-    together with its mirror block in the upper half.  A block's coupling
-    sums are the low-bit table (spins below log2(size), built once) plus the
-    block's high-bit couplings, added in spin order: the same additions as
-    :func:`_coupling_sums`.  ``cos`` and ``sin`` of ``t * sums``, written
-    into the real and imaginary parts of one phase block, are the bits of
-    ``exp((1j * t) * sums)``, and give all four of its phase blocks: ``|+>``
-    lower as is, ``|->`` upper reversed, and after one in-place conjugate
-    ``|->`` lower as is and ``|+>`` upper reversed.  The reversed blocks are
-    views, so nothing is copied; the direct entries are written into the
-    phase block before each multiply.  Every multiply into the amplitudes
-    spans a whole block of at least two entries.
-    """
-    plus, minus = rows
-    m = plus.size
-    size = max(2, min(_EVOLVE_BLOCK, m // 8))
-    blocks = m // size
-    low_bits = size.bit_length() - 1
-    low = _coupling_sums(env, low_bits)
-    high = env.couplings()[low_bits:].tolist()
-    phase_first = plus.nbytes >= _ELIDE_BYTES
-    phase = np.empty(size, dtype=complex)
-    reversed_phase = phase[::-1]
-    sums, ts = np.empty((2, size))
-    no_entries = np.empty(0, dtype=np.intp)
-
-    def block_sums(block: int) -> np.ndarray:
-        src = low
-        for j, g in enumerate(high):
-            (np.subtract if block >> j & 1 else np.add)(src, g, out=sums)
-            src = sums
-        return sums
-
-    def apply(
-        amps: np.ndarray, phases: np.ndarray, direct: np.ndarray, i_t: complex, direct_sums: np.ndarray
-    ) -> None:
-        if direct.size:
-            phases[direct] = np.exp(i_t * direct_sums)
-        if phase_first:
-            np.multiply(phases, amps, out=amps)
-        else:
-            np.multiply(amps, phases, out=amps)
-
-    for block in range(blocks // 2):
-        lower = slice(block * size, (block + 1) * size)
-        upper = slice(m - (block + 1) * size, m - block * size)
-        block_sums(block)
-        np.multiply(t, sums, out=ts)
-        np.cos(ts, out=phase.real)
-        np.sin(ts, out=phase.imag)
-        np.abs(ts, out=ts)
-        # min and max are NaN if any entry is, which fails both tests
-        direct = mirror = no_entries
-        if not (ts.min() > 0.0 and ts.max() < np.inf):
-            direct = np.flatnonzero(~((ts > 0.0) & (ts < np.inf)))
-        direct_sums = mirror_sums = sums[direct]
-        if direct.size:
-            # |t * sums| is symmetric under reversal, so the mirror block's
-            # direct entries sit at the mirrored positions
-            mirror = size - 1 - direct[::-1]
-            mirror_sums = block_sums(blocks - 1 - block)[mirror]
-        apply(plus[lower], phase, direct, 1j * t, direct_sums)
-        apply(minus[upper], reversed_phase, mirror, -1j * t, mirror_sums)
+    angles = float(t) * env.couplings()
+    phases = list(map(complex, np.cos(angles), np.sin(angles)))
+    plus, minus = amps.reshape(2, -1)
+    # at least two entries a block, as numpy rounds an in-place complex
+    # multiply of one element differently (n = 0 has one entry a row)
+    block = min(plus.size, max(2, plus.size // 8), _EVOLVE_BLOCK)
+    low_bits = block.bit_length() - 1
+    low = _phase_table(phases[:low_bits])
+    high = _phase_table(phases[low_bits:])
+    phase = np.empty(block, dtype=complex)
+    for p, m, h in zip(plus.reshape(-1, block), minus.reshape(-1, block), high):
+        np.multiply(low, h, out=phase)
+        np.multiply(p, phase, out=p)
         np.conjugate(phase, out=phase)
-        apply(minus[lower], phase, direct, -1j * t, direct_sums)
-        apply(plus[upper], reversed_phase, mirror, 1j * t, mirror_sums)
+        np.multiply(m, phase, out=m)
 
 
 # Longest stretch of a row that one np.vdot call sums.  OpenBLAS's x86_64
@@ -264,9 +189,7 @@ def partial_trace_to_system(state: FullState) -> np.ndarray:
     on the OpenBLAS thread count.  The entries are the sums of
     ``psi @ psi.conj().T`` rounded in another order: up to n = 20 they
     stayed within 3 eps of a ``math.fsum`` of the products, where the
-    matrix product strayed up to 10 eps from it.  ``np.vdot`` releases the
-    GIL while it runs, so another thread can assemble or evolve its state
-    meanwhile.
+    matrix product strayed up to 10 eps from it.
     """
     amps = state.amplitudes
     rows = amps.reshape(2, -1, min(_TRACE_BLOCK, amps.size // 2))

@@ -70,6 +70,23 @@ def spin_environment(*spins) -> EnvironmentSpec:
     return EnvironmentSpec([s[0] for s in spins], [s[1] for s in spins], [s[2] for s in spins])
 
 
+def coupling_sums(env: EnvironmentSpec) -> np.ndarray:
+    """sum_j g_j * s_j for every bit pattern of the spins (bit 0 -> +1, bit 1
+    -> -1), indexed by pattern.
+
+    Built by doubling: spin j is the top bit of the first 2^(j+1) patterns,
+    so each entry adds the same +-g_j in the same order as a loop over bits.
+    """
+    total = np.empty(2**env.n)
+    total[0] = 0.0
+    size = 1
+    for g in env.couplings():
+        np.subtract(total[:size], g, out=total[size : 2 * size])
+        np.add(total[:size], g, out=total[:size])
+        size *= 2
+    return total
+
+
 def random_environment(rng: np.random.Generator, n: int) -> EnvironmentSpec:
     """Environment drawn from a caller-owned generator (distinct from the seeded builder)."""
     return bloch_environment(

@@ -1,5 +1,6 @@
-"""Purity and entropy of trace mode's reduced states in 45-digit ``decimal``
-arithmetic, for checking the float closed form without mpmath.
+"""Purity and entropy of trace mode's reduced states, and the cosine and sine
+of a float, in 45-digit ``decimal`` arithmetic, for checking float results
+without mpmath.
 
 The float inputs are taken as exact: the populations, the imbalances and
 each spin's angle ``2 g_j t`` as the float product ``(2 g_j) * t`` that
@@ -55,6 +56,30 @@ def _sin_sq(x: Decimal) -> Decimal:
         if new == total:
             return total * total
         total = new
+
+
+def cos_sin(x: float) -> tuple[Decimal, Decimal]:
+    """(cos x, sin x) of a float x taken as exact: reduced by pi to
+    |r| <= pi/2 first, each then a Taylor series in r."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        pi = _pi()
+        turns = (Decimal(x) / pi).to_integral_value()
+        r = Decimal(x) - pi * turns
+        sign = -1 if turns % 2 else 1
+        r_sq = r * r
+        result = []
+        for term, k in ((Decimal(1), 0), (r, 1)):  # cos, then sin
+            total = term
+            while True:
+                term = -term * r_sq / ((k + 1) * (k + 2))
+                k += 2
+                new = total + term
+                if new == total:
+                    break
+                total = new
+            result.append(sign * total)
+        return result[0], result[1]
 
 
 def _log1p(x: Decimal) -> Decimal:

@@ -7,8 +7,9 @@ seed's bath for every n, evaluated by one kernel call that shares the
 ``cos(4 g t)`` rows of the largest bath, and its table must equal one kernel
 call per ``(n, seed)`` pair.  A report may depend neither on the worker
 count nor on the order the seeds were given in; an item that fails stops the
-hand-out and reaches the caller as it would on one worker; and nothing run
-on the pool hands out again.
+hand-out and reaches the caller as it would on one worker; the pool runs
+under the caller's ``np.errstate``; and nothing run on the pool hands out
+again.
 """
 
 import random
@@ -229,6 +230,21 @@ def test_worker_w_starts_with_item_w(workers, count):
     assert {name for _, name in taken[0]} == {threading.current_thread().name}
     for w in range(1, used):
         assert all(name.startswith("einlab-pool") for _, name in taken[w])
+
+
+def test_pool_workers_keep_the_callers_errstate():
+    # each worker holds its first item until the other has one, so both run
+    barrier = threading.Barrier(2, timeout=30)
+
+    def item(worker, i):
+        if i < 2:
+            barrier.wait()
+        return worker, np.geterr()
+
+    with np.errstate(all="raise"):
+        results = analytic._hand_out(item, 4, 2)
+    assert {worker for worker, _ in results} == {0, 1}
+    assert all(set(settings.values()) == {"raise"} for _, settings in results)
 
 
 def test_a_busy_worker_takes_fewer_items():

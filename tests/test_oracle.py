@@ -1,7 +1,10 @@
+import cmath
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +25,11 @@ from einlab import (
     reduced_density_matrix,
 )
 import einlab.oracle as oracle
-from einlab.oracle import _coupling_sums
+
+from decimal_reference import cos_sin
 
 from conftest import (
+    coupling_sums,
     random_environment,
     random_system,
     small_environments,
@@ -160,6 +165,97 @@ class TestEvolve:
             evolve_full(FullState(1, np.ones(8, dtype=complex)), env, 1.0)
 
 
+U = 2.0**-53  # unit roundoff of float64
+# Largest error of a float cos or sin of a float angle, in units of U.  Each
+# angle the accuracy test uses is checked against a 45-digit evaluation.
+TRIG_ERROR = 1.0
+
+
+def fsum_phases(env, t, sign):
+    """(angles, phases): for every bit pattern of the spins (bit 0 -> s_j =
+    +1), the float angle ``t * fsum(sign * s_j * g_j)`` and its
+    ``cmath.exp(1j * angle)``."""
+    g = env.couplings().tolist()
+    angles = [
+        t * math.fsum(sign * (-gj if k >> j & 1 else gj) for j, gj in enumerate(g))
+        for k in range(2 ** len(g))
+    ]
+    return angles, np.array([cmath.exp(1j * angle) for angle in angles])
+
+
+def assert_trig_error_within(angles, computed):
+    """Each of the ``computed`` (cos, sin) pairs lies within TRIG_ERROR * U of
+    the cosine and sine of its float angle."""
+    bound = Decimal(TRIG_ERROR * U)
+    for angle, pair in zip(angles, computed):
+        for got, exact in zip(pair, cos_sin(angle)):
+            assert abs(Decimal(float(got)) - exact) <= bound, angle
+
+
+@pytest.mark.parametrize("t_max", [20.0, 1e3])
+@pytest.mark.parametrize("n", [0, 1, 4, 7, 10])
+def test_phases_stay_within_a_rounding_bound_of_an_fsum_reference(n, t_max):
+    # Computed: each angle fl(t g_j) is off by at most U |t g_j|, each cos and
+    # sin by TRIG_ERROR * U, so each per-spin phase by sqrt(2) TRIG_ERROR U +
+    # U |t g_j|; the phase takes at most n - 1 rounded complex products and
+    # the amplitude one more, each within sqrt(5) U relatively (with or
+    # without FMA).  Reference: fl(t * fsum) is off by at most (2 U + U^2)
+    # |t| sum|g|, cmath.exp by sqrt(2) TRIG_ERROR U, and its product with the
+    # amplitude by sqrt(5) U.  The factor 1.01 covers the second-order terms
+    # of these n + 1 factors, each within 1e-10 of its value.
+    rng = np.random.default_rng(9000 + n)
+    env = random_environment(rng, n)
+    t = float(rng.uniform(0.0, t_max))
+    amps = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+    state = FullState(n, amps.copy())
+    evolve_full(state, env, t)
+    angles = t * env.couplings()
+    assert_trig_error_within(angles, zip(np.cos(angles), np.sin(angles)))
+    phases = []
+    for sign in (1.0, -1.0):
+        reference_angles, row = fsum_phases(env, t, sign)
+        assert_trig_error_within(reference_angles, zip(row.real, row.imag))
+        phases.append(row)
+    plus, minus = amps.reshape(2, -1)
+    expected = np.concatenate([plus * phases[0], minus * phases[1]])
+    total_g = float(np.sum(np.abs(env.couplings())))
+    relative = U * (3.01 * t * total_g + math.sqrt(2) * TRIG_ERROR * (n + 1) + math.sqrt(5) * (n + 1))
+    bound = 1.01 * relative * np.abs(amps)
+    assert (np.abs(state.amplitudes - expected) <= bound).all()
+
+
+@pytest.mark.parametrize(
+    "t, g",
+    [(math.inf, 0.5), (-math.inf, 0.5), (math.nan, 0.5), (2.0, 1e308)],
+    ids=["inf", "-inf", "nan", "overflow"],
+)
+def test_non_finite_angles_give_nan_amplitudes(t, g):
+    # math.cos raises on an infinite angle; np.cos returns NaN, and one NaN
+    # per-spin phase is a factor of every phase
+    env = spin_environment((0.3, 0.6 + 0j, 0.8j), (g, 1.0 + 0j, 0j), (0.7, 0j, 1.0 + 0j))
+    amps = np.random.default_rng(4).normal(size=16) + 0j
+    with np.errstate(invalid="ignore", over="ignore"):
+        evolve_full(FullState(3, amps), env, t)
+    assert np.isnan(amps.real).all() and np.isnan(amps.imag).all()
+
+
+@pytest.mark.parametrize("n", range(10, 17))
+def test_evolve_scratch_is_an_eighth_of_the_state(n):
+    # the low-bit table and one phase block, each at most an eighth of a row,
+    # plus a few hundred bytes of Python objects; a broadcasting multiply
+    # would add numpy's iterator buffer (about 128 KiB) on top
+    env = build_environment_random(n, n, 0.05, 1.0)
+    state = assemble_full_state(BALANCED_SYS, env)
+    evolve_full(state, env, 1.5)
+    tracemalloc.start()
+    try:
+        evolve_full(state, env, 2.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.amplitudes.nbytes / 8 + 4096
+
+
 def per_bit_coupling_sums(env):
     """Reference: add each spin's +-g_j over every bit pattern, one bit at a time."""
     idx = np.arange(2**env.n)
@@ -173,7 +269,7 @@ def per_bit_coupling_sums(env):
 @pytest.mark.parametrize("n", range(17))
 def test_coupling_sums_match_per_bit_loop(n):
     env = build_environment_random(n, 1000 + n, 0.05, 1.0)
-    assert _coupling_sums(env).tobytes() == per_bit_coupling_sums(env).tobytes()
+    assert coupling_sums(env).tobytes() == per_bit_coupling_sums(env).tobytes()
 
 
 class TestPartialTrace:

@@ -1,11 +1,12 @@
 """The oracle gives the same bytes as its plain reference expressions.
 
-``evolve_full`` computes one complex ``exp`` over half the phase table and
-conjugates the rest; ``assemble_full_state`` folds the spins into one fresh
-array.  Both are compared here, bit for bit, with the expressions they
-replace.  ``evolve_full`` evolves the state's own amplitudes in place and
-returns None, as each crosscheck evolves the state it assembled, so a test
-that still needs its input evolves a copy of it.
+``evolve_full`` multiplies each amplitude by a product of per-spin phases,
+a table over a block's low spins times one scalar per block for its high
+spins; ``assemble_full_state`` folds the spins into one fresh array.  Both
+are compared here, bit for bit, with plain whole-array expressions of the
+same products.  ``evolve_full`` evolves the state's own amplitudes in place
+and returns None, as each crosscheck evolves the state it assembled, so a
+test that still needs its input evolves a copy of it.
 """
 
 import math
@@ -29,9 +30,8 @@ from einlab import (
     evolve_full,
 )
 import einlab.oracle as oracle
-from einlab.oracle import _coupling_sums
 
-from conftest import assert_golden_digests, random_system
+from conftest import assert_golden_digests, coupling_sums, random_system
 
 
 def kron_assemble(sys_amp, env):
@@ -41,16 +41,33 @@ def kron_assemble(sys_amp, env):
     return np.kron(sys_vec, env_vec)
 
 
-def two_exp_evolve(amplitudes, env, t):
-    """Reference: one exp per branch over the whole table.  The products are
-    written as plain expressions, so numpy's temporary elision orders their
-    operands as it did in the original code."""
-    sums = _coupling_sums(env)
-    amps = amplitudes.reshape(2, -1)
-    out = np.empty_like(amps)
-    out[0] = amps[0] * np.exp((1j * float(t)) * sums)
-    out[1] = amps[1] * np.exp((-1j * float(t)) * sums)
-    return out.reshape(-1)
+def product_evolve(amplitudes, env, t):
+    """Reference: each amplitude times the product of its spins' phases
+    ``e_j = cos(t g_j) + i sin(t g_j)`` (bit 0 -> e_j, bit 1 -> conj(e_j)),
+    conjugated on the ``|->`` row.  As in ``evolve_full``, the spins below
+    its block size are multiplied first, in spin order, then the product of
+    the spins above it, and the amplitude is the first operand of its
+    in-place multiply (numpy rounds a complex product differently with the
+    operands swapped, and an in-place product of one element differently
+    again)."""
+    n, m = env.n, 2**env.n
+    angles = float(t) * env.couplings()
+    e = np.array([complex(c, s) for c, s in zip(np.cos(angles), np.sin(angles))], dtype=complex)
+    low_bits = min(m, max(2, m // 8), oracle._EVOLVE_BLOCK).bit_length() - 1
+    patterns = np.arange(m)
+    low, high = np.ones(m, dtype=complex), np.ones(m, dtype=complex)
+    for j in range(n):
+        factor = np.where((patterns >> j) & 1, np.conj(e[j]), e[j])
+        if j < low_bits:
+            low = low * factor
+        else:
+            high = high * factor
+    phase = low * high
+    conjugate = np.conj(phase)
+    rows = amplitudes.copy().reshape(2, -1)
+    rows[0] *= phase
+    rows[1] *= conjugate
+    return rows.reshape(-1)
 
 
 def make_environment(kind, n, seed):
@@ -97,7 +114,7 @@ def test_assemble_and_evolve_match_references(kind, n, seed, t):
     amplitudes = full.amplitudes
     expected = kron_assemble(sys_amp, env)
     assert amplitudes.tobytes() == expected.tobytes()
-    expected = two_exp_evolve(amplitudes, env, t)
+    expected = product_evolve(amplitudes, env, t)
     assert evolve_full(full, env, t) is None
     assert full.amplitudes is amplitudes
     assert amplitudes.tobytes() == expected.tobytes()
@@ -108,21 +125,9 @@ def test_assemble_and_evolve_match_references(kind, n, seed, t):
 def test_evolve_entangled_input_matches_reference(kind, n, seed, t):
     env = make_environment(kind, n, seed)
     amps = entangled_amplitudes(n, seed)
-    expected = two_exp_evolve(amps, env, t)
+    expected = product_evolve(amps, env, t)
     evolve_full(FullState(n, amps), env, t)
     assert amps.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("n", [13, 14])
-def test_elision_boundary(n):
-    # numpy's temporary elision swaps the reference's operands from n = 14 on
-    env = build_environment_random(n, 77, 0.05, 1.0)
-    amps = entangled_amplitudes(n, 3)
-    for t in (-17.25, 3.5, 41.0):
-        expected = two_exp_evolve(amps, env, t)
-        got = amps.copy()
-        evolve_full(FullState(n, got), env, t)
-        assert got.tobytes() == expected.tobytes()
 
 
 def test_non_finite_times_match_reference():
@@ -130,7 +135,7 @@ def test_non_finite_times_match_reference():
     amps = entangled_amplitudes(5, 9)
     with np.errstate(invalid="ignore", over="ignore"):
         for t in (math.inf, -math.inf, math.nan, 1e308):
-            expected = two_exp_evolve(amps, env, t)
+            expected = product_evolve(amps, env, t)
             got = amps.copy()
             evolve_full(FullState(5, got), env, t)
             assert got.tobytes() == expected.tobytes(), t
@@ -140,63 +145,62 @@ SPECIAL_TIMES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.75
 
 
 @pytest.mark.parametrize(
-    "n, block",
+    "n",
     [
-        (0, None),
-        (1, None),  # rows of two entries: a block would be one entry long
-        (2, None),  # the lower half is one block of two entries
-        (3, None),  # two blocks
-        (9, None),  # four blocks (a block is at most an eighth of a row)
-        (14, 1 << 3),  # 1024 blocks, past the elision boundary
+        0,  # one entry a row: one block of one entry
+        1,  # one block of two entries
+        2,  # two blocks of two entries
+        3,  # four blocks of two entries (a block has at least two)
+        9,  # eight blocks (a block is at most an eighth of a row)
+        17,  # sixteen blocks of _EVOLVE_BLOCK entries
     ],
 )
-def test_in_place_evolve_matches_reference(monkeypatch, n, block):
-    if block is not None:
-        monkeypatch.setattr(oracle, "_EVOLVE_BLOCK", block)
+def test_in_place_evolve_matches_reference(n):
     amps = entangled_amplitudes(n, n)
     envs = [make_environment(kind, n, 3) for kind in ("random", "balanced", "repeated")]
     with np.errstate(invalid="ignore", over="ignore"):
         for env in envs:
             for t in SPECIAL_TIMES:
-                expected = two_exp_evolve(amps, env, t).tobytes()
+                expected = product_evolve(amps, env, t).tobytes()
                 in_place = amps.copy()
                 evolve_full(FullState(n, in_place), env, t)
                 assert in_place.tobytes() == expected, (env, t)
 
 
 def test_non_finite_couplings_match_reference():
-    # coupling sums of inf - inf are NaN, whose sign the mirrored phases
-    # must not change
+    # infinite and NaN couplings give NaN phases, as 0 * inf does at t = 0;
+    # 1e308 * 2.75 overflows
     g = [np.inf, 1.0, -np.inf, 1e308, 1e308, np.nan, 0.0, -0.0]
     with np.errstate(invalid="ignore", over="ignore"):
         for n in (2, 3, 5, 8):
             env = EnvironmentSpec(g[:n], np.full(n, 0.6 + 0.8j), np.zeros(n))
             amps = entangled_amplitudes(n, 5)
             for t in SPECIAL_TIMES:
-                expected = two_exp_evolve(amps, env, t)
+                expected = product_evolve(amps, env, t)
                 got = amps.copy()
                 evolve_full(FullState(n, got), env, t)
                 assert got.tobytes() == expected.tobytes(), (n, t)
 
 
-# SHA-256 of the bodies (the bytes after the provenance line) of verify CSVs
-# written by the commit before the half-table exp and the reused buffers;
-# n = 13 and n = 14 sit on either side of the elision boundary.  Version
-# 0.2.1 moved the bodies with n >= 1, whose max_deviation cells the vdot
-# partial trace rounds differently from the matrix product before it.
+# SHA-256 of the bodies (the bytes after the provenance line) of verify CSVs.
+# Version 0.2.1 moved the bodies with n >= 1, whose max_deviation cells the
+# vdot partial trace rounds differently from the matrix product before it;
+# version 0.2.2 moved those with n >= 8, whose phases became products of
+# per-spin phases (n = 0 has no phase, and at n = 1 every max_deviation
+# cell kept its bits).
 GOLDEN = {
     "mode = verify\nn = 0\nseed = 5\ng_max = 1.0\n":
         "9fdfb5b59758376c4c849af3a93baeb017e19ad9fd1898ca997888418c5ef72c",
     "mode = verify\nn = 1\nseed = 11\ng_max = 1.0\n":
         "eaedf6dc93ca2eb310890fd93043cf96e86ac0907c010eeffd6d420451c042f4",
     "mode = verify\nn = 8\nseed = 2024\ng_max = 1.0\n":
-        "d5fbdaf1eca2da7c086a90c33fdcacb62586e2914cc2c08f0c027db0532b3721",
+        "48faa997aff9799dc0d027350fc29bba0bdae3b4b8c342c8d02ccd3ab6a73475",
     "mode = verify\nn = 13\nseed = 7\ng_max = 1.0\n":
-        "12b983174a377e9bde060b8300580c5378cd4a6d0c3c76eb2126b3ccb4be7286",
+        "407c77adebef7211ca5440a07b1ac82f02727168a128044b2d535497502cb699",
     "mode = verify\nn = 14\nseed = 8\ng_max = 1.0\n":
-        "89054d36a0220adfdd280829c59a2d03400cb5ecbcbd895fa4f986fcb5ce7413",
+        "80de361c458073ab86add650944435ec6c2a2004e454d54335dc7c3becc01a06",
     "mode = verify\nn = 16\nseed = 201\ng_max = 1.0\n":
-        "509c140dcea76a481d0ef391574536f380f35660101ceb4f0a2169f95de2b88c",
+        "3b7131b559fb44cd1b92e4f776c510673e33106925ce4c54eaaac68a9d5b3731",
 }
 
 
@@ -297,14 +301,14 @@ def sparse_zero_environment(seed):
     ids=["balanced", "repeated", "sparse-1", "sparse-2"],
 )
 def test_n16_default_blocks_match_reference(env):
-    # verify's size at the default block size: the direct entries of each
-    # mirror block are patched into reversed views of the phase block, and
-    # every bath here has some at t = 2.75, its zero coupling sums
-    assert (_coupling_sums(env) == 0.0).any()
+    # verify's size, eight blocks of _EVOLVE_BLOCK entries, on baths whose
+    # coupling sums vanish for some patterns, where a phase exp(i t sum) is
+    # exactly 1 and a product of per-spin phases is not
+    assert (coupling_sums(env) == 0.0).any()
     amps = entangled_amplitudes(16, 16)
     with np.errstate(invalid="ignore", over="ignore"):
         for t in SPECIAL_TIMES:
-            expected = two_exp_evolve(amps, env, t).tobytes()
+            expected = product_evolve(amps, env, t).tobytes()
             in_place = amps.copy()
             evolve_full(FullState(16, in_place), env, t)
             assert in_place.tobytes() == expected, t

@@ -98,25 +98,20 @@ def test_sweep_and_ensemble_call_through_module_attributes(monkeypatch):
 def test_verify_calls_the_oracle_through_module_attributes(monkeypatch, tmp_path):
     # the tracer's oracle.* spans wrap einlab.cli.crosscheck and the three
     # einlab.oracle stages; its amplitudes counter reads the assembled state.
-    # With two workers each case's four calls still run in order on one thread.
+    # With two CPUs, every case's four calls still run in order on the
+    # calling thread.
     import einlab.analytic as analytic
     import einlab.cli as cli
     import einlab.oracle as oracle
 
-    workers = 2
     calls, times = defaultdict(list), []
     assembled, in_place = {}, []  # each thread's last assembled array; one check per stage
-    both_started = threading.Barrier(workers, timeout=30)
-    started = set()
 
     def traced(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             thread = threading.get_ident()
-            if name == "assemble_full_state" and thread not in started:
-                started.add(thread)
-                both_started.wait()  # so that every worker takes a case
             result = fn(*args, **kwargs)
             amplitudes = getattr(result, "amplitudes", None)
             if name == "evolve_full":
@@ -135,7 +130,7 @@ def test_verify_calls_the_oracle_through_module_attributes(monkeypatch, tmp_path
 
         monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(analytic, "_WORKERS", workers)
+    monkeypatch.setattr(analytic, "_WORKERS", 2)
     traced(cli, "crosscheck")
     for name in ("assemble_full_state", "evolve_full", "partial_trace_to_system"):
         traced(oracle, name)
@@ -149,9 +144,8 @@ def test_verify_calls_the_oracle_through_module_attributes(monkeypatch, tmp_path
         ("partial_trace_to_system", None),
         ("crosscheck", None),
     ]
-    assert len(calls) == workers
-    for sequence in calls.values():
-        assert sequence == case * (len(sequence) // len(case))
+    assert list(calls) == [threading.get_ident()]
+    assert calls[threading.get_ident()] == case * cli.VERIFY_CASES
     # each of the job's cases was crosschecked exactly once
     rows = (tmp_path / "v.csv").read_text().splitlines()[2:-1]
     assert sorted("%.17g" % t for t in times) == sorted(row.split(",")[2] for row in rows)

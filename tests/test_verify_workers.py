@@ -1,17 +1,18 @@
-"""Verify mode on two workers writes the bytes of one worker.
+"""Verify mode runs its cases in order on the calling thread.
 
-``cli._run_verify`` hands its cases, one at a time, to the calling thread
-and one thread of ``einlab.analytic``'s pool.  Rows are written in case
-order, so neither the worker count nor the scheduling may show in the CSV;
-a slow worker takes fewer cases, a failing one stops both, and the oracle
-holds no more than three full states at once.
+``cli._run_verify`` runs one crosscheck after another, whatever the CPU
+count, so the CSV bytes never depend on it, no pool thread is started, a
+failing case stops the job where it fails, and the oracle holds one full
+state at a time.  What a hand-out to several workers must keep (a slow
+worker takes fewer items, a failure stops every worker, the pool keeps the
+caller's ``np.errstate``) is tested on sweep and ensemble hand-outs in
+``test_hand_out.py``.
 """
 
 import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -38,119 +39,58 @@ def verify_config(n):
     return cli.parse_config(f"mode = verify\nn = {n}\nseed = 4\ng_max = 1.0\noutput = unused.csv\n")
 
 
-def record_threads(monkeypatch, delay_off_main=0.0):
-    """Patch cli.crosscheck to count the cases each thread runs; a thread other
-    than the calling one sleeps ``delay_off_main`` seconds after each case."""
+def record_threads(monkeypatch):
+    """Patch cli.crosscheck to count the cases each thread runs."""
     counts = Counter()
     inner = cli.crosscheck
-    main = threading.get_ident()
 
     def counted(*args):
         report = inner(*args)
         counts[threading.get_ident()] += 1
-        if threading.get_ident() != main:
-            time.sleep(delay_off_main)
         return report
 
     monkeypatch.setattr(cli, "crosscheck", counted)
-    return counts, main
+    return counts
 
 
 @pytest.mark.parametrize("n, seed", [(0, 5), (1, 11), (3, 2), (9, 123456)])
 def test_one_and_two_workers_write_the_same_bytes(monkeypatch, tmp_path, n, seed):
     one = verify_csv(tmp_path, n, seed, 1, "one.csv")
-    counts, _ = record_threads(monkeypatch)
-    # the barrier holds each worker at its first case until the other arrives
-    barrier = threading.Barrier(2, timeout=30)
-    counted, seen = cli.crosscheck, set()
-
-    def gated(*args):
-        if threading.get_ident() not in seen:
-            seen.add(threading.get_ident())
-            barrier.wait()
-        return counted(*args)
-
-    monkeypatch.setattr(cli, "crosscheck", gated)
+    counts = record_threads(monkeypatch)
     assert verify_csv(tmp_path, n, seed, 2, "two.csv") == one
-    assert len(counts) == 2 and sum(counts.values()) == cli.VERIFY_CASES
-
-
-def test_a_slow_worker_takes_fewer_cases_without_delaying_the_job(monkeypatch, tmp_path):
-    expected = verify_csv(tmp_path, 8, 21, 1, "one.csv")
-    delay = 0.02
-    counts, main = record_threads(monkeypatch, delay_off_main=delay)
-    assert verify_csv(tmp_path, 8, 21, 2, "two.csv") == expected
-    assert sum(counts.values()) == cli.VERIFY_CASES
-    # the fast worker does not wait for the slow one: it takes most cases
-    assert counts[main] > cli.VERIFY_CASES - counts[main]
+    # every case ran on the calling thread
+    assert counts == {threading.get_ident(): cli.VERIFY_CASES}
 
 
 class CaseFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["caller", "pool"])
-def test_a_failure_is_raised_after_both_workers_stop(monkeypatch, failing):
+def test_a_failing_case_stops_the_job(monkeypatch):
     monkeypatch.setattr(analytic, "_WORKERS", 2)
+    lines, _, _ = cli._run_verify(verify_config(4))
+    # %.17g round-trips, so these are the first four cases' times to the bit
+    first_times = [float(row.split(",")[2]) for row in lines[1:5]]
     inner = cli.crosscheck
-    main = threading.get_ident()
-    barrier = threading.Barrier(2, timeout=30)
-    failed = threading.Event()
-    lock = threading.Lock()
-    seen, log = set(), {"active": 0, "started": 0}
+    started = []
 
-    def fail_on_one_side(*args):
-        me = threading.get_ident()
-        if me not in seen:
-            seen.add(me)
-            barrier.wait()
-        with lock:
-            log["active"] += 1
-            log["started"] += 1
-        try:
-            if (me == main) == (failing == "caller"):
-                failed.set()
-                raise CaseFailed(failing)
-            # still inside its case when the other worker fails
-            failed.wait(30)
-            time.sleep(0.05)
-            return inner(*args)
-        finally:
-            with lock:
-                log["active"] -= 1
-
-    monkeypatch.setattr(cli, "crosscheck", fail_on_one_side)
-    with pytest.raises(CaseFailed, match=failing):
-        cli._run_verify(verify_config(4))
-    # the other worker finished its case and took no further one
-    assert log == {"active": 0, "started": 2}
-
-
-def test_pool_worker_keeps_the_callers_errstate(monkeypatch):
-    monkeypatch.setattr(analytic, "_WORKERS", 2)
-    inner = cli.crosscheck
-    barrier = threading.Barrier(2, timeout=30)
-    settings, seen = {}, set()
-
-    def record(*args):
-        if threading.get_ident() not in seen:
-            seen.add(threading.get_ident())
-            barrier.wait()
-        settings[threading.get_ident()] = np.geterr()
+    def fail_at_case_3(*args):
+        started.append(args[2])
+        if len(started) == 4:
+            raise CaseFailed
         return inner(*args)
 
-    monkeypatch.setattr(cli, "crosscheck", record)
-    with np.errstate(all="raise"):
-        cli._run_verify(verify_config(3))
-    assert len(settings) == 2
-    assert all(set(s.values()) == {"raise"} for s in settings.values())
+    monkeypatch.setattr(cli, "crosscheck", fail_at_case_3)
+    with pytest.raises(CaseFailed):
+        cli._run_verify(verify_config(4))
+    # cases 0-3 were started in order, and none after the failing one
+    assert started == first_times
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_oracle_holds_at_most_three_states(monkeypatch, workers):
-    # one state per worker and nothing shared: two arrays of 2^(n+1)
-    # amplitudes at two workers, one at one, plus block scratch and the rows
-    # of the report
+    # one array of 2^(n+1) amplitudes at any worker count, plus evolve_full's
+    # block scratch (an eighth of it) and the rows of the report
     n = 13
     state = 2 ** (n + 1) * 16
     monkeypatch.setattr(analytic, "_WORKERS", workers)
@@ -162,7 +102,7 @@ def test_the_oracle_holds_at_most_three_states(monkeypatch, workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (workers + 1) * state
+    assert peak < 1.5 * state
 
 
 ONE_CPU_VERIFY = """
@@ -191,4 +131,31 @@ def test_one_cpu_verify_is_serial_with_the_same_bytes(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "0"]
+    assert out.read_bytes() == expected
+
+
+STARTS_NO_THREAD = """
+import sys, threading
+import einlab.analytic as analytic
+from einlab.cli import main
+analytic._WORKERS = 2
+before = threading.active_count()
+assert main([sys.argv[1], "--output", sys.argv[2], "--quiet"]) == 0
+print(threading.active_count() - before)
+"""
+
+
+def test_verify_starts_no_thread_at_two_cpus(tmp_path):
+    expected = verify_csv(tmp_path, 6, 31, 1, "one.csv")
+    out = tmp_path / "two.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(analytic.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", STARTS_NO_THREAD, str(tmp_path / "verify.cfg"), str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]
     assert out.read_bytes() == expected

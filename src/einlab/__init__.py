@@ -18,9 +18,6 @@ assumed environment statistics, not of the dynamics alone.
 __version__ = "0.2.2"
 
 from .analytic import (
-    branch_environment_state,
-    branch_overlap,
-    coherence_in_basis,
     decoherence_abs_sq,
     decoherence_factor,
     decoherence_series,
@@ -86,11 +83,8 @@ __all__ = [
     "TooLargeError",
     "ValidationReport",
     "assemble_full_state",
-    "branch_environment_state",
-    "branch_overlap",
     "build_environment_random",
     "build_environment_scenario",
-    "coherence_in_basis",
     "crosscheck",
     "decay_time",
     "decoherence_abs_sq",

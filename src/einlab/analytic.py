@@ -16,9 +16,8 @@ O(n):
 
 |z| = 1 means full coherence, |z| ~ 0 means the interference terms are
 (currently) invisible in the system alone.  Everything here is a pure
-function returning plain values: z(t) is a ``complex``, a branch state an
-(n, 2) complex array, a reduced state a 2x2 complex array.  The
-brute-force check lives in :mod:`einlab.oracle`.
+function returning plain values: z(t) is a ``complex``, a reduced state a
+2x2 complex array.  The brute-force check lives in :mod:`einlab.oracle`.
 
 There is one level of parallelism.  A call of the |z|^2 kernel
 :func:`decoherence_abs_sq` runs on the calling thread, one CPU; whole items
@@ -40,14 +39,12 @@ with the same bits as one call per n.
 from __future__ import annotations
 
 import contextvars
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .errors import InvalidRangeError
 from .model import EnvironmentSpec, SystemAmplitudes
 
 
@@ -130,35 +127,33 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _hand_out(fn, count: int, workers: int) -> list:
-    """``[fn(worker, i) for i in range(count)]``, the items handed out to
-    ``min(workers, count)`` workers: worker 0 is the calling thread and the
-    others run on the pool.
+def _hand_out(fn, count: int) -> list:
+    """``[fn(i) for i in range(count)]``, the items handed out to
+    ``min(_WORKERS, count)`` workers: the calling thread and pool threads.
 
-    Worker ``w`` starts with item ``w``, then takes the next item left when it
-    has finished its last one, so a worker on a busy CPU just takes fewer.
-    Each worker runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` (a context variable since numpy 2) holds there too, with
-    ``_IN_HAND_OUT`` set.  Once an item raises, no further item is handed out;
-    the error is raised after every worker has finished its current item, the
-    calling thread's first, else the first pool worker's.  Below two workers,
-    or inside a hand-out, worker 0 runs the items in order on the calling
-    thread.
+    The calling thread starts with item 0 and pool worker ``w`` with item
+    ``w``; then each takes the next item left when it has finished its last
+    one, so a worker on a busy CPU just takes fewer.  Each worker runs in a
+    copy of the caller's context, so the caller's ``np.errstate`` (a context
+    variable since numpy 2) holds there too, with ``_IN_HAND_OUT`` set.  Once
+    an item raises, no further item is handed out; the error is raised after
+    every worker has finished its current item, the calling thread's first,
+    else the first pool worker's.  Below two workers, or inside a hand-out,
+    the items run in order on the calling thread.
     """
-    workers = min(workers, count)
+    workers = min(_WORKERS, count)
     if workers < 2 or _IN_HAND_OUT.get():
-        return [fn(0, i) for i in range(count)]
+        return [fn(i) for i in range(count)]
     results = [None] * count
     rest = iter(range(workers, count))
     lock = threading.Lock()
     failed = threading.Event()
 
-    def work(worker: int) -> None:
+    def work(i: int) -> None:
         _IN_HAND_OUT.set(True)  # in this worker's context copy only
-        i = worker
         try:
             while i is not None and not failed.is_set():
-                results[i] = fn(worker, i)
+                results[i] = fn(i)
                 with lock:
                     i = next(rest, None)
         except BaseException:
@@ -256,35 +251,6 @@ def _abs_sq_blocks(flat, g4, mean, swing, shorter=()) -> np.ndarray:
 def decoherence_factor(env: EnvironmentSpec, t: float) -> complex:
     """The decoherence factor z(t).  z(0) = 1 exactly; |z| never exceeds 1."""
     return complex(decoherence_series(env, np.array([float(t)]))[0])
-
-
-def branch_environment_state(env: EnvironmentSpec, t: float, branch: int) -> np.ndarray:
-    """Environment spin amplitudes riding the given system branch at time ``t``.
-
-    ``branch`` is +1 for the ``|+>`` system branch, -1 for ``|->``.  Returns
-    an (n, 2) array whose row j is the evolved pair: on the ``+`` branch spin j
-    evolves to (alpha_j e^{+i g_j t}, beta_j e^{-i g_j t}); the ``-`` branch
-    swaps the phase signs.  Evolution is phase-only, so each row keeps unit norm.
-    """
-    if branch not in (1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
-    amps = env.amplitudes()
-    phase = np.exp((1j * branch * float(t)) * env.couplings())
-    out = np.empty_like(amps)
-    out[:, 0] = amps[:, 0] * phase
-    out[:, 1] = amps[:, 1] * np.conj(phase)
-    return out
-
-
-def branch_overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
-    """Product over spins of the per-spin inner products <bra_j|ket_j> of two
-    (n, 2) branch states.
-
-    With bra = the '-' branch and ket = the '+' branch this reproduces the
-    decoherence factor, by an independent route.
-    """
-    per_spin = np.sum(np.conj(bra) * ket, axis=1)
-    return complex(np.prod(per_spin))
 
 
 def reduced_density_matrix(sys: SystemAmplitudes, env: EnvironmentSpec, t: float) -> np.ndarray:
@@ -404,25 +370,6 @@ def _deficit(env: EnvironmentSpec, times: np.ndarray) -> np.ndarray:
         for row in terms:
             total += row
     return -np.expm1(total)
-
-
-def coherence_in_basis(rho: np.ndarray, theta: float, phi: float) -> float:
-    """|<0'|rho|1'>| for the 2x2 density matrix ``rho`` in the rotated basis (theta, phi).
-
-    |0'> = cos(theta/2)|+> + e^{i phi} sin(theta/2)|->, |1'> its orthogonal
-    complement.  theta = phi = 0 recovers |rho[+,-]|.  How much coherence a
-    state "has" depends on the basis asked about: a matrix diagonal in one
-    basis generally is not in another.
-    """
-    if not (0.0 <= theta <= math.pi):
-        raise InvalidRangeError(f"theta must lie in [0, pi], got {theta}")
-    if not (0.0 <= phi < 2.0 * math.pi):
-        raise InvalidRangeError(f"phi must lie in [0, 2*pi), got {phi}")
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    e = np.exp(1j * phi)
-    ket0 = np.array([c, e * s], dtype=complex)
-    ket1 = np.array([-np.conj(e) * s, c], dtype=complex)
-    return float(abs(np.conj(ket0) @ rho @ ket1))
 
 
 def state_metrics(rho: np.ndarray) -> tuple[float, float]:

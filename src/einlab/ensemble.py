@@ -455,7 +455,7 @@ def ensemble_statistics(
 
     pooled = np.empty((len(seeds), times.size))
 
-    def one_seed(_worker: int, i: int) -> SeedStatistics:
+    def one_seed(i: int) -> SeedStatistics:
         env = build_environment_random(n, seeds[i], g_min, g_max)
         abs_sq = decoherence_abs_sq(env, times)
         abs_z = np.sqrt(abs_sq, out=pooled[i])
@@ -468,7 +468,7 @@ def ensemble_statistics(
         abs_z.sort()  # in pooled[i]: the quantiles depend only on the values
         return statistics
 
-    per_seed = _hand_out(one_seed, len(seeds), analytic._WORKERS)
+    per_seed = _hand_out(one_seed, len(seeds))
     quantiles = tuple(
         (q, float(v)) for q, v in zip(QUANTILE_LEVELS, np.quantile(pooled, QUANTILE_LEVELS))
     )
@@ -514,7 +514,7 @@ def scaling_sweep(
         raise InvalidRangeError(f"need 1 to {MAX_SEEDS} seeds per n, got {seeds_per_n}")
     times = late_window.times()
 
-    def late_sups(_worker: int, i: int) -> list[float]:
+    def late_sups(i: int) -> list[float]:
         envs = [build_environment_random(n, i + 1, g_min, g_max) for n in ns]
         couplings = envs[-1].couplings()
         for env in envs[:-1]:
@@ -524,5 +524,5 @@ def scaling_sweep(
         products = analytic._abs_sq_blocks(times, *_abs_sq_factors(envs[-1]), shorter)
         return [float(np.max(product)) for product in products]
 
-    per_seed = _hand_out(late_sups, seeds_per_n, analytic._WORKERS)
+    per_seed = _hand_out(late_sups, seeds_per_n)
     return [(n, float(np.median(np.sqrt([sups[k] for sups in per_seed])))) for k, n in enumerate(ns)]

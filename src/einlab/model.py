@@ -43,9 +43,6 @@ class SystemAmplitudes:
     a: complex
     b: complex
 
-    def populations(self) -> tuple[float, float]:
-        return abs(self.a) ** 2, abs(self.b) ** 2
-
 
 class EnvironmentSpec:
     """Environment spins held as read-only arrays.

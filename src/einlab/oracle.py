@@ -60,9 +60,6 @@ class FullState:
     n: int
     amplitudes: np.ndarray
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
 
 def _check_size(n: int) -> None:
     if n > MAX_SPINS:

@@ -234,7 +234,7 @@ def test_a_long_grid_runs_once_on_the_calling_thread():
 
 
 @pytest.mark.parametrize("inf_at", (0, 3999))
-def test_pool_items_keep_the_callers_errstate(inf_at):
+def test_pool_items_keep_the_callers_errstate(monkeypatch, inf_at):
     # numpy keeps np.errstate in a context variable, which pool threads do
     # not inherit by themselves; item 0 runs on the caller, item 1 on the pool
     env = build_environment_random(50, 6, None, 1.0)
@@ -242,16 +242,17 @@ def test_pool_items_keep_the_callers_errstate(inf_at):
     times[inf_at] = np.inf
     halves = times.reshape(2, -1)
     threads = {}
+    monkeypatch.setattr(analytic, "_WORKERS", 2)
 
-    def item(worker, i):
+    def item(i):
         threads[i] = threading.current_thread()
         return decoherence_abs_sq(env, halves[i])
 
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        analytic._hand_out(item, 2, 2)
+        analytic._hand_out(item, 2)
     with warnings.catch_warnings(record=True) as caught, np.errstate(invalid="ignore"):
         warnings.simplefilter("always")
-        result = np.concatenate(analytic._hand_out(item, 2, 2))
+        result = np.concatenate(analytic._hand_out(item, 2))
     assert caught == []
     assert threads[0] is threading.current_thread()
     assert threads[1].name.startswith("einlab-pool")

@@ -14,8 +14,6 @@ from einlab import (
     ScenarioKind,
     TimeGrid,
     assemble_full_state,
-    branch_environment_state,
-    branch_overlap,
     build_environment_random,
     build_environment_scenario,
     crosscheck,
@@ -29,6 +27,7 @@ from einlab import (
 )
 from einlab.cli import main
 
+from branch_reference import branch_environment_state, branch_overlap
 from conftest import random_environment, random_system
 
 FIXED_SEEDS = tuple(range(1, 21))

@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from einlab import (
     EnvironmentSpec,
-    InvalidRangeError,
     ScenarioKind,
     SystemAmplitudes,
-    branch_environment_state,
-    branch_overlap,
     build_environment_random,
     build_environment_scenario,
-    coherence_in_basis,
     decoherence_abs_sq,
     decoherence_factor,
     decoherence_series,
@@ -23,6 +19,7 @@ from einlab import (
     state_metrics,
 )
 
+from branch_reference import branch_environment_state, branch_overlap
 from conftest import assert_same_bits, environments, small_environments, spin_environment, times
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -196,34 +193,6 @@ class TestReducedDensityMatrix:
         rho = reduced_density_matrix(sys_amp, env, t)
         z = decoherence_factor(env, t)
         assert rho[0, 1] / (a * np.conj(b)) == pytest.approx(z, abs=1e-12)
-
-
-class TestCoherenceInBasis:
-    def test_identity_rotation_recovers_off_diagonal(self):
-        rho = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]])
-        assert coherence_in_basis(rho, 0.0, 0.0) == abs(rho[0, 1])
-
-    def test_rotated_diagonal_matrix(self):
-        rho = np.diag([0.8, 0.2]).astype(complex)
-        assert coherence_in_basis(rho, math.pi / 2, 0.0) == pytest.approx(0.3, abs=1e-12)
-
-    @given(
-        st.floats(min_value=0.0, max_value=math.pi),
-        st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
-    )
-    @settings(max_examples=80)
-    def test_maximally_mixed_is_isotropic(self, theta, phi):
-        rho = np.diag([0.5, 0.5]).astype(complex)
-        assert coherence_in_basis(rho, theta, phi) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "theta,phi",
-        [(-0.1, 0.0), (math.pi + 0.1, 0.0), (0.5, -0.2), (0.5, 2 * math.pi), (0.5, 7.0)],
-    )
-    def test_angles_out_of_range(self, theta, phi):
-        rho = np.diag([0.5, 0.5]).astype(complex)
-        with pytest.raises(InvalidRangeError):
-            coherence_in_basis(rho, theta, phi)
 
 
 class TestStateMetrics:

@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -189,84 +190,101 @@ def test_handing_out_stops_after_a_failure(monkeypatch, failing):
 
 @pytest.mark.parametrize("workers", (1, 2, 3, 4))
 @pytest.mark.parametrize("count", (0, 1, 2, 3, 7))
-def test_results_come_in_index_order(count, workers):
-    taken = []
+def test_results_come_in_index_order(monkeypatch, count, workers):
+    monkeypatch.setattr(analytic, "_WORKERS", workers)
+    threads = []
 
-    def item(worker, i):
-        taken.append((worker, threading.get_ident()))
+    def item(i):
+        threads.append(threading.current_thread())
         return i * i
 
-    assert analytic._hand_out(item, count, workers) == [i * i for i in range(count)]
-    assert all(0 <= worker < max(workers, 1) for worker, _ in taken)
+    assert analytic._hand_out(item, count) == [i * i for i in range(count)]
     if min(workers, count) < 2:
-        # run in turn by worker 0 on the calling thread
-        assert taken == [(0, threading.get_ident())] * count
+        # run in turn on the calling thread
+        assert threads == [threading.current_thread()] * count
+    else:
+        assert all(t is threading.current_thread() or t.name.startswith("einlab-pool") for t in threads)
 
 
-def taken_by_worker(workers, count, item=lambda worker, i: None):
-    """Run a hand-out of ``count`` items; per worker, the (item, thread name)
-    pairs it ran, in the order it ran them."""
+def taken_by_thread(count, item=lambda i: None):
+    """Run a hand-out of ``count`` items; per thread name, the items it ran,
+    in the order it ran them."""
     taken = {}
     lock = threading.Lock()
 
-    def record(worker, i):
+    def record(i):
         with lock:
-            taken.setdefault(worker, []).append((i, threading.current_thread().name))
-        item(worker, i)
+            taken.setdefault(threading.current_thread().name, []).append(i)
+        item(i)
         return i
 
-    assert analytic._hand_out(record, count, workers) == list(range(count))
+    assert analytic._hand_out(record, count) == list(range(count))
     return taken
 
 
 @pytest.mark.parametrize("workers, count", [(2, 2), (2, 7), (3, 2), (3, 3), (3, 10), (4, 9)])
-def test_worker_w_starts_with_item_w(workers, count):
-    # fewer items than workers: one worker per item
+def test_worker_w_starts_with_item_w(monkeypatch, workers, count):
+    # a pool of workers - 1 threads, and every worker holds its first item
+    # until all have one, so each worker runs on a thread of its own
     used = min(workers, count)
-    taken = taken_by_worker(workers, count)
-    assert sorted(taken) == list(range(used))
-    assert [taken[w][0][0] for w in range(used)] == list(range(used))
-    # worker 0 is the calling thread, the others run on the pool
-    assert {name for _, name in taken[0]} == {threading.current_thread().name}
-    for w in range(1, used):
-        assert all(name.startswith("einlab-pool") for _, name in taken[w])
+    pool = ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="einlab-pool")
+    monkeypatch.setattr(analytic, "_pool", pool)
+    monkeypatch.setattr(analytic, "_WORKERS", workers)
+    barrier = threading.Barrier(used, timeout=30)
+    try:
+        taken = taken_by_thread(count, lambda i: i < used and barrier.wait())
+    finally:
+        pool.shutdown()
+    # the calling thread starts with item 0, and one pool thread per other
+    # worker with that worker's item; then each takes the next item left
+    caller = threading.current_thread().name
+    assert len(taken) == used and taken[caller][0] == 0
+    assert sorted(items[0] for items in taken.values()) == list(range(used))
+    assert all(name == caller or name.startswith("einlab-pool") for name in taken)
+    for items in taken.values():
+        assert items[1:] == sorted(items[1:]) and all(i >= used for i in items[1:])
 
 
-def test_pool_workers_keep_the_callers_errstate():
+def test_pool_workers_keep_the_callers_errstate(monkeypatch):
     # each worker holds its first item until the other has one, so both run
+    monkeypatch.setattr(analytic, "_WORKERS", 2)
     barrier = threading.Barrier(2, timeout=30)
 
-    def item(worker, i):
+    def item(i):
         if i < 2:
             barrier.wait()
-        return worker, np.geterr()
+        return threading.current_thread(), np.geterr()
 
     with np.errstate(all="raise"):
-        results = analytic._hand_out(item, 4, 2)
-    assert {worker for worker, _ in results} == {0, 1}
+        results = analytic._hand_out(item, 4)
+    assert len({thread for thread, _ in results}) == 2
     assert all(set(settings.values()) == {"raise"} for _, settings in results)
 
 
-def test_a_busy_worker_takes_fewer_items():
+def test_a_busy_worker_takes_fewer_items(monkeypatch):
     # the pool worker stays inside its first item until the caller has run
     # every other item, as if its CPU were busy
+    monkeypatch.setattr(analytic, "_WORKERS", 2)
     count = 6
+    caller = threading.current_thread()
     caller_done = threading.Event()
 
-    def item(worker, i):
-        if worker == 0 and i == count - 1:
-            caller_done.set()
-        elif worker == 1:
+    def item(i):
+        if threading.current_thread() is not caller:
             assert caller_done.wait(30)
+        elif i == count - 1:
+            caller_done.set()
 
-    taken = taken_by_worker(2, count, item)
-    assert [i for i, _ in taken[0]] == [0, *range(2, count)]
-    assert [i for i, _ in taken[1]] == [1]
+    taken = taken_by_thread(count, item)
+    pool_thread = (taken.keys() - {caller.name}).pop()
+    assert taken[caller.name] == [0, *range(2, count)]
+    assert taken[pool_thread] == [1]
 
 
 def test_nothing_on_the_pool_hands_out_or_splits_again(monkeypatch):
     # a hand-out inside a hand-out runs inline instead of waiting on the pool
     # threads it occupies; a kernel call there runs once, on the item's thread
+    monkeypatch.setattr(analytic, "_WORKERS", 2)
     env = ensemble.build_environment_random(700, 3)
     times = SHORT.times()
     blocks = analytic._abs_sq_blocks
@@ -278,13 +296,13 @@ def test_nothing_on_the_pool_hands_out_or_splits_again(monkeypatch):
         kernel_threads.append(threading.get_ident())
         return blocks(*args)
 
-    def outer(worker, i):
-        inner = analytic._hand_out(lambda w, j: (w, threading.get_ident()), 3, 2)
+    def outer(i):
+        inner = analytic._hand_out(lambda j: threading.get_ident(), 3)
         values = analytic.decoherence_abs_sq(env, times)
         return inner, analytic._IN_HAND_OUT.get(), values, threading.get_ident()
 
     def run():
-        outcome["results"] = analytic._hand_out(outer, 4, 2)
+        outcome["results"] = analytic._hand_out(outer, 4)
 
     monkeypatch.setattr(analytic, "_abs_sq_blocks", recorded)
     runner = threading.Thread(target=run, daemon=True)
@@ -292,19 +310,19 @@ def test_nothing_on_the_pool_hands_out_or_splits_again(monkeypatch):
     runner.join(30)
     assert not runner.is_alive()
     for inner, marked, values, thread in outcome["results"]:
-        assert marked and {t for _, t in inner} == {thread}
-        assert [w for w, _ in inner] == [0, 0, 0]
+        assert marked and inner == [thread] * 3
         assert values.tobytes() == serial.tobytes()
     assert Counter(kernel_threads) == Counter(r[3] for r in outcome["results"])
     assert analytic._IN_HAND_OUT.get() is False
 
 
-def test_every_item_is_taken_once_under_fast_thread_switches():
+def test_every_item_is_taken_once_under_fast_thread_switches(monkeypatch):
     # more workers than the pool has threads, and a thread switch every 1 us
+    monkeypatch.setattr(analytic, "_WORKERS", 5)
     count, taken = 3000, Counter()
     lock = threading.Lock()
 
-    def item(worker, i):
+    def item(i):
         with lock:
             taken[i] += 1
         return i
@@ -312,7 +330,7 @@ def test_every_item_is_taken_once_under_fast_thread_switches():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        result = analytic._hand_out(item, count, 5)
+        result = analytic._hand_out(item, count)
     finally:
         sys.setswitchinterval(interval)
     assert result == list(range(count))

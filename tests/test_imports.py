@@ -1,14 +1,18 @@
-"""Every name the package imports is read somewhere, and every name it
-exports resolves."""
+"""Every name the package imports or defines is read somewhere, every name
+it exports resolves and is listed in the README, and the version is the same
+wherever it is written."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import einlab
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "einlab").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "einlab").glob("*.py"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def unused_imports(tree: ast.Module) -> set[str]:
@@ -49,3 +53,53 @@ def test_unused_import_is_reported():
 
 def test_every_exported_name_resolves():
     assert [name for name in einlab.__all__ if not hasattr(einlab, name)] == []
+
+
+def unread_definitions(trees) -> set[str]:
+    """Names of the functions, classes and methods defined in ``trees`` that
+    no expression there reads (as a name or an attribute), dunders aside."""
+    defined, read = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {name for name in defined - read if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_definition_is_read_or_exported():
+    # a name that no code of the package reads and that the package does not
+    # export is surface that no mode runs
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    assert unread_definitions(trees) - set(einlab.__all__) == set()
+
+
+def test_unread_definition_is_reported():
+    tree = ast.parse(
+        "class A:\n    def __init__(self): pass\n    def m(self): pass\n    def used(self): pass\n"
+        "def f(): pass\ndef g(): return A().used\ng()\n"
+    )
+    assert unread_definitions([tree]) == {"m", "f"}
+
+
+def test_every_exported_name_is_in_the_readme():
+    # the "Python API" section lists the names by module, one bullet each
+    section = README.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = {item.split(":", 1)[0].strip("`"): item for item in section.split("\n* ")[1:]}
+    missing = []
+    for name in einlab.__all__:
+        module = "einlab" if name == "__version__" else getattr(einlab, name).__module__
+        if f"`{name}`" not in bullets.get(module, ""):
+            missing.append((module, name))
+    assert missing == []
+
+
+def test_versions_agree():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    # a regex, as tomllib needs Python 3.11
+    project = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    readme = re.search(r"`--version` prints `einlab ([^`]+)`", README).group(1)
+    assert project == readme == einlab.__version__

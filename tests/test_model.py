@@ -12,13 +12,13 @@ from einlab import (
     ScenarioKind,
     SystemAmplitudes,
     assemble_full_state,
-    branch_environment_state,
     build_environment_random,
     build_environment_scenario,
     evolve_full,
     validate,
 )
 
+from branch_reference import branch_environment_state
 from conftest import assert_same_bits, spin_environment
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -193,10 +193,6 @@ class TestTypes:
     def test_imbalance(self):
         env = spin_environment((1.0, complex(math.sqrt(0.8)), complex(math.sqrt(0.2))))
         assert env.imbalances()[0] == pytest.approx(0.6, abs=1e-12)
-
-    def test_populations(self):
-        sys_amp = SystemAmplitudes(complex(math.sqrt(0.3)), complex(math.sqrt(0.7)))
-        assert sys_amp.populations() == pytest.approx((0.3, 0.7), abs=1e-12)
 
     def test_environment_accepts_any_sequence(self):
         env = EnvironmentSpec((1.0,), [1.0 + 0j], np.zeros(1))

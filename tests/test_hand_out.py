@@ -64,6 +64,37 @@ def test_golden_digests_at_any_worker_count(monkeypatch, tmp_path, workers):
     assert_golden_digests(tmp_path, GOLDEN)
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ensemble_statistics(40, (1, 2), SHORT),
+        lambda: scaling_sweep((3, 40), 2, SHORT),
+    ],
+    ids=["ensemble", "sweep"],
+)
+def test_the_worker_count_is_read_when_the_seeds_are_handed_out(monkeypatch, call, workers):
+    # neither caller keeps a worker count of its own: a _WORKERS set after
+    # import decides the threads; each of the two seeds is one kernel call
+    threads = []
+    blocks = analytic._abs_sq_blocks
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return blocks(*args)
+
+    monkeypatch.setattr(analytic, "_abs_sq_blocks", recorded)
+    monkeypatch.setattr(analytic, "_WORKERS", workers)
+    call()
+    caller = threading.current_thread()
+    if workers == 1:
+        assert threads == [caller, caller]
+    else:
+        # the calling thread takes seed 1 and a pool thread seed 2
+        assert len(threads) == 2 and threads.count(caller) == 1
+        assert [t.name.startswith("einlab-pool") for t in threads if t is not caller] == [True]
+
+
 def raised(call, workers):
     """(type, message) of the exception ``call()`` raises with ``workers`` CPUs."""
     with pytest.MonkeyPatch.context() as patch:

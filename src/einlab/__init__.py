@@ -15,7 +15,7 @@ rapidly recover full coherence.  Decoherence here is a property of the
 assumed environment statistics, not of the dynamics alone.
 """
 
-__version__ = "0.2.2"
+__version__ = "0.2.3"
 
 from .analytic import (
     decoherence_abs_sq,

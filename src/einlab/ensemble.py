@@ -469,9 +469,10 @@ def ensemble_statistics(
         return statistics
 
     per_seed = _hand_out(one_seed, len(seeds))
-    quantiles = tuple(
-        (q, float(v)) for q, v in zip(QUANTILE_LEVELS, np.quantile(pooled, QUANTILE_LEVELS))
-    )
+    # pooled is not read again: np.quantile may partition it in place
+    # instead of flattening it into a copy first
+    levels = np.quantile(pooled, QUANTILE_LEVELS, overwrite_input=True)
+    quantiles = tuple((q, float(v)) for q, v in zip(QUANTILE_LEVELS, levels))
     median_late = float(np.median([s.sup_abs_z_late for s in per_seed]))
     return EnsembleReport(
         n=n,

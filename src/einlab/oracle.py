@@ -18,23 +18,36 @@ undoes running with t.
 The unitary is a product of commuting two-spin gates
 ``exp(i t g_j sz^S sz^j)``, one per environment spin, so that phase is the
 product of n per-spin phases ``exp(i t s g_j s_j)``.  :func:`evolve_full`
-takes them from one ``cos`` and one ``sin`` over the n angles ``t * g_j``
-and multiplies them into the amplitudes a block at a time, so the table of
-2^n phases is never stored whole and the state is evolved in place.
+takes them from one ``cos`` and one ``sin`` over the n angles ``t * g_j``.
+
+Block layout: assemble and evolve walk the state in the same blocks of
+``2^k`` entries, ``k = _low_bits(n)``, at most an eighth of a row and at
+most ``_EVOLVE_BLOCK``.  The spins below bit k vary within a block and give
+one low table of 2^k entries; the spins above it, and for assemble the
+system as the top bit, are fixed within a block and give one entry of a
+high table.  Both tables are built by the one doubling rule
+(:func:`_doubling_table`), and each block is one contiguous multiply of
+the low table by one scalar: for :func:`assemble_full_state` the block is
+``low * high[b]``, the amplitudes of its spins; for :func:`evolve_full`
+``low * high[b]`` is the block's ``|+>`` phases, and their conjugates its
+``|->`` phases.  So neither the product state's factors nor the table of
+2^n phases is ever stored whole.
 
 Memory rule: a crosscheck holds one 2^(n+1) array, the state, which it
-allocates itself: :func:`assemble_full_state` returns a fresh array,
-:func:`evolve_full` evolves that array in place and returns None, as
-numpy's in-place operations do, with two blocks of scratch that take at
-most an eighth of the state, and the partial trace reads it where it lies.
-Verify runs its crosschecks one after another on one thread, so it holds
-one state at a time.  :func:`partial_trace_to_system` returns a 2x2
-complex array, as :func:`einlab.analytic.reduced_density_matrix` does.
+allocates itself: :func:`assemble_full_state` returns a fresh array, with
+scratch (the low table) of at most 1/16 of the state; :func:`evolve_full`
+evolves that array in place and returns None, as numpy's in-place
+operations do, with two blocks of scratch that take at most an eighth of
+the state; and the partial trace reads it where it lies.  Verify runs its
+crosschecks one after another on one thread, so it holds one state at a
+time.  :func:`partial_trace_to_system` returns a 2x2 complex array, as
+:func:`einlab.analytic.reduced_density_matrix` does.
 
-The partial trace is three inner products of the two branch rows, each a
-sum of ``np.vdot`` calls over blocks of the rows; ``np.vdot`` conjugates
-inside the BLAS kernel, so there is no conjugate copy, and the same code
-runs at every n, n = 0 included.
+The partial trace is three inner products of the two branch rows.  Rows of
+8 entries or more (n >= 3) sum ``np.vdot`` calls over blocks of the rows;
+``np.vdot`` conjugates inside the BLAS kernel, so there is no conjugate
+copy.  Shorter rows, whose bits BLAS kernels round differently by host,
+are summed from real products with ``np.add.reduce``.
 """
 
 from __future__ import annotations
@@ -66,55 +79,66 @@ def _check_size(n: int) -> None:
         raise TooLargeError(f"{n} spins would need 2**{n + 1} amplitudes; cap is {MAX_SPINS}")
 
 
-def assemble_full_state(sys: SystemAmplitudes, env: EnvironmentSpec) -> FullState:
-    """Product state (a|+> + b|->) (x) prod_j (alpha_j|+>_j + beta_j|->_j)."""
-    n = env.n
-    _check_size(n)
-    full = np.empty(2 ** (n + 1), dtype=complex)
-    rows = full.reshape(2, -1)
-    amps = env.amplitudes()
-    # The same multiplies as reduce(np.kron, amps[::-1], ones(1)): kron puts
-    # its first factor in the high bits, so fold from spin n-1 down to 0.
-    # The partial products alternate between the two halves of ``full`` and
-    # the last one, spin 0's, lands in rows[1].
-    rows[(n + 1) % 2, 0] = 1.0
-    for j in range(n - 1, -1, -1):
-        size = 2 ** (n - 1 - j)
-        acc = rows[j % 2, :size]
-        nxt = rows[(j + 1) % 2, : 2 * size].reshape(size, 2)
-        np.multiply(acc, amps[j, 0], out=nxt[:, 0])
-        np.multiply(acc, amps[j, 1], out=nxt[:, 1])
-    # np.kron(sys_vec, env_vec), rows[1] last because it holds env_vec
-    sys_vec = np.array([sys.a, sys.b], dtype=complex)
-    np.multiply(sys_vec[0], rows[1], out=rows[0])
-    np.multiply(sys_vec[1], rows[1], out=rows[1])
-    return FullState(n, full)
+# Largest block of a row, in entries.  A block is also at most an eighth of a
+# row, so evolve's scratch (the low-bit table and one phase block, 16 bytes an
+# entry each) takes at most 1/8 of the state's 2^(n+1) amplitudes, and
+# assemble's (the low table) at most 1/16.  tracemalloc measured 0.126-0.134
+# of the state for evolve at n = 13..16: the scratch and about 2.4 KiB of
+# Python objects.
+_EVOLVE_BLOCK = 1 << 13
 
 
-def _phase_table(phases: list[complex]) -> np.ndarray:
-    """prod_j phases[j] ** (+-1) for every bit pattern of the given spins,
-    indexed by pattern (bit 0 -> ``phases[j]``, bit 1 -> its conjugate).
+def _low_bits(n: int) -> int:
+    """Spins that vary within one block of a row of 2^n amplitudes: the one
+    block split that assemble and evolve walk.  A block holds two entries or
+    more where a row does, as numpy rounds an in-place complex multiply of
+    one element differently (n = 0 has one entry a row)."""
+    row = 2**n
+    return min(row, max(2, row // 8), _EVOLVE_BLOCK).bit_length() - 1
 
-    Built by doubling: spin j is the top bit of the first 2^(j+1) patterns,
-    so each entry multiplies its factors in spin order, the running product
-    first, as a loop over bits would.
+
+def _doubling_table(pairs) -> np.ndarray:
+    """prod_j pairs[j][bit j] for every bit pattern of the given factors,
+    indexed by pattern (bit 0 -> ``pairs[j][0]``, bit 1 -> ``pairs[j][1]``).
+
+    Built by doubling: factor j is the top bit of the first 2^(j+1)
+    patterns, so each entry multiplies its factors in order, the running
+    product first, as a loop over bits would.
     """
-    table = np.empty(2 ** len(phases), dtype=complex)
+    table = np.empty(2 ** len(pairs), dtype=complex)
     table[0] = 1.0
     size = 1
-    for e in phases:
-        np.multiply(table[:size], e.conjugate(), out=table[size : 2 * size])
-        np.multiply(table[:size], e, out=table[:size])
+    for x0, x1 in pairs:
+        np.multiply(table[:size], x1, out=table[size : 2 * size])
+        np.multiply(table[:size], x0, out=table[:size])
         size *= 2
     return table
 
 
-# Largest phase block of evolve_full, in entries.  A block is also at most an
-# eighth of a row, so its scratch (the low-bit table and one phase block, 16
-# bytes an entry each) takes at most 1/8 of the state's 2^(n+1) amplitudes.
-# tracemalloc measured 0.126-0.134 of the state for n = 13..16: the scratch
-# and about 2.4 KiB of Python objects.
-_EVOLVE_BLOCK = 1 << 13
+def _phase_table(phases: list[complex]) -> np.ndarray:
+    """prod_j phases[j] ** (+-1) for every bit pattern of the given spins,
+    indexed by pattern (bit 0 -> ``phases[j]``, bit 1 -> its conjugate)."""
+    return _doubling_table([(e, e.conjugate()) for e in phases])
+
+
+def assemble_full_state(sys: SystemAmplitudes, env: EnvironmentSpec) -> FullState:
+    """Product state (a|+> + b|->) (x) prod_j (alpha_j|+>_j + beta_j|->_j).
+
+    Written a block at a time: the spins below the block size give one low
+    table, the spins above it and then the system, as the top bit, one high
+    table, and each block of the state is the low table times its entry of
+    the high table.
+    """
+    n = env.n
+    _check_size(n)
+    full = np.empty(2 ** (n + 1), dtype=complex)
+    low_bits = _low_bits(n)
+    pairs = env.amplitudes().tolist()
+    low = _doubling_table(pairs[:low_bits])
+    high = _doubling_table([*pairs[low_bits:], (sys.a, sys.b)])
+    for block, h in zip(full.reshape(-1, low.size), high):
+        np.multiply(low, h, out=block)
+    return FullState(n, full)
 
 
 def evolve_full(state: FullState, env: EnvironmentSpec, t: float) -> None:
@@ -130,12 +154,13 @@ def evolve_full(state: FullState, env: EnvironmentSpec, t: float) -> None:
     The unitary is a product of commuting two-spin gates, so each phase is a
     product of n per-spin phases ``e_j = exp(i t g_j)``, taken from one
     ``cos`` and one ``sin`` over the n angles ``t * g_j``.  Each row is
-    walked in blocks: the spins below a block's size vary within it and
-    give one low-bit table (:func:`_phase_table`), the spins above it are
-    fixed and give the block one scalar from a high-bit table.  A block's
-    ``|+>`` phases are ``low * high``, its ``|->`` phases their conjugates,
-    and each is one contiguous multiply into the amplitudes.  Where
-    ``t * g_j`` is not finite the phases, and so the amplitudes, are NaN.
+    walked in the blocks of :func:`assemble_full_state`: the spins below a
+    block's size vary within it and give one low-bit table
+    (:func:`_phase_table`), the spins above it are fixed and give the block
+    one scalar from a high-bit table.  A block's ``|+>`` phases are
+    ``low * high``, its ``|->`` phases their conjugates, and each is one
+    contiguous multiply into the amplitudes.  Where ``t * g_j`` is not
+    finite the phases, and so the amplitudes, are NaN.
     """
     size = 2 ** (state.n + 1)
     amps = state.amplitudes
@@ -152,14 +177,11 @@ def evolve_full(state: FullState, env: EnvironmentSpec, t: float) -> None:
     angles = float(t) * env.couplings()
     phases = list(map(complex, np.cos(angles), np.sin(angles)))
     plus, minus = amps.reshape(2, -1)
-    # at least two entries a block, as numpy rounds an in-place complex
-    # multiply of one element differently (n = 0 has one entry a row)
-    block = min(plus.size, max(2, plus.size // 8), _EVOLVE_BLOCK)
-    low_bits = block.bit_length() - 1
+    low_bits = _low_bits(state.n)
     low = _phase_table(phases[:low_bits])
     high = _phase_table(phases[low_bits:])
-    phase = np.empty(block, dtype=complex)
-    for p, m, h in zip(plus.reshape(-1, block), minus.reshape(-1, block), high):
+    phase = np.empty(low.size, dtype=complex)
+    for p, m, h in zip(plus.reshape(-1, low.size), minus.reshape(-1, low.size), high):
         np.multiply(low, h, out=phase)
         np.multiply(p, phase, out=p)
         np.conjugate(phase, out=phase)
@@ -173,6 +195,11 @@ def evolve_full(state: FullState, env: EnvironmentSpec, t: float) -> None:
 # against two CPUs).  Other BLAS builds may split at other lengths.
 _TRACE_BLOCK = 1 << 13
 
+# Rows shorter than this are summed without BLAS: OpenBLAS's Haswell zdot
+# kernel rounded lengths 2, 3, 4 and 7 differently from its SkylakeX one
+# (and lengths 1, 8, 16, 64, 1024 and 8192 the same).
+_SHORT_ROW = 8
+
 
 def partial_trace_to_system(state: FullState) -> np.ndarray:
     """Reduced system matrix rho[s, s'] = sum_e psi[s, e] conj(psi[s', e]), a 2x2 complex array.
@@ -183,12 +210,21 @@ def partial_trace_to_system(state: FullState) -> np.ndarray:
     ``rho[1, 0]`` its conjugate.  So the diagonal is real and the matrix
     Hermitian, exactly, at every n.  Each ``vdot`` runs over blocks of at
     most ``_TRACE_BLOCK`` entries, added in order, so the bits do not depend
-    on the OpenBLAS thread count.  The entries are the sums of
-    ``psi @ psi.conj().T`` rounded in another order: up to n = 20 they
-    stayed within 3 eps of a ``math.fsum`` of the products, where the
-    matrix product strayed up to 10 eps from it.
+    on the OpenBLAS thread count.  Rows of fewer than ``_SHORT_ROW`` entries
+    (n <= 2) skip BLAS, whose kernels round them differently by host: each
+    sum is an ``np.add.reduce`` of real products, ``re(p)^2 + im(p)^2`` for
+    the diagonal.  The entries are the sums of ``psi @ psi.conj().T``
+    rounded in another order: up to n = 20 they stayed within 3 eps of a
+    ``math.fsum`` of the products, where the matrix product strayed up to
+    10 eps from it.
     """
     amps = state.amplitudes
+    if amps.size < 2 * _SHORT_ROW:
+        (pr, mr), (pi, mi) = amps.real.reshape(2, -1), amps.imag.reshape(2, -1)
+        pp = np.add.reduce(pr * pr + pi * pi)
+        mm = np.add.reduce(mr * mr + mi * mi)
+        pm = complex(np.add.reduce(mr * pr + mi * pi), np.add.reduce(mr * pi - mi * pr))
+        return np.array([[pp, pm], [np.conj(pm), mm]])
     rows = amps.reshape(2, -1, min(_TRACE_BLOCK, amps.size // 2))
     pp = mm = 0.0
     pm = 0j

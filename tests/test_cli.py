@@ -571,7 +571,7 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
-        assert capsys.readouterr().out == "einlab 0.2.2\n"
+        assert capsys.readouterr().out == "einlab 0.2.3\n"
 
     def test_consecutive_calls_parse_afresh(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

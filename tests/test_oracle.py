@@ -5,6 +5,8 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -257,15 +259,15 @@ def test_evolve_scratch_is_an_eighth_of_the_state(n):
     assert peak <= state.amplitudes.nbytes / 8 + 4096
 
 
-def per_bit_phase_table(phases):
-    """Reference: for each spin j in turn, multiply the entries whose bit j is
-    0 by the scalar ``phases[j]`` and the others by its conjugate."""
-    idx = np.arange(2 ** len(phases))
+def per_bit_table(pairs):
+    """Reference: for each factor j in turn, multiply the entries whose bit j
+    is 0 by the scalar ``pairs[j][0]`` and the others by ``pairs[j][1]``."""
+    idx = np.arange(2 ** len(pairs))
     table = np.ones(idx.size, dtype=complex)
-    for j, e in enumerate(phases):
-        down = ((idx >> j) & 1).astype(bool)
-        table[~down] = table[~down] * e
-        table[down] = table[down] * e.conjugate()
+    for j, (x0, x1) in enumerate(pairs):
+        up = ((idx >> j) & 1).astype(bool)
+        table[~up] = table[~up] * x0
+        table[up] = table[up] * x1
     return table
 
 
@@ -273,12 +275,71 @@ def per_bit_phase_table(phases):
 def test_phase_table_matches_per_bit_loop(n):
     # array-by-scalar multiplies on both sides: numpy rounds an array-by-array
     # complex multiply differently, and an np.where factor of e_j and its
-    # conjugate gave other bits in 27 of 153 (n, seed, t) cases
+    # conjugate gave other bits in 27 of 153 (n, seed, t) cases.  The phase
+    # table is the doubling table of the pairs (e_j, conj(e_j)), and
+    # assemble's tables are those of the spins' amplitude pairs
     env = build_environment_random(n, 1000 + n, 0.05, 1.0)
     for t in (0.37, 3.3, 41.0):
         angles = t * env.couplings()
         phases = list(map(complex, np.cos(angles), np.sin(angles)))
-        assert oracle._phase_table(phases).tobytes() == per_bit_phase_table(phases).tobytes()
+        expected = per_bit_table([(e, e.conjugate()) for e in phases])
+        assert oracle._phase_table(phases).tobytes() == expected.tobytes()
+    pairs = random_environment(np.random.default_rng(n), n).amplitudes().tolist()
+    assert oracle._doubling_table(pairs).tobytes() == per_bit_table(pairs).tobytes()
+
+
+def exact_product_state(sys_amp, env):
+    """The product state's amplitudes as exact (real, imaginary) pairs of
+    Fractions: the float amplitudes of the factors multiplied without
+    rounding, folded as np.kron folds them, the system on top."""
+    factors = [(sys_amp.a, sys_amp.b), *env.amplitudes().tolist()[::-1]]
+    state = [(Fraction(1), Fraction(0))]
+    for pair in factors:
+        exact = [(Fraction(x.real), Fraction(x.imag)) for x in pair]
+        state = [(ar * br - ai * bi, ar * bi + ai * br) for ar, ai in state for br, bi in exact]
+    return state
+
+
+def kron_state(sys_amp, env):
+    """The product state as a fold of np.kron."""
+    sys_vec = np.array([sys_amp.a, sys_amp.b], dtype=complex)
+    env_vec = reduce(np.kron, env.amplitudes()[::-1], np.ones(1, dtype=complex))
+    return np.kron(sys_vec, env_vec)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_assemble_and_kron_stay_within_a_rounding_bound_of_the_exact_product(n):
+    # each amplitude is a product of n + 1 factors: the first multiply, by
+    # 1, is exact, and each of the other n complex products errs by at most
+    # sqrt(5) U relatively (with or without FMA), so both builds stay within
+    # about sqrt(5) n U of the exact product; sqrt(5) (n + 1) U covers the
+    # second-order terms
+    rng = np.random.default_rng(7000 + n)
+    for _ in range(3):
+        sys_amp, env = random_system(rng), random_environment(rng, n)
+        exact = exact_product_state(sys_amp, env)
+        bound_sq = 5 * (n + 1) ** 2 * Fraction(U) ** 2
+        for amps in (assemble_full_state(sys_amp, env).amplitudes, kron_state(sys_amp, env)):
+            for z, (er, ei) in zip(amps.tolist(), exact):
+                error_sq = (Fraction(z.real) - er) ** 2 + (Fraction(z.imag) - ei) ** 2
+                assert error_sq <= bound_sq * (er * er + ei * ei)
+
+
+@pytest.mark.parametrize("n", range(10, 17))
+def test_assemble_scratch_is_a_sixteenth_of_the_state(n):
+    # beside the state it returns, assemble holds the low table (at most an
+    # eighth of a row), the high table (16 entries here) and a few hundred
+    # bytes of Python objects
+    env = build_environment_random(n, n, 0.05, 1.0)
+    assemble_full_state(BALANCED_SYS, env)
+    tracemalloc.start()
+    try:
+        state = assemble_full_state(BALANCED_SYS, env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = state.amplitudes.nbytes
+    assert peak - nbytes <= nbytes / 16 + 4096
 
 
 class TestPartialTrace:

@@ -2,16 +2,16 @@
 
 ``evolve_full`` multiplies each amplitude by a product of per-spin phases,
 a table over a block's low spins times one scalar per block for its high
-spins; ``assemble_full_state`` folds the spins into one fresh array.  Both
-are compared here, bit for bit, with plain whole-array expressions of the
-same products.  ``evolve_full`` evolves the state's own amplitudes in place
-and returns None, as each crosscheck evolves the state it assembled, so a
-test that still needs its input evolves a copy of it.
+spins; ``assemble_full_state`` writes each block of one fresh array as a
+table of its low spins' amplitudes times one scalar for its high spins and
+the system.  Both are compared here, bit for bit, with plain whole-array
+expressions of the same products.  ``evolve_full`` evolves the state's own
+amplitudes in place and returns None, as each crosscheck evolves the state
+it assembled, so a test that still needs its input evolves a copy of it.
 """
 
 import math
 import tracemalloc
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -34,11 +34,24 @@ import einlab.oracle as oracle
 from conftest import assert_golden_digests, coupling_sums, random_system
 
 
-def kron_assemble(sys_amp, env):
-    """Reference: the product state as a fold of np.kron."""
-    sys_vec = np.array([sys_amp.a, sys_amp.b], dtype=complex)
-    env_vec = reduce(np.kron, env.amplitudes()[::-1], np.ones(1, dtype=complex))
-    return np.kron(sys_vec, env_vec)
+def block_assemble(sys_amp, env):
+    """Reference: each amplitude as the product of its low spins' amplitudes
+    times the product of its other spins' and then the system's, the system
+    bit on top.  Each product multiplies its factors in order, the running
+    product first, by masked array-by-scalar multiplies, as
+    ``assemble_full_state``'s tables do; the spins below the oracle's block
+    size are the low ones."""
+    factors = [*env.amplitudes(), (sys_amp.a, sys_amp.b)]
+    m = 2**env.n
+    low_bits = oracle._low_bits(env.n)
+    patterns = np.arange(2 * m)
+    low, high = np.ones(2 * m, dtype=complex), np.ones(2 * m, dtype=complex)
+    for j, pair in enumerate(factors):
+        product = low if j < low_bits else high
+        for bit, x in enumerate(pair):
+            chosen = (patterns >> j) & 1 == bit
+            product[chosen] = product[chosen] * x
+    return low * high
 
 
 def product_evolve(amplitudes, env, t):
@@ -53,7 +66,7 @@ def product_evolve(amplitudes, env, t):
     n, m = env.n, 2**env.n
     angles = float(t) * env.couplings()
     e = np.array([complex(c, s) for c, s in zip(np.cos(angles), np.sin(angles))], dtype=complex)
-    low_bits = min(m, max(2, m // 8), oracle._EVOLVE_BLOCK).bit_length() - 1
+    low_bits = oracle._low_bits(n)
     patterns = np.arange(m)
     low, high = np.ones(m, dtype=complex), np.ones(m, dtype=complex)
     for j in range(n):
@@ -112,7 +125,7 @@ def test_assemble_and_evolve_match_references(kind, n, seed, t):
     sys_amp = random_system(np.random.default_rng(seed))
     full = assemble_full_state(sys_amp, env)
     amplitudes = full.amplitudes
-    expected = kron_assemble(sys_amp, env)
+    expected = block_assemble(sys_amp, env)
     assert amplitudes.tobytes() == expected.tobytes()
     expected = product_evolve(amplitudes, env, t)
     assert evolve_full(full, env, t) is None
@@ -187,20 +200,22 @@ def test_non_finite_couplings_match_reference():
 # vdot partial trace rounds differently from the matrix product before it;
 # version 0.2.2 moved those with n >= 8, whose phases became products of
 # per-spin phases (n = 0 has no phase, and at n = 1 every max_deviation
-# cell kept its bits).
+# cell kept its bits); version 0.2.3 moved those with n >= 1, whose states
+# are assembled block by block and whose short rows (n <= 2) are traced
+# without BLAS.
 GOLDEN = {
     "mode = verify\nn = 0\nseed = 5\ng_max = 1.0\n":
         "9fdfb5b59758376c4c849af3a93baeb017e19ad9fd1898ca997888418c5ef72c",
     "mode = verify\nn = 1\nseed = 11\ng_max = 1.0\n":
-        "eaedf6dc93ca2eb310890fd93043cf96e86ac0907c010eeffd6d420451c042f4",
+        "d658db090fbda0c17f51f0c3a685b635af232b8ab88c1138a93ddc64e3e532fd",
     "mode = verify\nn = 8\nseed = 2024\ng_max = 1.0\n":
-        "48faa997aff9799dc0d027350fc29bba0bdae3b4b8c342c8d02ccd3ab6a73475",
+        "337099aa39959b9354035e508dea62d5c59bb2175cc4d96e8cdc61df9727b245",
     "mode = verify\nn = 13\nseed = 7\ng_max = 1.0\n":
-        "407c77adebef7211ca5440a07b1ac82f02727168a128044b2d535497502cb699",
+        "abd7a18a2de2e99ae1f6c43a788dc2e6decd3ec6f8e1f51eccd778c634459cd2",
     "mode = verify\nn = 14\nseed = 8\ng_max = 1.0\n":
-        "80de361c458073ab86add650944435ec6c2a2004e454d54335dc7c3becc01a06",
+        "d98c17adbaf7b589117992f15fee0a2432db69cb399c5b89b6055571bd3fe40e",
     "mode = verify\nn = 16\nseed = 201\ng_max = 1.0\n":
-        "3b7131b559fb44cd1b92e4f776c510673e33106925ce4c54eaaac68a9d5b3731",
+        "0ce514ef522ba482b960e8895c7d7bafc810cc7145903bc5fdd851251e7ea790",
 }
 
 

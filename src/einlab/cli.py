@@ -103,7 +103,7 @@ TRACE_COLUMNS = ("t", "re_z", "im_z", "abs_z", "rho_pp", "rho_mm", "abs_rho_pm",
 # Grid points per trace_columns call.  Any size gives the same bytes; the
 # chunk bounds the memory that one call's arrays and text take, however long
 # the grid is.  Its rows are printed _FORMAT_CELLS cells at a time, about
-# 1.4 ms per 1 000 rows of nine columns (see _chunk_text).
+# 1.1 ms per 1 000 rows of nine columns (see _chunk_text).
 TRACE_CHUNK = 8192
 
 
@@ -371,8 +371,7 @@ def _digits17(a: np.ndarray, exponent: np.ndarray):
     """For finite a > 0 and a guess X of its exponent: D and two masks, X too
     high (y < 10^16) and fraction of y within _TIE_MARGIN of 1/2."""
     rows = 16 - _POW10_K_MIN - exponent
-    pow10 = _format_tables().pow10
-    hi_high, hi_low, hi, lo, scale = (np.take(t, rows, mode="clip") for t in pow10)
+    hi_high, hi_low, hi, lo, scale = _format_tables().pow10.take(rows, axis=1, mode="clip")
     x = a * scale
     c = x * _VELTKAMP
     x_high = c - (c - x)
@@ -458,7 +457,9 @@ def _format_tables() -> _FormatTables:
 
 
 # Cells per _format_rows call: the call's temporaries stay near 100 KB, in
-# cache and below the allocator's mmap threshold.
+# cache and below the allocator's mmap threshold.  A call looks its tables
+# up with ndarray.take (np.take adds a Python-level wrapper per lookup) and
+# _digits17 gathers the five power-of-ten rows in one take.
 _FORMAT_CELLS = 2048
 
 
@@ -475,7 +476,7 @@ def _format_rows(block: np.ndarray) -> str:
     a[~computed] = 1.0
     exponent = np.floor(np.log10(a)).astype(np.intp)
     d, high_guess, tie = _digits17(a, exponent)
-    fix = np.flatnonzero(high_guess | (d > _D_MAX))
+    fix = (high_guess | (d > _D_MAX)).nonzero()[0]
     if fix.size:
         fixed = exponent[fix] + (d[fix] > _D_MAX) - high_guess[fix]
         d[fix], still, tie[fix] = _digits17(a[fix], fixed)
@@ -498,22 +499,22 @@ def _format_rows(block: np.ndarray) -> str:
     np.floor_divide(d, 10**4, out=groups[2])
     np.subtract(d, groups[2] * 10**4, out=groups[3])
     tables = _format_tables()
-    kept = np.take(tables.group_kept[0], groups[0])
+    kept = tables.group_kept[0].take(groups[0])
     for j in (1, 2, 3):
-        np.maximum(kept, np.take(tables.group_kept[j], groups[j]), out=kept)
+        np.maximum(kept, tables.group_kept[j].take(groups[j]), out=kept)
 
     exponent -= _EXPONENT_MIN
-    layout = np.take(tables.form_layout, exponent) + np.signbit(values) * (_FORMS * 17) + kept
-    cells = np.take(tables.layouts, layout, axis=0)
+    layout = tables.form_layout.take(exponent) + np.signbit(values) * (_FORMS * 17) + kept
+    cells = tables.layouts.take(layout, axis=0)
     cells[:, 0] += lead << 48
     for j in range(4):
-        cells[:, j + 1] += np.take(tables.group_word, groups[j])
-    cells[:, 5] += np.take(tables.exponent_chars, exponent)
+        cells[:, j + 1] += tables.group_word.take(groups[j])
+    cells[:, 5] += tables.exponent_chars.take(exponent)
     ends = cells.reshape(rows, cols, 6)[:, -1, 5]
     ends += (ord("\n") - ord(",")) << 40
     ends[-1] -= ord("\n") << 40  # the last row ends the text
     text = cells.tobytes().translate(None, b"\0").decode("ascii")
-    python_rows = np.flatnonzero(~finite | (tie & computed)) // cols
+    python_rows = (~finite | (tie & computed)).nonzero()[0] // cols
     if not python_rows.size:
         return text
     lines = text.split("\n")
@@ -539,10 +540,18 @@ def _provenance(config: RunConfig) -> str:
 # with the pid across processes.
 _TEMP_SUFFIXES = itertools.count()
 _TEMP_TRIES = 100
+# Characters encoded and written at a time.  The CSVs are ASCII, so a
+# slice's copy and its bytes each stay below glibc's 128 KiB mmap threshold.
+_WRITE_SLICE = 1 << 16
 
 
 def _write_atomic(path: str, text: str) -> None:
     """All-or-nothing file write; a failed run never leaves a partial file.
+
+    ``text`` is the whole CSV as one ``str``; it is encoded as UTF-8 and
+    written _WRITE_SLICE characters at a time, so no second whole-file
+    buffer is made.  UTF-8 encodes each code point on its own, so the file
+    holds ``text.encode("utf-8")`` however the slices fall.
 
     The text goes to a temp file next to the target, named
     ``<path>.<pid>.<count>.tmp`` with a per-process counter and created
@@ -562,9 +571,11 @@ def _write_atomic(path: str, text: str) -> None:
         raise FileExistsError(f"no free temp file name next to '{path}'")
     try:
         try:
-            data = memoryview(text.encode("utf-8"))
-            while data:
-                data = data[os.write(fd, data) :]
+            for start in range(0, len(text), _WRITE_SLICE):
+                data = memoryview(text[start : start + _WRITE_SLICE].encode("utf-8"))
+                while data:
+                    data = data[os.write(fd, data) :]
+                data.release()  # frees this slice's bytes before the next is made
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -667,7 +678,10 @@ def _run_verify(config: RunConfig) -> _Result:
     took longer split over two threads than on one.  One thread holds one
     2^(n+1) state at a time and starts no pool thread.  A case builds its
     bath before its crosscheck allocates a state, so a bad coupling range is
-    reported before the 24-spin cap.
+    reported before the 24-spin cap.  A coupling near the float range (say
+    g_max = 1e307) overflows its phases to nan; the cases run with numpy's
+    overflow and invalid warnings off, and the nan reaches the CSV and a
+    FAIL summary instead.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     cases = []
@@ -681,15 +695,16 @@ def _run_verify(config: RunConfig) -> _Result:
         )
         cases.append((env_seed, sys_amp, VERIFY_T_MAX * u[2]))
 
-    reports = [
-        crosscheck(
-            sys_amp,
-            build_environment_random(config.n, env_seed, config.g_min, config.g_max),
-            t,
-            VERIFY_TOLERANCE,
-        )
-        for env_seed, sys_amp, t in cases
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = [
+            crosscheck(
+                sys_amp,
+                build_environment_random(config.n, env_seed, config.g_min, config.g_max),
+                t,
+                VERIFY_TOLERANCE,
+            )
+            for env_seed, sys_amp, t in cases
+        ]
     lines = ["case,env_seed,t,max_deviation,passed"]
     for case, ((env_seed, _, t), report) in enumerate(zip(cases, reports)):
         lines.append(

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -458,6 +459,40 @@ class TestMainEntry:
         assert out.read_text() == "the last good output"
         assert list(tmp_path.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize("length", [0, 1, 2**16 - 1, 2**16, 2**16 + 1])
+    def test_sliced_write_gives_the_encoded_text(self, tmp_path, length):
+        text = "".join(chr(48 + k % 10) for k in range(length))
+        out = tmp_path / "out.csv"
+        cli._write_atomic(str(out), text)
+        assert out.read_bytes() == text.encode("utf-8")
+
+    def test_multibyte_characters_at_slice_boundaries(self, tmp_path, monkeypatch):
+        # a 2-byte and a 4-byte character on either side of each boundary,
+        # each also carried over by a short write
+        step = cli._WRITE_SLICE
+        chars = ["x"] * (3 * step + 1)
+        for boundary in (step, 2 * step, 3 * step):
+            chars[boundary - 1] = "\u00e9"
+            chars[boundary] = "\U0001f600"
+        text = "".join(chars)
+        os_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: os_write(fd, data[:1001]))
+        out = tmp_path / "out.csv"
+        cli._write_atomic(str(out), text)
+        assert out.read_bytes() == text.encode("utf-8")
+
+    def test_sliced_write_makes_no_whole_copy_of_the_text(self, tmp_path):
+        text = "0123456789abcde\n" * (1 << 18)  # 4 MiB of ASCII
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            cli._write_atomic(str(out), text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) // 4
+        assert out.stat().st_size == len(text)
+
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"# \xff\n" + TRACE_TEXT.encode() + b"dt = 0.5\n")
@@ -550,14 +585,15 @@ class TestMainEntry:
         assert float(match.group(1)) == pytest.approx(max(deviations), rel=1e-3)
         assert loud.read_bytes() == quiet.read_bytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_summary_names_a_nan_case(self, tmp_path, capsys):
         # g_max = 1e307 overflows the phases of some cases to nan; nan is the
         # worst deviation, though every comparison with it is false
         config = write_config(tmp_path, "mode = verify\nn = 3\nseed = 1\ng_max = 1e307\n")
         out = tmp_path / "verify.csv"
         assert main([str(config), "--output", str(out)]) == 2
-        line = capsys.readouterr().out
+        captured = capsys.readouterr()
+        line = captured.out
+        assert captured.err == ""
         text = out.read_text()
         assert text.splitlines()[-1] == "# max_deviation=nan tolerance=1e-10"
         _, rows = read_rows(out)

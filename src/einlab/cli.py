@@ -630,9 +630,11 @@ def _run_recurrence(config: RunConfig) -> _Result:
             f"recurrence: no |z| >= {config.threshold}"
             f" in ({config.grid.t_start}, {config.grid.t_end}]"
         )
+    # n*scanned_points is no bound on the counts before it: the points of a
+    # range past its hit count too
     summary += (
         f" (window_points={report.window_points} spin_points={report.spin_points}"
-        f" of n*scanned_points={env.n * report.scanned_points})"
+        f" n*scanned_points={env.n * report.scanned_points})"
     )
     return lines, summary, True
 

@@ -34,8 +34,14 @@ from .model import EnvironmentSpec, build_environment_random
 # allocates fresh arrays of shrinking size.  With 1 << 18 points per chunk
 # these took the benchmark's scan peak RSS from 49.8 MB (unpruned) to
 # 54.0 MB; with 1 << 15 it falls to 44.2 MB.  A range starts at _SCAN_CHUNK
-# points and doubles, up to _SCAN_RANGE_MAX, after each range without a hit
-# whose phase windows kept at most half a chunk's points; a range without
+# points.  After a range without a hit whose phase windows kept at most half
+# a chunk's points, the next range may hold size * (_SCAN_CHUNK // 2) //
+# passed points, so that windows as dense would keep about half a chunk, but
+# at least twice the last range and at most _SCAN_RANGE_MAX; the rest of the
+# grid is then cut into equal ranges of at most that many points, so that no
+# range keeps many more points than the others.  A no-hit n = 20 scan of
+# (1, 1e4] takes three ranges, each keeping at most about 13 000 points, and
+# memory follows the points kept, not the points covered.  A range without
 # windows is one chunk.  The first range is evaluated in two pieces, the
 # first _SCAN_FIRST points its windows pass and then the rest, so a hit
 # among those (as in balanced baths, whose wide windows pass most points)
@@ -210,7 +216,9 @@ def _scan_ranges(plan, grid: TimeGrid):
     evaluated and the points the windows passed on.
 
     Only the indices inside the windows are materialised, and each time is
-    ``t_start + dt * k``, the bits of ``grid.times()[k]``.  Ranges grow as
+    ``t_start + dt * k``, the bits of ``grid.times()[k]``.  After a range
+    whose windows passed at most half a chunk, the rest of the grid is cut
+    into equal ranges sized from that range's density of passed points, as
     the comment on ``_SCAN_CHUNK`` says, as long as the caller asks for more.
     """
     last = grid.steps()
@@ -227,9 +235,14 @@ def _scan_ranges(plan, grid: TimeGrid):
             pieces = (index[:_SCAN_FIRST], index[_SCAN_FIRST:])
         for piece in pieces:
             yield *_tail_above(plan, piece, grid.t_start + grid.dt * piece), piece.size
-        if 2 * passed <= _SCAN_CHUNK:
-            size = min(2 * size, _SCAN_RANGE_MAX)
         first = stop
+        if 2 * passed <= _SCAN_CHUNK and first <= last:
+            grown = size * (_SCAN_CHUNK // 2) // max(passed, 1)
+            grown = min(max(grown, 2 * size), _SCAN_RANGE_MAX)
+            # the rest of the grid in equal ranges of at most grown points
+            rest = last + 1 - first
+            ranges = -(-rest // grown)
+            size = -(-rest // ranges)
 
 
 # Per-spin slack on the tail bounds of _above_plan, which _tail_above and the
@@ -343,7 +356,8 @@ def _window_index(
 
     Window m of a spin with |4 g| = a and half-width w holds the indices from
     ceil(((2 pi m - w)/a - t0)/dt) - 1 to floor(((2 pi m + w)/a - t0)/dt) + 1
-    (see _above_plan for why this padding is enough).  Each spin's runs are
+    (see _above_plan for why this padding is enough); a spin with more
+    windows than the range has points is left out.  Each spin's runs are
     made disjoint, and one sorted sweep over all their edges keeps the
     indices that every spin's runs cover, so the cost is O(runs + indices
     kept), not O(stop - first).
@@ -358,13 +372,23 @@ def _window_index(
         plan.window_g4[in_range][:_WINDOW_SPINS].tolist(),
         plan.window_width[in_range][:_WINDOW_SPINS].tolist(),
     ):
-        centres = turn * np.arange(
-            math.floor((a * t_lo - w) / turn), math.ceil((a * t_hi + w) / turn) + 1
-        )
-        if centres.size > stop - first:
+        m_lo, m_hi = math.floor((a * t_lo - w) / turn), math.ceil((a * t_hi + w) / turn)
+        if m_hi - m_lo + 1 > stop - first:
             continue  # more windows than points: the spin would drop little
-        lo = np.clip(np.ceil(((centres - w) / a - t0) / dt) - 1.0, first, stop).astype(np.int64)
-        hi = np.clip(np.floor(((centres + w) / a - t0) / dt) + 2.0, first, stop).astype(np.int64)
+        lo = turn * np.arange(m_lo, m_hi + 1)  # the window centres 2 pi m
+        hi = lo + w
+        lo -= w
+        # the docstring's edges, one in-place step at a time, clipped to
+        # [first, stop]
+        for edge, pad, rounded in ((lo, -1.0, np.ceil), (hi, 2.0, np.floor)):
+            edge /= a
+            edge -= t0
+            edge /= dt
+            rounded(edge, out=edge)
+            edge += pad
+            np.maximum(edge, first, out=edge)
+            np.minimum(edge, stop, out=edge)
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
         # run m is lo[m]..hi[m] - 1; start each run after the one before so
         # that no index is in two runs of one spin
         lo[1:] = np.maximum(lo[1:], hi[:-1])
@@ -376,10 +400,16 @@ def _window_index(
     # a run opening at k is the edge 2 k + 1 and one closing at k is 2 k, so
     # the sort puts a close before an open at the same index; the depth after
     # an edge is the number of spins whose runs cover the indices up to the
-    # next edge
-    edges = np.concatenate([2 * np.concatenate(opens) + 1, 2 * np.concatenate(closes)])
-    edges.sort()
-    depth = np.cumsum(2 * (edges & 1) - 1)
+    # next edge.  Each spin's opens and closes ascend, so the edges are
+    # presorted runs, which a stable sort merges.
+    edges = np.concatenate(opens + closes)
+    edges *= 2
+    edges[: sum(map(len, opens))] += 1
+    edges.sort(kind="stable")
+    depth = edges & 1
+    depth *= 2
+    depth -= 1
+    np.cumsum(depth, out=depth)
     covered = np.nonzero(depth == len(opens))[0]  # never the last edge, a close
     lo, hi = edges[covered] >> 1, edges[covered + 1] >> 1
     lengths = hi - lo

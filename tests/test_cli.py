@@ -560,7 +560,7 @@ class TestMainEntry:
         assert main([str(config), "--output", str(loud)]) == 0
         line = capsys.readouterr().out
         match = re.search(
-            r"window_points=(\d+) spin_points=(\d+) of n\*scanned_points=(\d+)", line
+            r"window_points=(\d+) spin_points=(\d+) n\*scanned_points=(\d+)", line
         )
         assert match, line
         window_points, spin_points, most = map(int, match.groups())
@@ -569,6 +569,23 @@ class TestMainEntry:
         # count too, so scanned_points is no bound
         assert 0 < window_points <= spin_points and window_points <= 19900
         assert loud.read_bytes() == quiet.read_bytes()
+
+    def test_recurrence_summary_counts_points_past_the_hit(self, tmp_path, capsys):
+        # |z| = 1 at every point, so the hit is the first of the grid's 6
+        # points; no spin has a phase window, so all 6 points of the range go
+        # on to the spin-by-spin rule, which evaluates every spin's factor on
+        # each: both counts exceed n*scanned_points
+        text = (
+            "mode = recurrence\nn = 3\nscenario = eigenstate\ng = 1\n"
+            "t_start = 1\nt_max = 2\nthreshold = 1\n"
+        )
+        config = write_config(tmp_path, text)
+        out = tmp_path / "rec.csv"
+        assert main([str(config), "--output", str(out)]) == 0
+        line = capsys.readouterr().out
+        assert " (window_points=6 spin_points=18 n*scanned_points=3) -> " in line, line
+        body = out.read_text().splitlines()[1:]
+        assert body == ["threshold,found,t_found,scanned_points", "1,1,1.1570796326794897,1"]
 
     def test_verify_summary_names_worst_case(self, tmp_path, capsys):
         config = write_config(tmp_path, "mode = verify\nn = 6\nseed = 11\ng_max = 1.0\n")

@@ -10,6 +10,7 @@ give every point they keep the exact bits of ``decoherence_abs_sq``.
 the recurrence CSV must not change by a byte.
 """
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -30,7 +31,7 @@ from einlab import (
     recurrence_search,
     validate,
 )
-from einlab.ensemble import _WINDOW_PHASE_MAX, _above_plan, _tail_above
+from einlab.ensemble import _WINDOW_PHASE_MAX, _above_plan, _tail_above, _window_index
 from einlab.model import NORM_TOL
 
 from conftest import assert_golden_digests
@@ -184,6 +185,100 @@ def test_kernel_applies_no_phase_window():
     reference = decoherence_abs_sq(env, times)
     assert values.tobytes() == reference[index].tobytes()
     assert np.all(np.isin(np.nonzero(reference >= 0.81)[0], index))
+
+
+def window_reference(plan, t0, dt, first, stop):
+    """_window_index by its docstring's rule, one window at a time: window m
+    of a spin with |4 g| = a and half-width w holds k from
+    ceil(((2 pi m - w)/a - t0)/dt) - 1 to floor(((2 pi m + w)/a - t0)/dt) + 1,
+    clipped to [first, stop); the narrowest three spins with a t_hi <= 2^20
+    apply, each only if it has no more windows than the range has points."""
+    if not plan.window_g4.size or stop > 2**51:
+        return None
+    t_lo, t_hi = t0 + dt * first, t0 + dt * (stop - 1)
+    turn = 2.0 * math.pi
+    spins = [
+        (a, w)
+        for a, w in zip(plan.window_g4.tolist(), plan.window_width.tolist())
+        if a * t_hi <= 2.0**20
+    ][:3]
+    masks = []
+    for a, w in spins:
+        m_lo, m_hi = math.floor((a * t_lo - w) / turn), math.ceil((a * t_hi + w) / turn)
+        if m_hi - m_lo + 1 > stop - first:
+            continue
+        mask = np.zeros(stop - first, dtype=bool)
+        # one window more on each side than the rule needs
+        for m in range(m_lo - 1, m_hi + 2):
+            lo = math.ceil(((turn * m - w) / a - t0) / dt) - 1
+            hi = math.floor(((turn * m + w) / a - t0) / dt) + 1
+            mask[max(lo, first) - first : max(min(hi + 1, stop) - first, 0)] = True
+        masks.append(mask)
+    if not masks:
+        return None
+    return first + np.nonzero(np.logical_and.reduce(masks))[0]
+
+
+# The baths of the benchmark's scan workload at seed 1 (four random, one
+# balanced), scanned at threshold 0.9 on (1, 1e4] with dt = 0.01.
+BENCH_SCAN_BATHS = [
+    *(build_environment_random(20, seed, 0.05, 1.0)
+      for seed in (3675148906, 3043505590, 3888122933, 1756608894)),
+    build_environment_scenario(ScenarioKind.BALANCED_EQUAL_COUPLING, 20, 0.731141),
+]
+
+
+def window_cases():
+    """(plan, t0, dt, first, stop) of ranges of at most about 1e5 points."""
+    for env in BENCH_SCAN_BATHS:
+        plan = _above_plan(env, 0.81)
+        for first, stop in [(1, 32769), (32769, 98305), (500_000, 600_000), (950_001, 999_901)]:
+            yield plan, 1.0, 0.01, first, stop
+        # the fastest of the three narrowest spins crosses |4 g t| = 2^20
+        # inside the range, so the range takes the fourth narrowest instead
+        cross = round((_WINDOW_PHASE_MAX / float(np.max(plan.window_g4[:3])) - 1.0) / 0.01)
+        yield plan, 1.0, 0.01, cross - 50_000, cross + 50_000
+        # every spin past 2^20
+        yield plan, 1e7, 0.01, 1, 1000
+        # grid indices past 2^51
+        yield plan, 1.0, 1e-12, 2**51 - 10, 2**51 + 10
+    plan = _above_plan(BENCH_SCAN_BATHS[0], 0.81)
+    # ranges with fewer points than some of the three spins have windows:
+    # those spins are left out, the others still prune; in the last range
+    # all three are left out
+    for dt, first, stop in [(2.5, 1, 3), (2.5, 1, 6), (2.5, 1, 11), (2.5, 1, 30), (1.0, 1, 3), (2.5, 7, 9)]:
+        yield plan, 1.0, dt, first, stop
+    # a bath without windows
+    env = EnvironmentSpec([0.3, 0.7], [0.995**0.5] * 2, [0.005**0.5] * 2)
+    yield _above_plan(env, 1.0), 1.0, 0.01, 1, 32769
+
+
+def test_window_index_matches_its_rule():
+    applied = set()
+    for plan, t0, dt, first, stop in window_cases():
+        expected = window_reference(plan, t0, dt, first, stop)
+        index = _window_index(plan, t0, dt, first, stop)
+        if expected is None:
+            assert index is None, (t0, dt, first, stop)
+            applied.add(None)
+        else:
+            assert index is not None and index.dtype == np.int64, (t0, dt, first, stop)
+            assert index.tolist() == expected.tolist(), (t0, dt, first, stop)
+            applied.add(index.size < stop - first)
+    # some ranges pruned, some with no spin that applies
+    assert {True, None} <= applied
+
+
+def test_scan_of_golden_bath_takes_three_ranges():
+    # the seed-7 scan of GOLDEN keeps few points in its windows, so after the
+    # first range of _SCAN_CHUNK points the rest of (1, 1e4] is cut into two
+    # equal ranges, each keeping fewer than half a chunk
+    env = build_environment_random(20, 7, 0.05, 1.0)
+    with mock.patch.object(ensemble, "_window_index", wraps=ensemble._window_index) as wrapped:
+        report = recurrence_search(env, 0.9, TimeGrid(1.0, 10000.0, 0.01))
+    assert wrapped.call_count == 3
+    assert report.found is None and report.scanned_points == 999900
+    assert (report.spin_points, report.window_points) == (40591, 25532)
 
 
 def grid_scan(env, floor_sq, grid):

@@ -36,8 +36,9 @@ cannot prove (nan, an infinity, or a value within 2^-20 units of the 17th
 digit of a rounding tie) is printed by Python's formatting.
 
 Verify mode runs its cases in order on the calling thread: a crosscheck
-allocates its own state and keeps nothing, so the oracle holds one
-2^(n+1)-amplitude array at a time.  Ensemble and sweep modes hand out their
+walks its state one block at a time, assembling, evolving and tracing each
+block while it is in cache, so the oracle never holds a 2^(n+1)-amplitude
+array and keeps nothing between cases.  Ensemble and sweep modes hand out their
 seeds, one whole seed per thread, to every CPU of the process's affinity
 mask (:func:`einlab.analytic._hand_out`; ``taskset -c 0`` keeps them
 serial), and their bytes do not depend on the CPU count; a
@@ -677,10 +678,12 @@ def _run_verify(config: RunConfig) -> _Result:
     first; then the cases run in order on the calling thread.  A crosscheck
     is a few short array calls that hold the GIL between them, so a second
     thread would only take turns with the first: 40 n = 16 crosschecks
-    took longer split over two threads than on one.  One thread holds one
-    2^(n+1) state at a time and starts no pool thread.  A case builds its
-    bath before its crosscheck allocates a state, so a bad coupling range is
-    reported before the 24-spin cap.  A coupling near the float range (say
+    took longer split over two threads than on one, and verify starts no
+    pool thread.  A crosscheck never holds its 2^(n+1) state: it walks it
+    one trace block at a time (:func:`einlab.oracle.crosscheck`), with five
+    arrays of at most 2^13 amplitudes as scratch.  A case builds its bath
+    before its crosscheck checks the 24-spin cap, so a bad coupling range is
+    reported first.  A coupling near the float range (say
     g_max = 1e307) overflows its phases to nan; the cases run with numpy's
     overflow and invalid warnings off, and the nan reaches the CSV and a
     FAIL summary instead.

@@ -1,8 +1,9 @@
 """Brute-force ground truth: full state-vector evolution and partial trace.
 
 The closed-form engine in :mod:`einlab.analytic` never materializes the
-joint state.  This module does, at exponential cost, so the two code paths
-can be checked against each other on small systems.
+joint state.  This module forms every one of its amplitudes, at exponential
+cost, so the two code paths can be checked against each other on small
+systems.
 
 Index convention for the 2^(n+1) amplitudes: the system occupies the most
 significant bit (bit value 0 is ``|+>``, 1 is ``|->``); environment spin j
@@ -21,27 +22,39 @@ product of n per-spin phases ``exp(i t s g_j s_j)``.  :func:`evolve_full`
 takes them from one ``cos`` and one ``sin`` over the n angles ``t * g_j``.
 
 Block layout: assemble and evolve walk the state in the same blocks of
-``2^k`` entries, ``k = _low_bits(n)``, at most an eighth of a row and at
-most ``_EVOLVE_BLOCK``.  The spins below bit k vary within a block and give
-one low table of 2^k entries; the spins above it, and for assemble the
-system as the top bit, are fixed within a block and give one entry of a
-high table.  Both tables are built by the one doubling rule
+``E = 2^k`` entries, ``k = _low_bits(n)``, at most an eighth of a row and
+at most ``_EVOLVE_BLOCK``.  The spins below bit k vary within a block and
+give one low table of 2^k entries; the spins above it, and for assemble
+the system as the top bit, are fixed within a block and give one entry of
+a high table.  Both tables are built by the one doubling rule
 (:func:`_doubling_table`), and each block is one contiguous multiply of
 the low table by one scalar: for :func:`assemble_full_state` the block is
 ``low * high[b]``, the amplitudes of its spins; for :func:`evolve_full`
 ``low * high[b]`` is the block's ``|+>`` phases, and their conjugates its
-``|->`` phases.  So neither the product state's factors nor the table of
-2^n phases is ever stored whole.
+``|->`` phases (:func:`_evolve_block`).  So neither the product state's
+factors nor the table of 2^n phases is ever stored whole.  The partial
+trace sums each branch row in blocks of ``T = min(_TRACE_BLOCK, 2^n)``
+entries; both sizes are powers of two and ``E <= T``, so a trace block is
+a whole number of evolve blocks.
 
-Memory rule: a crosscheck holds one 2^(n+1) array, the state, which it
-allocates itself: :func:`assemble_full_state` returns a fresh array, with
-scratch (the low table) of at most 1/16 of the state; :func:`evolve_full`
-evolves that array in place and returns None, as numpy's in-place
-operations do, with two blocks of scratch that take at most an eighth of
-the state; and the partial trace reads it where it lies.  Verify runs its
-crosschecks one after another on one thread, so it holds one state at a
-time.  :func:`partial_trace_to_system` returns a 2x2 complex array, as
-:func:`einlab.analytic.reduced_density_matrix` does.
+Memory rule: :func:`crosscheck` never holds the 2^(n+1) state.  It walks
+it one trace block at a time (:func:`_walk`): for each of a trace block's
+evolve blocks b it writes assemble's ``low * high[b]`` into the ``|+>``
+scratch row and ``low * high[b + 2^n / E]`` into the ``|->`` one, evolves
+them with :func:`_evolve_block`, and then adds the trace block's three
+inner products to the running sums, so each block is assembled, evolved
+and traced while it is in cache.  Its scratch is the two T-entry rows, one
+E-entry phase block and the four tables: five arrays of 2^13 amplitudes at
+n >= 16 (640 KiB, 0.31 of the 2 MiB state at n = 16), fewer entries below.
+Every amplitude and sum is formed by the same operations in the same order
+as on the whole-state route, so the bits are the same.  That route stays
+as the Python API and the tests' route for entangled states:
+:func:`assemble_full_state` returns a fresh array, with scratch (the low
+table) of at most 1/16 of the state; :func:`evolve_full` evolves any state
+in place and returns None, as numpy's in-place operations do, with two
+blocks of scratch that take at most an eighth of the state; and
+:func:`partial_trace_to_system` reads it where it lies and returns a 2x2
+complex array, as :func:`einlab.analytic.reduced_density_matrix` does.
 
 The partial trace is three inner products of the two branch rows.  Rows of
 8 entries or more (n >= 3) sum ``np.vdot`` calls over blocks of the rows;
@@ -121,6 +134,35 @@ def _phase_table(phases: list[complex]) -> np.ndarray:
     return _doubling_table([(e, e.conjugate()) for e in phases])
 
 
+def _amplitude_tables(sys: SystemAmplitudes, env: EnvironmentSpec, low_bits: int):
+    """The product state's low table (the spins below bit ``low_bits``) and
+    high table (the spins above it, then the system as the top bit); block b
+    of the state is ``low * high[b]``."""
+    pairs = env.amplitudes().tolist()
+    return _doubling_table(pairs[:low_bits]), _doubling_table([*pairs[low_bits:], (sys.a, sys.b)])
+
+
+def _phase_tables(env: EnvironmentSpec, t: float, low_bits: int):
+    """Evolve's low and high phase tables for time ``t``: block b of a row
+    has the ``|+>`` phases ``low * high[b]``.  The per-spin phases
+    ``e_j = exp(i t g_j)`` come from one ``cos`` and one ``sin`` over the n
+    angles ``t * g_j``; where an angle is not finite they are NaN."""
+    angles = float(t) * env.couplings()
+    phases = list(map(complex, np.cos(angles), np.sin(angles)))
+    return _phase_table(phases[:low_bits]), _phase_table(phases[low_bits:])
+
+
+def _evolve_block(plus, minus, low, h, phase) -> None:
+    """Evolve block b of the two branch rows in place, ``h = high[b]``: the
+    ``|+>`` phases ``low * h`` go into the scratch ``phase``, multiply
+    ``plus``, and their conjugates multiply ``minus``.  The amplitude is the
+    first operand of each product."""
+    np.multiply(low, h, out=phase)
+    np.multiply(plus, phase, out=plus)
+    np.conjugate(phase, out=phase)
+    np.multiply(minus, phase, out=minus)
+
+
 def assemble_full_state(sys: SystemAmplitudes, env: EnvironmentSpec) -> FullState:
     """Product state (a|+> + b|->) (x) prod_j (alpha_j|+>_j + beta_j|->_j).
 
@@ -132,10 +174,7 @@ def assemble_full_state(sys: SystemAmplitudes, env: EnvironmentSpec) -> FullStat
     n = env.n
     _check_size(n)
     full = np.empty(2 ** (n + 1), dtype=complex)
-    low_bits = _low_bits(n)
-    pairs = env.amplitudes().tolist()
-    low = _doubling_table(pairs[:low_bits])
-    high = _doubling_table([*pairs[low_bits:], (sys.a, sys.b)])
+    low, high = _amplitude_tables(sys, env, _low_bits(n))
     for block, h in zip(full.reshape(-1, low.size), high):
         np.multiply(low, h, out=block)
     return FullState(n, full)
@@ -174,18 +213,11 @@ def evolve_full(state: FullState, env: EnvironmentSpec, t: float) -> None:
             f"state for n={state.n} (environment n={env.n}) must hold a contiguous "
             f"complex128 array of shape ({size},), got {amps.dtype} of shape {amps.shape}"
         )
-    angles = float(t) * env.couplings()
-    phases = list(map(complex, np.cos(angles), np.sin(angles)))
-    plus, minus = amps.reshape(2, -1)
-    low_bits = _low_bits(state.n)
-    low = _phase_table(phases[:low_bits])
-    high = _phase_table(phases[low_bits:])
+    low, high = _phase_tables(env, t, _low_bits(state.n))
     phase = np.empty(low.size, dtype=complex)
+    plus, minus = amps.reshape(2, -1)
     for p, m, h in zip(plus.reshape(-1, low.size), minus.reshape(-1, low.size), high):
-        np.multiply(low, h, out=phase)
-        np.multiply(p, phase, out=p)
-        np.conjugate(phase, out=phase)
-        np.multiply(m, phase, out=m)
+        _evolve_block(p, m, low, h, phase)
 
 
 # Longest stretch of a row that one np.vdot call sums.  OpenBLAS's x86_64
@@ -199,6 +231,27 @@ _TRACE_BLOCK = 1 << 13
 # kernel rounded lengths 2, 3, 4 and 7 differently from its SkylakeX one
 # (and lengths 1, 8, 16, 64, 1024 and 8192 the same).
 _SHORT_ROW = 8
+
+
+def _trace(row: int, blocks) -> np.ndarray:
+    """rho from the branch rows of ``row`` entries each, given as their
+    blocks ``(plus, minus)`` in row order: the whole rows as one block if
+    they are shorter than ``_SHORT_ROW``, else blocks of
+    ``min(_TRACE_BLOCK, row)`` entries.  See :func:`partial_trace_to_system`."""
+    if row < _SHORT_ROW:
+        ((plus, minus),) = blocks
+        pr, pi, mr, mi = plus.real, plus.imag, minus.real, minus.imag
+        pp = np.add.reduce(pr * pr + pi * pi)
+        mm = np.add.reduce(mr * mr + mi * mi)
+        pm = complex(np.add.reduce(mr * pr + mi * pi), np.add.reduce(mr * pi - mi * pr))
+        return np.array([[pp, pm], [np.conj(pm), mm]])
+    pp = mm = 0.0
+    pm = 0j
+    for plus, minus in blocks:
+        pp += np.vdot(plus, plus).real
+        mm += np.vdot(minus, minus).real
+        pm += np.vdot(minus, plus)
+    return np.array([[pp, pm], [np.conj(pm), mm]])
 
 
 def partial_trace_to_system(state: FullState) -> np.ndarray:
@@ -218,21 +271,38 @@ def partial_trace_to_system(state: FullState) -> np.ndarray:
     ``math.fsum`` of the products, where the matrix product strayed up to
     10 eps from it.
     """
-    amps = state.amplitudes
-    if amps.size < 2 * _SHORT_ROW:
-        (pr, mr), (pi, mi) = amps.real.reshape(2, -1), amps.imag.reshape(2, -1)
-        pp = np.add.reduce(pr * pr + pi * pi)
-        mm = np.add.reduce(mr * mr + mi * mi)
-        pm = complex(np.add.reduce(mr * pr + mi * pi), np.add.reduce(mr * pi - mi * pr))
-        return np.array([[pp, pm], [np.conj(pm), mm]])
-    rows = amps.reshape(2, -1, min(_TRACE_BLOCK, amps.size // 2))
-    pp = mm = 0.0
-    pm = 0j
-    for plus, minus in zip(*rows):
-        pp += np.vdot(plus, plus).real
-        mm += np.vdot(minus, minus).real
-        pm += np.vdot(minus, plus)
-    return np.array([[pp, pm], [np.conj(pm), mm]])
+    plus, minus = state.amplitudes.reshape(2, -1)
+    block = min(_TRACE_BLOCK, plus.size)
+    return _trace(plus.size, zip(plus.reshape(-1, block), minus.reshape(-1, block)))
+
+
+def _walk(sys: SystemAmplitudes, env: EnvironmentSpec, t: float):
+    """Yield the evolved product state's branch rows as :func:`_trace` takes
+    them, one trace block ``(plus, minus)`` at a time, each written into the
+    same two scratch rows.
+
+    Each of a trace block's evolve blocks b is assembled as
+    :func:`assemble_full_state` writes it, ``low * high[b]`` for the
+    ``|+>`` row and ``low * high[b + 2^n / E]`` for the ``|->`` row, and then
+    evolved by :func:`_evolve_block`, so every amplitude has the bits of the
+    whole-state route.  A trace block is a whole number of evolve blocks:
+    both are powers of two, and an evolve block is at most an eighth of a
+    row and at most ``_EVOLVE_BLOCK = _TRACE_BLOCK`` entries.
+    """
+    n = env.n
+    low_bits = _low_bits(n)
+    amp_low, amp_high = _amplitude_tables(sys, env, low_bits)
+    phase_low, phase_high = _phase_tables(env, t, low_bits)
+    size, half = amp_low.size, phase_high.size
+    rows = np.empty((2, min(_TRACE_BLOCK, 2**n)), dtype=complex)
+    phase = np.empty(size, dtype=complex)
+    blocks = list(zip(*rows.reshape(2, -1, size)))
+    for start in range(0, half, len(blocks)):
+        for b, (p, m) in enumerate(blocks, start):
+            np.multiply(amp_low, amp_high[b], out=p)
+            np.multiply(amp_low, amp_high[b + half], out=m)
+            _evolve_block(p, m, phase_low, phase_high[b], phase)
+        yield rows
 
 
 @dataclass(frozen=True)
@@ -250,14 +320,17 @@ def crosscheck(
     """Assemble, evolve and trace the full state, then compare against the
     closed-form reduced density matrix.
 
-    The crosscheck allocates its state when it assembles it,
-    :func:`evolve_full` overwrites that state's amplitudes with the evolved
-    ones, and the partial trace reads them where they lie.  So it holds one
-    2^(n+1) array, its own, and keeps nothing between calls.
+    One walk over the state (:func:`_walk`): each trace block of the two
+    branch rows is assembled, evolved and traced while it is in cache, into
+    two scratch rows of at most ``_TRACE_BLOCK`` entries, so the 2^(n+1)
+    state is never held whole.  Every amplitude and every sum is formed by
+    the same operations in the same order as :func:`assemble_full_state`,
+    :func:`evolve_full` and :func:`partial_trace_to_system` form them, so
+    ``rho`` has their bits.  The size cap is checked before anything is
+    allocated, and nothing is kept between calls.
     """
-    full = assemble_full_state(sys, env)
-    evolve_full(full, env, t)
-    rho_brute = partial_trace_to_system(full)
+    _check_size(env.n)
+    rho_brute = _trace(2**env.n, _walk(sys, env, t))
     rho_closed = reduced_density_matrix(sys, env, t)
     dev = float(np.max(np.abs(rho_brute - rho_closed)))
     return CrosscheckReport(max_deviation=dev, tolerance=float(tolerance), passed=dev <= tolerance)

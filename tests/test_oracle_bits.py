@@ -8,6 +8,8 @@ the system.  Both are compared here, bit for bit, with plain whole-array
 expressions of the same products.  ``evolve_full`` evolves the state's own
 amplitudes in place and returns None, as each crosscheck evolves the state
 it assembled, so a test that still needs its input evolves a copy of it.
+``crosscheck`` walks the state a block at a time without holding it whole;
+its reduced matrix is compared, bit for bit, with the whole-state route.
 """
 
 import math
@@ -23,11 +25,15 @@ from einlab import (
     EnvironmentSpec,
     FullState,
     ScenarioKind,
+    SystemAmplitudes,
     assemble_full_state,
     build_environment_random,
     build_environment_scenario,
     cli,
+    crosscheck,
     evolve_full,
+    partial_trace_to_system,
+    reduced_density_matrix,
 )
 import einlab.oracle as oracle
 
@@ -202,7 +208,8 @@ def test_non_finite_couplings_match_reference():
 # per-spin phases (n = 0 has no phase, and at n = 1 every max_deviation
 # cell kept its bits); version 0.2.3 moved those with n >= 1, whose states
 # are assembled block by block and whose short rows (n <= 2) are traced
-# without BLAS.
+# without BLAS.  At n = 15 a trace block holds two evolve blocks, and at
+# n = 17 a row holds 16 trace blocks.
 GOLDEN = {
     "mode = verify\nn = 0\nseed = 5\ng_max = 1.0\n":
         "9fdfb5b59758376c4c849af3a93baeb017e19ad9fd1898ca997888418c5ef72c",
@@ -214,14 +221,64 @@ GOLDEN = {
         "abd7a18a2de2e99ae1f6c43a788dc2e6decd3ec6f8e1f51eccd778c634459cd2",
     "mode = verify\nn = 14\nseed = 8\ng_max = 1.0\n":
         "d98c17adbaf7b589117992f15fee0a2432db69cb399c5b89b6055571bd3fe40e",
+    "mode = verify\nn = 15\nseed = 15\ng_max = 1.0\n":
+        "a248c858825973571d1c2a5c753bce79b02cf09d7ec6cdf3edf10e5c0168bb5c",
     "mode = verify\nn = 16\nseed = 201\ng_max = 1.0\n":
         "0ce514ef522ba482b960e8895c7d7bafc810cc7145903bc5fdd851251e7ea790",
+    "mode = verify\nn = 17\nseed = 17\ng_max = 1.0\n":
+        "c3a71cc50498e11c2cf9276310b9d398524a3cc616d5bd25a0dbe7206cd1555c",
 }
 
 
 @pytest.mark.parametrize("text", list(GOLDEN))
 def test_golden_verify_digests(tmp_path, text):
     assert_golden_digests(tmp_path, {text: GOLDEN[text]})
+
+
+WALK_SYSTEMS = [SystemAmplitudes(0.6 + 0j, 0.8 + 0j), SystemAmplitudes(0.6 + 0j, 0.48 - 0.64j)]
+
+
+@pytest.mark.parametrize("n", [*range(19), 20])
+def test_crosscheck_walk_matches_the_whole_state_route(n):
+    # real and complex system amplitudes; t = 0, an ordinary t, a negative
+    # t, and couplings of 1e307, whose angles overflow at t = 19.5 and
+    # whose phases are nan
+    ordinary = build_environment_random(n, n + 1, 0.05, 1.0)
+    huge = build_environment_random(n, n + 1, 1e307, 1e307)
+    cases = [(ordinary, 0.0), (ordinary, 2.5), (ordinary, -7.75), (huge, 19.5)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for sys_amp in WALK_SYSTEMS:
+            for env, t in cases:
+                walked = oracle._trace(2**n, oracle._walk(sys_amp, env, t))
+                assert np.isnan(walked).all() == (env is huge and n > 0)
+                full = assemble_full_state(sys_amp, env)
+                evolve_full(full, env, t)
+                whole = partial_trace_to_system(full)
+                assert walked.tobytes() == whole.tobytes(), (sys_amp, t)
+                # and crosscheck reports the deviation of those bits
+                dev = np.max(np.abs(whole - reduced_density_matrix(sys_amp, env, t)))
+                report = crosscheck(sys_amp, env, t, 1e-10)
+                assert np.float64(report.max_deviation).tobytes() == dev.tobytes(), (sys_amp, t)
+
+
+def test_crosscheck_never_holds_the_state():
+    # verify's size: the 2 MiB state is walked in trace blocks of 8192
+    # entries.  The scratch is five arrays of 8192 amplitudes (128 KiB
+    # each): the low amplitude and low phase tables, the two rows of a
+    # trace block and one phase block, 0.31 of the state, plus the high
+    # tables and a few KiB of Python objects.
+    n = 16
+    state = 2 ** (n + 1) * 16
+    env = build_environment_random(n, 5, 0.05, 1.0)
+    sys_amp = WALK_SYSTEMS[1]
+    crosscheck(sys_amp, env, 3.5, 1e-10)
+    tracemalloc.start()
+    try:
+        crosscheck(sys_amp, env, 4.5, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state / 3
 
 
 def wrong_amplitudes(kind):
